@@ -7,6 +7,14 @@ which keeps every quantity an integer polynomial: the full sum equals
 2^m * mu_G, each node of the assignment tree is the sum of its two
 children, and the leaves are honest characteristic polynomials.
 
+Production computes every conditional sum through one route, the matching
+expansion over the unresolved cotree edges (see `conditional_sum_fast`).
+Each term is a charpoly of a vertex-deleted graph, evaluated as the product
+of its connected components' charpolys; component charpolys are memoised
+for the length of one descent.  The brute enumeration of completions,
+`conditional_sum_charpoly`, is kept as the reference the tests compare
+against.
+
 The greedy descent walks from the root to a leaf, at each level keeping the
 child whose largest root is (weakly) smaller, and certifies at the end that
 the chosen orientation satisfies lambda_max <= largest root of mu_G.
@@ -33,19 +41,26 @@ from .polynomials import (
 )
 
 CONDITIONAL_SUM_GUARD_M = 20
-GREEDY_BRUTE_GUARD_M = 16
-GREEDY_FAST_GUARD_M = 20
 AUDIT_GUARD_M = 10
 
 
 def _check_prefix(prefix: Sequence[int], m: int) -> tuple[int, ...]:
-    p = tuple(int(s) for s in prefix)
-    if len(p) > m:
-        raise ValueError(f"prefix of length {len(p)} exceeds the {m} cotree edges")
-    for s in p:
+    raw = tuple(prefix)
+    if len(raw) > m:
+        raise ValueError(f"prefix of length {len(raw)} exceeds the {m} cotree edges")
+    # compare before converting: int(1.5) would pass as +1
+    for s in raw:
         if s not in (-1, 1):
             raise ValueError("prefix entries must be +1 or -1")
-    return p
+    return tuple(int(s) for s in raw)
+
+
+def _check_expansion_guard(m: int, guard: bool) -> None:
+    if guard and m > CONDITIONAL_SUM_GUARD_M:
+        raise GuardLimit(
+            f"conditional sums expand over matchings of the unresolved cotree "
+            f"edges; m={m} exceeds {CONDITIONAL_SUM_GUARD_M} (pass guard=False to override)"
+        )
 
 
 def _base_flat(
@@ -100,6 +115,78 @@ def _matchings(edges: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
         yield (head,) + m
 
 
+def _component_charpoly(
+    t: SpanningTree, arcs: list[tuple[int, int, int]], comp: list[int], memo: dict
+) -> IntPoly:
+    """Charpoly of the connected piece of H_fixed induced on comp.
+
+    The piece's Hermitian matrix is fixed by its vertex set (the tree edges
+    inside it) and the resolved arcs inside it, so that pair is an exact key
+    for every prefix and level of one (g, t).
+    """
+    comp.sort()
+    inside = set(comp)
+    key = (tuple(comp), tuple(a for a in arcs if a[0] in inside and a[1] in inside))
+    phi = memo.get(key)
+    if phi is None:
+        size = len(comp)
+        index = {v: i for i, v in enumerate(comp)}
+        re = [0] * (size * size)
+        im = [0] * (size * size)
+        for v in comp:
+            p = t.parent[v]
+            if p != v and p in inside:
+                i, j = index[v], index[p]
+                re[i * size + j] = re[j * size + i] = 1
+        for (u, v, s) in key[1]:
+            i, j = index[u], index[v]
+            im[i * size + j] = s
+            im[j * size + i] = -s
+        phi = memo[key] = IntPoly(kernel.charpoly_flat(re, im, size))
+    return phi
+
+
+def _expansion_sum(
+    t: SpanningTree, co: tuple[Edge, ...], prefix: tuple[int, ...], memo: dict
+) -> IntPoly:
+    """sum_M (-1)^|M| det(xI - H_fixed with V(M) deleted), M ranging over the
+    matchings of the unresolved cotree edges co[len(prefix):].
+
+    H_fixed is the tree plus the resolved cotree edges as arcs.  Each
+    vertex-deleted graph is split into connected components and its charpoly
+    is the product of theirs.  memo maps component keys to charpolys; it is
+    valid for this (g, t) only, so callers create one per descent.
+    """
+    n = t.n
+    arcs = [(u, v, s) for (u, v), s in zip(co, prefix)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in t.tree_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for (u, v, _) in arcs:
+        adj[u].append(v)
+        adj[v].append(u)
+    total = IntPoly.zero()
+    for matched in _matchings(co[len(prefix) :]):
+        seen = [False] * n
+        for (u, v) in matched:
+            seen[u] = seen[v] = True
+        term = IntPoly.constant(-1 if len(matched) % 2 else 1)
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            for x in comp:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        comp.append(y)
+            term = term * _component_charpoly(t, arcs, comp, memo)
+        total = total + term
+    return total
+
+
 def conditional_sum_fast(
     g: Graph, t: SpanningTree, prefix: Sequence[int] = (), guard: bool = True
 ) -> IntPoly:
@@ -112,53 +199,31 @@ def conditional_sum_fast(
         sum = 2^(m-k) * sum_M (-1)^|M| det(xI - H_fixed with V(M) deleted)
 
     where H_fixed is the resolved mixed graph with every unresolved edge
-    removed.  This is a genuinely different route from the brute-force sum
-    and the two are compared in the tests.
+    removed.  This is the production route (greedy_orientation and
+    expected_charpoly evaluate the same expansion with a memo shared across
+    a descent); the brute-force sum is the reference the tests compare with.
     """
     co = cotree_edges(g, t)
     m = len(co)
-    if guard and m > CONDITIONAL_SUM_GUARD_M:
-        raise GuardLimit(
-            f"conditional sums enumerate matchings of m-k edges; m={m} exceeds "
-            f"{CONDITIONAL_SUM_GUARD_M} (pass guard=False to override)"
-        )
+    _check_expansion_guard(m, guard)
     p = _check_prefix(prefix, m)
-    n = g.n
-    re, im, free = _base_flat(g, t, co, p)
-    acc = [0] * (n + 1)
-    for matched in _matchings(free):
-        removed = set()
-        for (u, v) in matched:
-            removed.add(u)
-            removed.add(v)
-        keep = [v for v in range(n) if v not in removed]
-        k = len(keep)
-        sub_re = [re[u * n + v] for u in keep for v in keep]
-        sub_im = [im[u * n + v] for u in keep for v in keep]
-        part = kernel.charpoly_flat(sub_re, sub_im, k)
-        if len(matched) % 2 == 0:
-            for idx, c in enumerate(part):
-                acc[idx] += c
-        else:
-            for idx, c in enumerate(part):
-                acc[idx] -= c
-    shift = 1 << (m - len(p))
-    return IntPoly([c * shift for c in acc])
+    return _expansion_sum(t, co, p, {}) * (1 << (m - len(p)))
 
 
 def expected_charpoly(g: Graph, t: SpanningTree, guard: bool = True) -> IntPoly:
     """Average of det(xI - H) over all 2^m partial orientations of (g, t).
 
-    The average of monic integer polynomials over a sign space is again an
-    integer polynomial here; an inexact division would contradict that and
-    raises ComputationDefect.
+    The root conditional sum is 2^m times the matching expansion at the
+    empty prefix, so the average is that expansion itself:
+    sum_M (-1)^|M| det(xI - A(T - V(M))) over the matchings M of the cotree
+    edges, an integer polynomial by construction.  The expectation lemma
+    says it equals the matching polynomial of g; the tests also check that
+    by enumerating orientations.  Guarded like the conditional sums
+    (m <= CONDITIONAL_SUM_GUARD_M).
     """
     co = cotree_edges(g, t)
-    total = conditional_sum_charpoly(g, t, (), guard=guard)
-    try:
-        return total.divexact(1 << len(co))
-    except ValueError as exc:
-        raise ComputationDefect(f"expected charpoly is not integral: {exc}") from exc
+    _check_expansion_guard(len(co), guard)
+    return _expansion_sum(t, co, (), {})
 
 
 @dataclass(frozen=True)
@@ -203,46 +268,25 @@ class OrientationCertificate:
         }
 
 
-def greedy_orientation(
-    g: Graph,
-    t: SpanningTree,
-    method: str = "auto",
-    guard: bool = True,
-) -> OrientationCertificate:
+def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> OrientationCertificate:
     """Descend the sign-assignment tree, always toward the child whose
     largest root is smaller (ties resolved to +1), and certify the result.
 
-    method selects how conditional sums are computed: "brute" enumerates
-    completions (m <= 16 under guards), "fast" uses the matching expansion
-    (m <= 20), "auto" picks brute while it is allowed.
+    Conditional sums come from the matching expansion of
+    conditional_sum_fast, with one component-charpoly memo created for this
+    call and reused at every level.  Under guards m <= CONDITIONAL_SUM_GUARD_M.
     """
     g.require_connected()
     co = cotree_edges(g, t)
     m = len(co)
-    if method == "auto":
-        method = "brute" if (not guard or m <= GREEDY_BRUTE_GUARD_M) else "fast"
-    if method == "brute":
-        if guard and m > GREEDY_BRUTE_GUARD_M:
-            raise GuardLimit(
-                f"greedy descent with brute sums handles m <= {GREEDY_BRUTE_GUARD_M}; "
-                f"m={m} (use method='fast' or guard=False)"
-            )
-        summer = conditional_sum_charpoly
-    elif method == "fast":
-        if guard and m > GREEDY_FAST_GUARD_M:
-            raise GuardLimit(
-                f"greedy descent handles m <= {GREEDY_FAST_GUARD_M}; m={m} "
-                f"(pass guard=False to override)"
-            )
-        summer = conditional_sum_fast
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    _check_expansion_guard(m, guard)
 
+    memo: dict = {}
     prefix: list[int] = []
-    current = summer(g, t, (), guard=guard)
+    current = _expansion_sum(t, co, (), memo) * (1 << m)
     levels: list[LevelChoice] = []
     for k in range(m):
-        plus = summer(g, t, (*prefix, 1), guard=guard)
+        plus = _expansion_sum(t, co, (*prefix, 1), memo) * (1 << (m - k - 1))
         minus = current - plus  # each node is the sum of its two children
         root_plus = isolate_largest_root(plus)
         root_minus = isolate_largest_root(minus)

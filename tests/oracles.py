@@ -10,6 +10,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from orispec.graphs import cotree_edges
+from orispec.orientation import conditional_sum_charpoly
+from orispec.polynomials import Order, compare_roots, isolate_largest_root
+
 # ---------------------------------------------------------------------------
 # exact complex-integer determinants (Bareiss) and charpoly by interpolation
 # ---------------------------------------------------------------------------
@@ -241,6 +245,25 @@ def even_cycle_tree_condition(g, tree_edges) -> bool:
         if count > len(cycle) - 2:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# greedy descent over brute-force conditional sums
+# ---------------------------------------------------------------------------
+
+
+def greedy_by_brute_sums(g, t):
+    """The greedy descent with every child computed by enumerating its
+    completions (the package's brute-force conditional sum) instead of the
+    matching expansion.  Same tie rule: +1 unless the +1 child's largest
+    root is greater.  Returns (signs, final charpoly)."""
+    signs = []
+    for _ in cotree_edges(g, t):
+        plus = conditional_sum_charpoly(g, t, (*signs, 1))
+        minus = conditional_sum_charpoly(g, t, (*signs, -1))
+        larger = compare_roots(isolate_largest_root(plus), isolate_largest_root(minus))
+        signs.append(-1 if larger is Order.GT else 1)
+    return tuple(signs), conditional_sum_charpoly(g, t, signs)
 
 
 # ---------------------------------------------------------------------------

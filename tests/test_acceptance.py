@@ -130,6 +130,10 @@ def test_criterion_03_expectation_sweep():
             mu = matching_polynomial(g)
             for root in range(g.n):
                 assert expected_charpoly(g, bfs_spanning_tree(g, root)) == mu
+            # the lemma by enumeration too, independent of the matching expansion
+            t = bfs_spanning_tree(g, 0)
+            m = len(cotree_edges(g, t))
+            assert conditional_sum_charpoly(g, t) == mu * (1 << m)
         assert time.perf_counter() - start < 60.0
 
 

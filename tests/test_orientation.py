@@ -1,5 +1,6 @@
 import random
 
+import oracles
 import pytest
 
 from orispec.errors import GuardLimit
@@ -16,6 +17,7 @@ from orispec.graphs import (
 from orispec.hermitian import charpoly_of_mixed
 from orispec.matching import matching_polynomial
 from orispec.orientation import (
+    _expansion_sum,
     audit_interlacing_family,
     conditional_sum_charpoly,
     conditional_sum_fast,
@@ -47,6 +49,18 @@ def sum_by_explicit_completions(g, t, prefix):
 def all_prefixes(m):
     for k in range(m + 1):
         yield from sign_vectors(k)
+
+
+def grid(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph.of(rows * cols, edges)
 
 
 class TestConditionalSums:
@@ -86,11 +100,29 @@ class TestConditionalSums:
             prefix = tuple(rng.choice((-1, 1)) for _ in range(k))
             assert conditional_sum_fast(g, t, prefix) == conditional_sum_charpoly(g, t, prefix)
 
+    def test_shared_memo_matches_brute_along_descents(self, corpus5):
+        # one memo for the whole sign tree, visited depth first: every
+        # root-to-leaf walk sees the prefixes in descent order, and entries
+        # made under one branch are looked up again under the others
+        for g in [*corpus5, grid(3, 4)]:
+            t = bfs_spanning_tree(g, 0)
+            co = cotree_edges(g, t)
+            m = len(co)
+            memo = {}
+            stack = [()]
+            while stack:
+                prefix = stack.pop()
+                got = _expansion_sum(t, co, prefix, memo) * 2 ** (m - len(prefix))
+                assert got == conditional_sum_charpoly(g, t, prefix), (g.edges, prefix)
+                if len(prefix) < m:
+                    stack += [(*prefix, -1), (*prefix, 1)]
+
     def test_prefix_validation(self, ex1, ex1_path_tree):
-        with pytest.raises(ValueError):
-            conditional_sum_charpoly(ex1, ex1_path_tree, (0,))
-        with pytest.raises(ValueError):
-            conditional_sum_charpoly(ex1, ex1_path_tree, (1, 1, 1))
+        # 1.5 must not pass as +1 by truncation
+        for summer in (conditional_sum_charpoly, conditional_sum_fast):
+            for bad in [(0,), (1.5,), (1, -1.5), (1, 1, 1)]:
+                with pytest.raises(ValueError):
+                    summer(ex1, ex1_path_tree, bad)
 
     def test_guard(self):
         g = Graph.of(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
@@ -99,6 +131,10 @@ class TestConditionalSums:
             conditional_sum_charpoly(g, t)
         with pytest.raises(GuardLimit):
             conditional_sum_fast(g, t)
+        with pytest.raises(GuardLimit):
+            expected_charpoly(g, t)
+        with pytest.raises(GuardLimit):
+            greedy_orientation(g, t)
 
 
 class TestExpectedCharpoly:
@@ -140,17 +176,14 @@ class TestGreedyDescent:
         assert cert.verdict is Order.EQ
         assert str(cert.final_charpoly) == "x^4-4x^2+2"
 
-    def test_methods_agree(self, ex1, c4):
-        for g in (ex1, c4):
-            for t in enumerate_spanning_trees(g):
-                brute = greedy_orientation(g, t, method="brute")
-                fast = greedy_orientation(g, t, method="fast")
-                assert brute.signs == fast.signs
-                assert brute.final_charpoly == fast.final_charpoly
-
-    def test_unknown_method(self, ex1, ex1_path_tree):
-        with pytest.raises(ValueError):
-            greedy_orientation(ex1, ex1_path_tree, method="magic")
+    def test_matches_brute_sum_descent(self, ex1, c4, corpus5):
+        cases = [(g, t) for g in (ex1, c4) for t in enumerate_spanning_trees(g)]
+        cases += [(g, bfs_spanning_tree(g, 0)) for g in corpus5]
+        for g, t in cases:
+            cert = greedy_orientation(g, t)
+            signs, final = oracles.greedy_by_brute_sums(g, t)
+            assert cert.signs.signs == signs
+            assert cert.final_charpoly == final
 
     def test_verdict_never_gt_on_corpus(self, corpus5):
         for g in corpus5:
