@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import kernel
 from .errors import ComputationDefect, OrispecError, ParseError
-from .explore import explore_record, generate_corpus, worker_count
+from .explore import explore_records, generate_corpus
 from .graphs import (
     Edge,
     Graph,
@@ -425,15 +425,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         raise ParseError("explore needs --graph or --max-n")
     defects = 0
     inconsistent = 0
-    workers = worker_count()
-    if workers > 1 and len(graphs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(explore_record, graphs))
-    else:
-        records = [explore_record(g) for g in graphs]
-    for record in records:
+    for record in explore_records(graphs):
         if args.json:
             _emit_line(record)
         else:
@@ -498,16 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable cost guards (searches may become astronomically slow)",
     )
 
-    graph_opt = _Parser(add_help=False)
-    graph_opt.add_argument(
-        "-g", "--graph", help="inline graph text (';' separates lines) or @file"
-    )
-    graph_opt.add_argument(
+    graph_help = "inline graph text (';' separates lines) or @file"
+    format_opt = _Parser(add_help=False)
+    format_opt.add_argument(
         "--format",
         choices=("edgelist", "graph6", "mixed"),
         default="edgelist",
         help="input format (default edgelist)",
     )
+    graph_opt = _Parser(add_help=False, parents=[format_opt])
+    graph_opt.add_argument("-g", "--graph", help=graph_help)
 
     tree_opt = _Parser(add_help=False)
     tree_opt.add_argument(
@@ -565,11 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
     explore = add(
         "explore",
         cmd_explore,
-        [common, graph_opt],
+        [common, format_opt],
         "minimum-rho tiers and exact bound checks over a corpus",
         needs_graph=False,
     )
-    explore.add_argument("--max-n", type=int, help="sweep all connected graphs up to this order")
+    source = explore.add_mutually_exclusive_group()
+    source.add_argument("-g", "--graph", help=graph_help)
+    source.add_argument("--max-n", type=int, help="sweep all connected graphs up to this order")
     add("backend", cmd_backend, [common], "show which kernel implementation is active", needs_graph=False)
     return parser
 

@@ -13,6 +13,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from . import kernel
 from .errors import GuardLimit
@@ -26,6 +27,7 @@ from .graphs import (
     cotree_edges,
     encode_graph6,
     enumerate_spanning_trees,
+    norm_edge,
     sign_vectors,
 )
 from .hermitian import charpoly_of_mixed, spectral_radius_of_charpoly
@@ -35,6 +37,7 @@ CORPUS_GUARD_N = 7
 MIN_COMPLETE_GUARD_M = 20
 MIN_PARTIAL_GUARD_N = 7
 ALL_MIXED_GUARD_N = 4
+GUO_MOHAR_GUARD_M = 12
 
 
 def worker_count() -> int:
@@ -110,6 +113,40 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], Graph]:
     return tuple(best_bits), Graph(n, edges)
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every adjacency-preserving vertex permutation of g, as image tuples in
+    lexicographic order (identity first).
+
+    Backtracking: vertex v may go to an unused w of the same degree whose
+    adjacency to the images of 0..v-1 matches that of v.
+    """
+    n = g.n
+    adjbits = [0] * n
+    for (u, v) in g.edges:
+        adjbits[u] |= 1 << v
+        adjbits[v] |= 1 << u
+    degree = [bin(a).count("1") for a in adjbits]
+    image: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    def rec(v: int, used: int) -> None:
+        if v == n:
+            out.append(tuple(image))
+            return
+        av = adjbits[v]
+        for w in range(n):
+            if (used >> w) & 1 or degree[w] != degree[v]:
+                continue
+            aw = adjbits[w]
+            if all((av >> u) & 1 == (aw >> image[u]) & 1 for u in range(v)):
+                image.append(w)
+                rec(v + 1, used | (1 << w))
+                image.pop()
+
+    rec(0, 0)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _corpus_level(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one per isomorphism class,
@@ -146,6 +183,47 @@ def generate_corpus(max_n: int, guard: bool = True) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
+# guards
+# ---------------------------------------------------------------------------
+
+
+def _complete_guard(m: int) -> None:
+    if m > MIN_COMPLETE_GUARD_M:
+        raise GuardLimit(
+            f"complete-orientation search enumerates 2^m cases; m={m} exceeds "
+            f"{MIN_COMPLETE_GUARD_M} (pass guard=False to override)"
+        )
+
+
+def _partial_guard(n: int) -> None:
+    if n > MIN_PARTIAL_GUARD_N:
+        raise GuardLimit(
+            f"partial-orientation search is exhaustive over trees; n={n} "
+            f"exceeds {MIN_PARTIAL_GUARD_N} (pass guard=False to override)"
+        )
+
+
+def _sweep_guard(m: int) -> None:
+    if m > GUO_MOHAR_GUARD_M:
+        raise GuardLimit(
+            f"bound sweep enumerates 2^m orientations; m={m} exceeds "
+            f"{GUO_MOHAR_GUARD_M} (pass guard=False to override)"
+        )
+
+
+def _check_record_guards(g: Graph) -> None:
+    """Raise the first guard `explore_record(g)` would hit, without its work.
+
+    Every search of a record uses the same cotree size m = |E| - n + 1.
+    """
+    g.require_connected()
+    m = len(g.edges) - g.n + 1
+    _complete_guard(m)
+    _partial_guard(g.n)
+    _sweep_guard(m)
+
+
+# ---------------------------------------------------------------------------
 # minimum spectral radius searches
 # ---------------------------------------------------------------------------
 
@@ -168,6 +246,14 @@ def _radius_min(
     return best_root, best_witness
 
 
+def _converse_halves(m: int) -> Iterator[tuple[int, ...]]:
+    """The first half of `sign_vectors(m)`: those with s[0] = -1, or the
+    empty vector when m = 0.  For partial orientations s and -s give
+    complex-conjugate Hermitian matrices, so these reach every charpoly,
+    each first at the same sign vector as the full list does."""
+    return itertools.islice(sign_vectors(m), (1 << m) >> 1 or 1)
+
+
 def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignVector]:
     """Minimum spectral radius over all complete orientations of g.
 
@@ -182,11 +268,8 @@ def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignV
     t = bfs_spanning_tree(g, 0)
     co = cotree_edges(g, t)
     m = len(co)
-    if guard and m > MIN_COMPLETE_GUARD_M:
-        raise GuardLimit(
-            f"complete-orientation search enumerates 2^m cases; m={m} exceeds "
-            f"{MIN_COMPLETE_GUARD_M} (pass guard=False to override)"
-        )
+    if guard:
+        _complete_guard(m)
     n = g.n
     base_re = [0] * (n * n)
     base_im = [0] * (n * n)
@@ -217,22 +300,35 @@ def min_rho_partial(
 ) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
     """Minimum spectral radius over every spanning tree and every partial
     orientation; exact, with a deterministic first-found witness on ties
-    (trees in enumeration order, then signs ascending)."""
+    (trees in enumeration order, then signs ascending).
+
+    Two exact symmetries skip pairs that cannot hold a first witness.  An
+    automorphism p of g carries (T, s) to (p(T), s') with a
+    permutation-similar Hermitian matrix (s' permutes s and negates the
+    edges whose endpoints p swaps), so a tree has the charpolys of the first
+    tree of its Aut(g) orbit, which comes earlier: only that one is visited.
+    And s, -s give complex-conjugate matrices, so a charpoly first shows at
+    a sign vector with s[0] = -1: only those are visited.  The candidates
+    thus reach `_radius_min` exactly as the unreduced search lists them
+    (tests/oracles.py keeps that search as the reference).
+    """
     g.require_connected()
-    if guard and g.n > MIN_PARTIAL_GUARD_N:
-        raise GuardLimit(
-            f"partial-orientation search is exhaustive over trees; n={g.n} "
-            f"exceeds {MIN_PARTIAL_GUARD_N} (pass guard=False to override)"
-        )
+    if guard:
+        _partial_guard(g.n)
     n = g.n
+    auts = automorphisms(g)
+    covered: set[frozenset[Edge]] = set()  # trees of the orbits visited so far
     seen: dict[tuple[int, ...], tuple[SpanningTree, SignVector]] = {}
     for t in enumerate_spanning_trees(g, guard=guard):
+        if t.tree_edges in covered:
+            continue
+        covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
         co = cotree_edges(g, t)
         re = [0] * (n * n)
         for (u, v) in t.tree_edges:
             re[u * n + v] = 1
             re[v * n + u] = 1
-        for signs in sign_vectors(len(co)):
+        for signs in _converse_halves(len(co)):
             im = [0] * (n * n)
             for j, s in enumerate(signs):
                 u, v = co[j]
@@ -298,19 +394,19 @@ def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     t = bfs_spanning_tree(g, 0)
     co = cotree_edges(g, t)
     m = len(co)
-    if guard and m > 12:
-        raise GuardLimit(f"sweep enumerates 2^m orientations twice; m={m} exceeds 12")
+    if guard:
+        _sweep_guard(m)
     rho_g = spectral_radius_of_charpoly(
         charpoly_of_mixed(MixedGraph.undirected(g))
     )
     n = g.n
     polys: set[tuple[int, ...]] = set()
-    # partial orientations over the BFS tree
+    # partial orientations over the BFS tree; s and -s share a charpoly
     re = [0] * (n * n)
     for (u, v) in t.tree_edges:
         re[u * n + v] = 1
         re[v * n + u] = 1
-    for signs in sign_vectors(m):
+    for signs in _converse_halves(m):
         im = [0] * (n * n)
         for j, s in enumerate(signs):
             u, v = co[j]
@@ -432,17 +528,30 @@ def explore_record(g: Graph, include_all_mixed: bool | None = None) -> dict:
     return data
 
 
-def explore_corpus(max_n: int, guard: bool = True) -> list[dict]:
-    """Records for every corpus graph, in corpus order.
+def explore_records(graphs: list[Graph]) -> list[dict]:
+    """Records for the given graphs, in input order.
 
+    Every guard of every graph is checked before the first record is
+    computed, so an inadmissible input fails at once, not after the rest.
     Honors ORISPEC_THREADS for process-level parallelism; output order and
     content are independent of the worker count.
     """
-    graphs = generate_corpus(max_n, guard=guard)
+    for g in graphs:
+        try:
+            _check_record_guards(g)
+        except GuardLimit as exc:
+            raise GuardLimit(f"graph6={encode_graph6(g)}: {exc}") from None
     workers = worker_count()
-    if workers > 1:
+    if workers > 1 and len(graphs) > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             return list(pool.map(explore_record, graphs))
     return [explore_record(g) for g in graphs]
+
+
+def explore_corpus(max_n: int, guard: bool = True) -> list[dict]:
+    """Records for every corpus graph, in corpus order."""
+    return explore_records(generate_corpus(max_n, guard=guard))

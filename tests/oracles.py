@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from orispec.graphs import cotree_edges
+from orispec import kernel
+from orispec.explore import _radius_min
+from orispec.graphs import SignVector, cotree_edges, enumerate_spanning_trees, sign_vectors
 from orispec.orientation import conditional_sum_charpoly
-from orispec.polynomials import Order, compare_roots, isolate_largest_root
+from orispec.polynomials import IntPoly, Order, compare_roots, isolate_largest_root
 
 # ---------------------------------------------------------------------------
 # exact complex-integer determinants (Bareiss) and charpoly by interpolation
@@ -264,6 +266,38 @@ def greedy_by_brute_sums(g, t):
         larger = compare_roots(isolate_largest_root(plus), isolate_largest_root(minus))
         signs.append(-1 if larger is Order.GT else 1)
     return tuple(signs), conditional_sum_charpoly(g, t, signs)
+
+
+# ---------------------------------------------------------------------------
+# minimum spectral radius over partial orientations, without symmetries
+# ---------------------------------------------------------------------------
+
+
+def min_rho_partial_unreduced(g):
+    """One charpoly per (spanning tree, sign vector) pair; each distinct
+    charpoly keeps its first witness in enumeration order (trees as listed,
+    then signs ascending), and the minimum is taken over them in that order.
+    Returns (root, tree, sign vector, candidate list compared)."""
+    n = g.n
+    seen = {}
+    for t in enumerate_spanning_trees(g):
+        co = cotree_edges(g, t)
+        re = [0] * (n * n)
+        for (u, v) in t.tree_edges:
+            re[u * n + v] = 1
+            re[v * n + u] = 1
+        for signs in sign_vectors(len(co)):
+            im = [0] * (n * n)
+            for j, s in enumerate(signs):
+                u, v = co[j]
+                im[u * n + v] = s
+                im[v * n + u] = -s
+            poly = tuple(kernel.charpoly_flat(re, im, n))
+            if poly not in seen:
+                seen[poly] = (t, SignVector(co, signs))
+    candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
+    root, (t, sv) = _radius_min(candidates)
+    return root, t, sv, candidates
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ C4 = "0 1;1 2;2 3;0 3"
 H1_MIXED = "0 1;1 2;2 3;0 > 3"
 D1_MIXED = "0 1;1 2;2 3;0 > 3;3 > 1"
 K5 = ";".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5))
+K7 = ";".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
 
 
 def run(capsys, *argv):
@@ -227,6 +229,28 @@ class TestExplore:
         code, _, err = run(capsys, "explore", "--max-n", "8")
         assert code == 1
         assert "error:" in err
+
+    def test_guard_refusal_before_any_search(self, capsys):
+        # K7 passes both min-rho guards but has m = 15 > 12 for the bound
+        # sweep; the refusal must come before the searches, not after them
+        start = time.perf_counter()
+        code, out, err = run(capsys, "explore", "-g", K7)
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert "m=15" in err and err.rstrip().endswith("(pass guard=False to override)")
+
+    def test_graph_and_max_n_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explore", "-g", C4, "--max-n", "3"])
+        assert exc.value.code == 1
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_worker_count_does_not_change_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORISPEC_THREADS", "1")
+        _, serial, _ = run(capsys, "explore", "--max-n", "4", "--json")
+        monkeypatch.setenv("ORISPEC_THREADS", "2")
+        _, parallel, _ = run(capsys, "explore", "--max-n", "4", "--json")
+        assert parallel == serial
 
 
 class TestPlumbing:

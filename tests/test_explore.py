@@ -3,12 +3,16 @@ import random
 
 import pytest
 
+import oracles
+from orispec import explore
 from orispec.errors import GuardLimit
 from orispec.explore import (
+    automorphisms,
     canonical_form,
     conjecture_report,
     explore_corpus,
     explore_record,
+    explore_records,
     generate_corpus,
     guo_mohar_sweep,
     min_rho_all_mixed,
@@ -16,8 +20,17 @@ from orispec.explore import (
     min_rho_partial,
     worker_count,
 )
-from orispec.graphs import Graph, MixedGraph, encode_graph6
-from orispec.hermitian import hermitian_adjacency, spectral_radius
+from orispec.graphs import (
+    Graph,
+    MixedGraph,
+    SignVector,
+    build_mixed,
+    cotree_edges,
+    encode_graph6,
+    enumerate_spanning_trees,
+    sign_vectors,
+)
+from orispec.hermitian import charpoly_of_mixed, hermitian_adjacency, spectral_radius
 from orispec.polynomials import IntPoly, Order, compare_roots, isolate_largest_root
 
 
@@ -41,6 +54,10 @@ def brute_min_rho_complete(g):
 
 def relabel(g, perm):
     return Graph.of(g.n, [(perm[u], perm[v]) for (u, v) in g.edges])
+
+
+def complete_graph(n):
+    return Graph.of(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 class TestWorkerCount:
@@ -93,6 +110,26 @@ class TestCanonicalForm:
             h2.add_nodes_from(range(g2.n))
             same = canonical_form(g1)[0] == canonical_form(g2)[0]
             assert same == nx.is_isomorphic(h1, h2)
+
+
+class TestAutomorphisms:
+    def test_preserve_edges_identity_first(self, corpus5):
+        for g in corpus5:
+            auts = automorphisms(g)
+            assert auts[0] == tuple(range(g.n))
+            assert len(set(auts)) == len(auts)
+            for p in auts:
+                assert relabel(g, p) == g
+
+    def test_count_matches_networkx(self, corpus5):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        for g in corpus5:
+            h = nx.Graph(list(g.edges))
+            h.add_nodes_from(range(g.n))
+            expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+            assert len(automorphisms(g)) == expected
 
 
 class TestCorpus:
@@ -174,6 +211,69 @@ class TestMinRhoPartial:
         with pytest.raises(GuardLimit):
             min_rho_partial(g)
 
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """The candidate lists min_rho_partial hands to `_radius_min`."""
+        calls = []
+        radius_min = explore._radius_min
+
+        def recording(candidates):
+            calls.append(candidates)
+            return radius_min(candidates)
+
+        monkeypatch.setattr(explore, "_radius_min", recording)
+        return calls
+
+    @staticmethod
+    def assert_matches_unreduced(g, compared):
+        # tree orbits and converse pairs are skipped, yet every charpoly's
+        # first witness, the comparison order and so the printed interval
+        # must come out as in the unreduced search
+        compared.clear()
+        root, tree, witness = min_rho_partial(g)
+        ref_root, ref_tree, ref_witness, ref_candidates = oracles.min_rho_partial_unreduced(g)
+        assert compared == [ref_candidates]
+        assert root.poly == ref_root.poly
+        assert root.to_json() == ref_root.to_json()
+        assert tree == ref_tree
+        assert witness == ref_witness
+
+    def test_symmetry_reduction_matches_unreduced_search(self, corpus5, compared):
+        for g in corpus5:
+            self.assert_matches_unreduced(g, compared)
+
+    def test_symmetry_reduction_matches_unreduced_search_n6(self, corpus6, compared):
+        small = [
+            g for g in corpus6
+            if g.n == 6 and len(enumerate_spanning_trees(g)) << (len(g.edges) - 5) <= 2000
+        ]
+        assert len(small) == 80
+        for g in small:
+            self.assert_matches_unreduced(g, compared)
+
+    def test_converse_pairs_share_a_charpoly(self, corpus5):
+        for g in corpus5:
+            t = enumerate_spanning_trees(g)[-1]
+            co = cotree_edges(g, t)
+            for signs in sign_vectors(len(co)):
+                negated = tuple(-s for s in signs)
+                d = build_mixed(g, t, SignVector(co, signs))
+                d_neg = build_mixed(g, t, SignVector(co, negated))
+                assert charpoly_of_mixed(d) == charpoly_of_mixed(d_neg)
+
+    def test_one_charpoly_per_tree_orbit_and_converse_pair(self, monkeypatch):
+        # K5: 125 trees in 3 orbits, m = 6, so 3 * 2^5 charpolys instead of 125 * 2^6
+        calls = []
+        charpoly_flat = explore.kernel.charpoly_flat
+
+        def counting(re, im, n):
+            calls.append(n)
+            return charpoly_flat(re, im, n)
+
+        monkeypatch.setattr(explore.kernel, "charpoly_flat", counting)
+        min_rho_partial(complete_graph(5))
+        assert len(calls) == 3 * 2 ** 5
+
 
 class TestMinRhoAllMixed:
     def test_c4(self, c4):
@@ -243,6 +343,14 @@ class TestExploreRecords:
     def test_corpus_records_in_order(self):
         recs = explore_corpus(3)
         assert [r["n"] for r in recs] == [1, 2, 3, 3]
+
+    def test_guards_checked_before_any_record(self, c4, monkeypatch):
+        def unexpected(g, include_all_mixed=None):
+            raise AssertionError("record computed before the guards were checked")
+
+        monkeypatch.setattr(explore, "explore_record", unexpected)
+        with pytest.raises(GuardLimit, match="pass guard=False to override"):
+            explore_records([c4, complete_graph(7)])
 
     def test_parallel_matches_serial(self, monkeypatch):
         monkeypatch.setenv("ORISPEC_THREADS", "1")
