@@ -425,7 +425,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         raise ParseError("explore needs --graph or --max-n")
     defects = 0
     inconsistent = 0
-    for record in explore_records(graphs):
+    for record in explore_records(graphs, guard=guard):
         if args.json:
             _emit_line(record)
         else:
@@ -463,13 +463,10 @@ def cmd_backend(args: argparse.Namespace) -> int:
             {
                 "command": "backend",
                 "backend": kernel.backend_name(),
-                "compiled_available": kernel.has_compiled(),
-                "compiled_max_n": kernel.COMPILED_MAX_N,
             }
         )
     else:
         print(f"kernel backend: {kernel.backend_name()}")
-        print(f"compiled available: {'yes' if kernel.has_compiled() else 'no'}")
     return 0
 
 
@@ -564,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = explore.add_mutually_exclusive_group()
     source.add_argument("-g", "--graph", help=graph_help)
     source.add_argument("--max-n", type=int, help="sweep all connected graphs up to this order")
-    add("backend", cmd_backend, [common], "show which kernel implementation is active", needs_graph=False)
+    add("backend", cmd_backend, [common], "name the kernel implementation", needs_graph=False)
     return parser
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
-from . import kernel
 from .errors import GuardLimit
 from .graphs import (
     Edge,
@@ -30,7 +29,7 @@ from .graphs import (
     norm_edge,
     sign_vectors,
 )
-from .hermitian import charpoly_of_mixed, spectral_radius_of_charpoly
+from .hermitian import charpoly_of_mixed, sign_sweep_charpolys, spectral_radius_of_charpoly
 from .polynomials import AlgebraicRoot, IntPoly, Order, compare_roots
 
 CORPUS_GUARD_N = 7
@@ -211,12 +210,15 @@ def _sweep_guard(m: int) -> None:
         )
 
 
-def _check_record_guards(g: Graph) -> None:
-    """Raise the first guard `explore_record(g)` would hit, without its work.
+def _check_record_guards(g: Graph, guard: bool) -> None:
+    """Raise the first guard `explore_record(g, guard=guard)` would hit,
+    without its work; with guard=False only connectivity is checked.
 
     Every search of a record uses the same cotree size m = |E| - n + 1.
     """
     g.require_connected()
+    if not guard:
+        return
     m = len(g.edges) - g.n + 1
     _complete_guard(m)
     _partial_guard(g.n)
@@ -270,22 +272,11 @@ def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignV
     m = len(co)
     if guard:
         _complete_guard(m)
-    n = g.n
-    base_re = [0] * (n * n)
-    base_im = [0] * (n * n)
-    for (u, v) in t.tree_edges:
-        base_im[u * n + v] = 1
-        base_im[v * n + u] = -1
     edge_order = g.edge_list
     tree_positions = {e: idx for idx, e in enumerate(edge_order)}
     seen: dict[tuple[int, ...], SignVector] = {}
-    for signs in sign_vectors(m):
-        im = list(base_im)
-        for j, s in enumerate(signs):
-            u, v = co[j]
-            im[u * n + v] = s
-            im[v * n + u] = -s
-        poly = tuple(kernel.charpoly_flat(base_re, im, n))
+    sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m), tree_arcs=True)
+    for signs, poly in zip(sign_vectors(m), sweep):
         if poly not in seen:
             full = [1] * len(edge_order)
             for j, s in enumerate(signs):
@@ -315,7 +306,6 @@ def min_rho_partial(
     g.require_connected()
     if guard:
         _partial_guard(g.n)
-    n = g.n
     auts = automorphisms(g)
     covered: set[frozenset[Edge]] = set()  # trees of the orbits visited so far
     seen: dict[tuple[int, ...], tuple[SpanningTree, SignVector]] = {}
@@ -324,17 +314,9 @@ def min_rho_partial(
             continue
         covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
         co = cotree_edges(g, t)
-        re = [0] * (n * n)
-        for (u, v) in t.tree_edges:
-            re[u * n + v] = 1
-            re[v * n + u] = 1
-        for signs in _converse_halves(len(co)):
-            im = [0] * (n * n)
-            for j, s in enumerate(signs):
-                u, v = co[j]
-                im[u * n + v] = s
-                im[v * n + u] = -s
-            poly = tuple(kernel.charpoly_flat(re, im, n))
+        m = len(co)
+        sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, _converse_halves(m))
+        for signs, poly in zip(_converse_halves(m), sweep):
             if poly not in seen:
                 seen[poly] = (t, SignVector(co, signs))
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
@@ -399,33 +381,10 @@ def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     rho_g = spectral_radius_of_charpoly(
         charpoly_of_mixed(MixedGraph.undirected(g))
     )
-    n = g.n
-    polys: set[tuple[int, ...]] = set()
-    # partial orientations over the BFS tree; s and -s share a charpoly
-    re = [0] * (n * n)
-    for (u, v) in t.tree_edges:
-        re[u * n + v] = 1
-        re[v * n + u] = 1
-    for signs in _converse_halves(m):
-        im = [0] * (n * n)
-        for j, s in enumerate(signs):
-            u, v = co[j]
-            im[u * n + v] = s
-            im[v * n + u] = -s
-        polys.add(tuple(kernel.charpoly_flat(re, im, n)))
-    # reduced complete orientations
-    zero_re = [0] * (n * n)
-    base_im = [0] * (n * n)
-    for (u, v) in t.tree_edges:
-        base_im[u * n + v] = 1
-        base_im[v * n + u] = -1
-    for signs in sign_vectors(m):
-        im = list(base_im)
-        for j, s in enumerate(signs):
-            u, v = co[j]
-            im[u * n + v] = s
-            im[v * n + u] = -s
-        polys.add(tuple(kernel.charpoly_flat(zero_re, im, n)))
+    # partial orientations over the BFS tree (s and -s share a charpoly),
+    # then reduced complete orientations
+    polys = set(sign_sweep_charpolys(g.n, t.tree_edges, co, _converse_halves(m)))
+    polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m), tree_arcs=True))
     violations = []
     for poly in sorted(polys):
         rho = spectral_radius_of_charpoly(IntPoly(poly))
@@ -515,11 +474,11 @@ def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bo
     )
 
 
-def explore_record(g: Graph, include_all_mixed: bool | None = None) -> dict:
+def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> dict:
     """One JSON-ready record per graph: conjecture tiers plus the exact
     rho(mixed) <= rho(G) sweep."""
-    report = conjecture_report(g, include_all_mixed=include_all_mixed)
-    gm = guo_mohar_sweep(g)
+    report = conjecture_report(g, include_all_mixed=include_all_mixed, guard=guard)
+    gm = guo_mohar_sweep(g, guard=guard)
     data = report.to_json()
     data["guo_mohar"] = {
         "checked": gm.checked,
@@ -528,19 +487,21 @@ def explore_record(g: Graph, include_all_mixed: bool | None = None) -> dict:
     return data
 
 
-def explore_records(graphs: list[Graph]) -> list[dict]:
+def explore_records(graphs: list[Graph], guard: bool = True) -> list[dict]:
     """Records for the given graphs, in input order.
 
     Every guard of every graph is checked before the first record is
-    computed, so an inadmissible input fails at once, not after the rest.
-    Honors ORISPEC_THREADS for process-level parallelism; output order and
-    content are independent of the worker count.
+    computed, so an inadmissible input fails at once, not after the rest;
+    guard=False lifts the guards of every search.  Honors ORISPEC_THREADS
+    for process-level parallelism; output order and content are independent
+    of the worker count.
     """
     for g in graphs:
         try:
-            _check_record_guards(g)
+            _check_record_guards(g, guard)
         except GuardLimit as exc:
             raise GuardLimit(f"graph6={encode_graph6(g)}: {exc}") from None
+    record = partial(explore_record, guard=guard)
     workers = worker_count()
     if workers > 1 and len(graphs) > 1:
         import multiprocessing
@@ -548,10 +509,10 @@ def explore_records(graphs: list[Graph]) -> list[dict]:
 
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return list(pool.map(explore_record, graphs))
-    return [explore_record(g) for g in graphs]
+            return list(pool.map(record, graphs))
+    return [record(g) for g in graphs]
 
 
 def explore_corpus(max_n: int, guard: bool = True) -> list[dict]:
     """Records for every corpus graph, in corpus order."""
-    return explore_records(generate_corpus(max_n, guard=guard))
+    return explore_records(generate_corpus(max_n, guard=guard), guard=guard)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import kernel
 from .errors import ComputationDefect
-from .graphs import Graph, MixedGraph, SignVector, SpanningTree, build_mixed
+from .graphs import Edge, Graph, MixedGraph, SignVector, SpanningTree, build_mixed
 from .polynomials import AlgebraicRoot, IntPoly, Order, isolate_largest_root, isolate_smallest_root
 
 
@@ -132,6 +132,36 @@ def charpoly(h: HermitianMatrix) -> IntPoly:
 
 def charpoly_of_mixed(d: MixedGraph) -> IntPoly:
     return charpoly(hermitian_adjacency(d))
+
+
+def sign_sweep_charpolys(
+    n: int,
+    tree_edges: Iterable[Edge],
+    cotree: Sequence[Edge],
+    sign_seq: Iterable[Sequence[int]],
+    tree_arcs: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """det(xI - H) coefficients (ascending) for each sign vector of sign_seq,
+    in input order, over one (tree, cotree) pair on n vertices.
+
+    Tree edges enter undirected, or with tree_arcs as arcs u -> v (i at
+    (u, v)); cotree edge j = (u, v) enters as the arc u -> v when its sign
+    is +1 and as v -> u when it is -1, as in `build_mixed`.
+    """
+    re = [0] * (n * n)
+    base_im = [0] * (n * n)
+    for (u, v) in tree_edges:
+        if tree_arcs:
+            base_im[u * n + v] = 1
+            base_im[v * n + u] = -1
+        else:
+            re[u * n + v] = re[v * n + u] = 1
+    for signs in sign_seq:
+        im = list(base_im)
+        for (u, v), s in zip(cotree, signs):
+            im[u * n + v] = s
+            im[v * n + u] = -s
+        yield tuple(kernel.charpoly_flat(re, im, n))
 
 
 # ---------------------------------------------------------------------------

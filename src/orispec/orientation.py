@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from . import kernel
 from .errors import ComputationDefect, GuardLimit
 from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, cotree_edges, sign_vectors
-from .hermitian import charpoly_of_mixed
+from .hermitian import charpoly_of_mixed, sign_sweep_charpolys
 from .matching import matching_radius
 from .polynomials import (
     AlgebraicRoot,
@@ -347,12 +347,9 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
             f"the audit walks 2^(m+1)-1 prefixes; m={m} exceeds {AUDIT_GUARD_M} "
             f"(pass guard=False to override)"
         )
-    n = g.n
     # leaves first (exact charpolys), then parents as sums of children
     levels: list[list[IntPoly]] = [[] for _ in range(m + 1)]
-    for signs in sign_vectors(m):
-        d = build_mixed(g, t, SignVector.for_tree(g, t, signs))
-        levels[m].append(charpoly_of_mixed(d))
+    levels[m] = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m))]
     for k in range(m - 1, -1, -1):
         prev = levels[k + 1]
         levels[k] = [prev[2 * i] + prev[2 * i + 1] for i in range(len(prev) // 2)]

@@ -11,8 +11,16 @@ import itertools
 from fractions import Fraction
 
 from orispec import kernel
-from orispec.explore import _radius_min
-from orispec.graphs import SignVector, cotree_edges, enumerate_spanning_trees, sign_vectors
+from orispec.explore import GuoMoharReport, _radius_min
+from orispec.graphs import (
+    MixedGraph,
+    SignVector,
+    bfs_spanning_tree,
+    cotree_edges,
+    enumerate_spanning_trees,
+    sign_vectors,
+)
+from orispec.hermitian import charpoly_of_mixed, spectral_radius_of_charpoly
 from orispec.orientation import conditional_sum_charpoly
 from orispec.polynomials import IntPoly, Order, compare_roots, isolate_largest_root
 
@@ -269,7 +277,7 @@ def greedy_by_brute_sums(g, t):
 
 
 # ---------------------------------------------------------------------------
-# minimum spectral radius over partial orientations, without symmetries
+# minimum-rho search and bound sweep, without symmetries
 # ---------------------------------------------------------------------------
 
 
@@ -298,6 +306,29 @@ def min_rho_partial_unreduced(g):
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
     root, (t, sv) = _radius_min(candidates)
     return root, t, sv, candidates
+
+
+def guo_mohar_sweep_unreduced(g) -> GuoMoharReport:
+    """The rho(mixed) <= rho(G) sweep over all 2^m partial orientations of
+    the BFS tree at 0 (no converse halving) and all 2^m reduced complete
+    orientations (tree arcs from smaller to larger endpoint), built as mixed
+    graphs, deduplicated by charpoly and compared exactly against rho(G)."""
+    t = bfs_spanning_tree(g, 0)
+    co = cotree_edges(g, t)
+    undirected_tree = {e: None for e in t.tree_edges}
+    oriented_tree = {e: e for e in t.tree_edges}
+    polys = set()
+    for signs in sign_vectors(len(co)):
+        sv = SignVector(co, signs)
+        arcs = {e: sv.arc(j) for j, e in enumerate(co)}
+        for tree in (undirected_tree, oriented_tree):
+            polys.add(charpoly_of_mixed(MixedGraph.of(g, {**tree, **arcs})).coeffs)
+    rho_g = spectral_radius_of_charpoly(charpoly_of_mixed(MixedGraph.undirected(g)))
+    violations = []
+    for poly in sorted(polys):
+        if compare_roots(spectral_radius_of_charpoly(IntPoly(poly)), rho_g) is Order.GT:
+            violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
+    return GuoMoharReport(checked=len(polys), violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from orispec import cli
+from orispec import cli, explore
 
 EX1 = "0 1;1 2;2 3;0 3;1 3"
 C4 = "0 1;1 2;2 3;0 3"
@@ -239,6 +239,19 @@ class TestExplore:
         assert code == 1 and out == ""
         assert "m=15" in err and err.rstrip().endswith("(pass guard=False to override)")
 
+    def test_unsafe_no_guards_lifts_record_guards(self, capsys, monkeypatch):
+        # K4 has m = 3; with the bound-sweep limit lowered to 2 the default
+        # run is refused and the flag must reach every search of the record
+        monkeypatch.setattr(explore, "GUO_MOHAR_GUARD_M", 2)
+        k4 = ";".join(f"{u} {v}" for u in range(4) for v in range(u + 1, 4))
+        code, out, err = run(capsys, "explore", "-g", k4, "--json")
+        assert code == 1 and out == ""
+        assert "m=3 exceeds 2" in err
+        code, out, err = run(capsys, "explore", "-g", k4, "--json", "--unsafe-no-guards")
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["n"] == 4 and record["guo_mohar"]["violations"] == []
+
     def test_graph_and_max_n_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["explore", "-g", C4, "--max-n", "3"])
@@ -257,13 +270,12 @@ class TestPlumbing:
     def test_backend(self, capsys):
         code, out, _ = run(capsys, "backend")
         assert code == 0
-        assert "kernel backend:" in out
+        assert out == "kernel backend: pure\n"
 
     def test_backend_json(self, capsys):
         code, data, _ = run_json(capsys, "backend")
         assert code == 0
-        assert data["backend"] in ("compiled", "pure")
-        assert isinstance(data["compiled_max_n"], int)
+        assert data == {"schema": "orispec/1", "command": "backend", "backend": "pure"}
 
     def test_missing_graph(self, capsys):
         code, _, err = run(capsys, "matching")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from orispec import explore
+from orispec import explore, kernel
 from orispec.errors import GuardLimit
 from orispec.explore import (
     automorphisms,
@@ -264,13 +264,13 @@ class TestMinRhoPartial:
     def test_one_charpoly_per_tree_orbit_and_converse_pair(self, monkeypatch):
         # K5: 125 trees in 3 orbits, m = 6, so 3 * 2^5 charpolys instead of 125 * 2^6
         calls = []
-        charpoly_flat = explore.kernel.charpoly_flat
+        charpoly_flat = kernel.charpoly_flat
 
         def counting(re, im, n):
             calls.append(n)
             return charpoly_flat(re, im, n)
 
-        monkeypatch.setattr(explore.kernel, "charpoly_flat", counting)
+        monkeypatch.setattr(kernel, "charpoly_flat", counting)
         min_rho_partial(complete_graph(5))
         assert len(calls) == 3 * 2 ** 5
 
@@ -293,6 +293,13 @@ class TestGuoMoharSweep:
             report = guo_mohar_sweep(g)
             assert report.passed
             assert report.checked > 0
+
+    def test_converse_half_matches_unreduced_sweep(self, corpus5):
+        for g in corpus5:
+            report = guo_mohar_sweep(g)
+            reference = oracles.guo_mohar_sweep_unreduced(g)
+            assert report.checked == reference.checked
+            assert report.violations == reference.violations
 
 
 class TestConjectureReport:

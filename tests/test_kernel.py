@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from orispec import _kernel_py, kernel
+from orispec import kernel
 from orispec.errors import ComputationDefect
 
 
@@ -26,30 +26,30 @@ def random_unit_hermitian(rng: random.Random, n: int):
 
 class TestPureKernel:
     def test_empty_and_single(self):
-        assert _kernel_py.charpoly([], [], 0) == [1]
-        assert _kernel_py.charpoly([0], [0], 1) == [0, 1]
+        assert kernel.charpoly_flat([], [], 0) == [1]
+        assert kernel.charpoly_flat([0], [0], 1) == [0, 1]
 
     def test_single_edge(self):
         # H = [[0,1],[1,0]] -> x^2 - 1
-        assert _kernel_py.charpoly([0, 1, 1, 0], [0, 0, 0, 0], 2) == [-1, 0, 1]
+        assert kernel.charpoly_flat([0, 1, 1, 0], [0, 0, 0, 0], 2) == [-1, 0, 1]
 
     def test_single_arc(self):
         # H = [[0,i],[-i,0]] has the same spectrum as an edge
-        assert _kernel_py.charpoly([0, 0, 0, 0], [0, 1, -1, 0], 2) == [-1, 0, 1]
+        assert kernel.charpoly_flat([0, 0, 0, 0], [0, 1, -1, 0], 2) == [-1, 0, 1]
 
     def test_matches_interpolation_oracle(self):
         rng = random.Random(3)
         for _ in range(30):
             n = rng.randint(1, 6)
             re, im = random_unit_hermitian(rng, n)
-            assert _kernel_py.charpoly(re, im, n) == oracles.charpoly_by_interpolation(re, im, n)
+            assert kernel.charpoly_flat(re, im, n) == oracles.charpoly_by_interpolation(re, im, n)
 
     def test_rejects_non_hermitian(self):
         # A = [[0, i], [1, 0]]: A^2 = iI, so a power trace goes complex
         re = [0, 0, 1, 0]
         im = [0, 1, 0, 0]
         with pytest.raises(ComputationDefect):
-            _kernel_py.charpoly(re, im, 2)
+            kernel.charpoly_flat(re, im, 2)
 
     def test_sum_orientations_equals_loop(self):
         rng = random.Random(5)
@@ -60,7 +60,7 @@ class TestPureKernel:
             free = free[:3]
             tails = [e[0] for e in free]
             heads = [e[1] for e in free]
-            total = _kernel_py.sum_orientations(re, im, n, tails, heads)
+            total = kernel.sum_orientations_flat(re, im, n, tails, heads)
             # direct reference: loop over sign tuples, sum charpolys
             expect = [0] * (n + 1)
             for mask in range(1 << len(free)):
@@ -69,56 +69,19 @@ class TestPureKernel:
                     s = 1 if (mask >> j) & 1 == 0 else -1
                     im2[u * n + v] = s
                     im2[v * n + u] = -s
-                for i, c in enumerate(_kernel_py.charpoly(re, im2, n)):
+                for i, c in enumerate(kernel.charpoly_flat(re, im2, n)):
                     expect[i] += c
             assert total == expect
 
 
-@pytest.mark.skipif(not kernel.has_compiled(), reason="compiled kernel not built")
-class TestCompiledKernel:
-    def test_agrees_with_pure_charpoly(self):
-        from orispec import _kernel_c
-
-        rng = random.Random(11)
-        for _ in range(100):
-            n = rng.randint(1, 13)
-            re, im = random_unit_hermitian(rng, n)
-            assert _kernel_c.charpoly(re, im, n) == _kernel_py.charpoly(re, im, n)
-
-    def test_agrees_with_pure_sums(self):
-        from orispec import _kernel_c
-
-        rng = random.Random(13)
-        for _ in range(20):
-            n = rng.randint(2, 7)
-            re, im = random_unit_hermitian(rng, n)
-            free = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if re[u * n + v] == 0 and im[u * n + v] == 0
-            ][:5]
-            tails = [e[0] for e in free]
-            heads = [e[1] for e in free]
-            assert _kernel_c.sum_orientations(re, im, n, tails, heads) == _kernel_py.sum_orientations(
-                re, im, n, tails, heads
-            )
-
-    def test_size_cap_enforced(self):
-        from orispec import _kernel_c
-
-        n = 14
-        with pytest.raises(ValueError):
-            _kernel_c.charpoly([0] * (n * n), [0] * (n * n), n)
-
-
 class TestDispatch:
+    """The validated public entries of the one (pure) kernel."""
+
     def test_backend_reports(self):
-        assert kernel.backend_name() in ("compiled", "pure")
-        assert kernel.backend_name() == ("compiled" if kernel.has_compiled() else "pure")
+        assert kernel.backend_name() == "pure"
 
     def test_dispatch_large_n_uses_pure(self):
-        # n above the compiled cap must still work through the fallback
+        # no order limit: arbitrary-precision arithmetic throughout
         n = 14
         re = [0] * (n * n)
         im = [0] * (n * n)
@@ -131,7 +94,7 @@ class TestDispatch:
         assert all(c == 0 for i, c in enumerate(got) if i not in (n, n - 2))
 
     def test_dispatch_non_unit_entries_use_pure(self):
-        # weighted entries exceed the compiled kernel's contract
+        # entries need not be Gaussian units
         re = [0, 2, 2, 0]
         im = [0, 0, 0, 0]
         assert kernel.charpoly_flat(re, im, 2) == [-4, 0, 1]
