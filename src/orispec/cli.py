@@ -25,7 +25,6 @@ from .graphs import (
     MixedGraph,
     SpanningTree,
     bfs_spanning_tree,
-    build_mixed,
     cotree_edges,
     enumerate_spanning_trees,
     parse_edge_list,
@@ -33,7 +32,7 @@ from .graphs import (
     parse_mixed,
     tree_from_edges,
 )
-from .hermitian import charpoly_of_mixed, eigenvalues_numeric, hermitian_adjacency
+from .hermitian import charpoly_of_mixed, eigenvalues_numeric, hermitian_adjacency, sign_sweep_charpolys
 from .matching import matching_counts, matching_polynomial, matching_radius
 from .orientation import audit_interlacing_family, expected_charpoly, greedy_orientation
 from .polynomials import IntPoly
@@ -342,11 +341,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     results = []
     for t in resolve_trees(args.tree, g, guard):
         classes = classify_partial_orientations(g, t, guard=guard)
-        rows = []
-        for members in classes:
-            phi = charpoly_of_mixed(build_mixed(g, t, members[0]))
-            rows.append((members, phi))
-        results.append((t, rows))
+        reps = (members[0].signs for members in classes)
+        polys = sign_sweep_charpolys(g.n, t.tree_edges, cotree_edges(g, t), reps)
+        results.append((t, [(members, IntPoly(p)) for members, p in zip(classes, polys)]))
     if args.json:
         _emit(
             {

@@ -13,7 +13,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterator
 
 from .errors import GuardLimit
 from .graphs import (
@@ -23,6 +22,7 @@ from .graphs import (
     SignVector,
     SpanningTree,
     bfs_spanning_tree,
+    converse_halves,
     cotree_edges,
     encode_graph6,
     enumerate_spanning_trees,
@@ -248,14 +248,6 @@ def _radius_min(
     return best_root, best_witness
 
 
-def _converse_halves(m: int) -> Iterator[tuple[int, ...]]:
-    """The first half of `sign_vectors(m)`: those with s[0] = -1, or the
-    empty vector when m = 0.  For partial orientations s and -s give
-    complex-conjugate Hermitian matrices, so these reach every charpoly,
-    each first at the same sign vector as the full list does."""
-    return itertools.islice(sign_vectors(m), (1 << m) >> 1 or 1)
-
-
 def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignVector]:
     """Minimum spectral radius over all complete orientations of g.
 
@@ -315,8 +307,8 @@ def min_rho_partial(
         covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
         co = cotree_edges(g, t)
         m = len(co)
-        sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, _converse_halves(m))
-        for signs, poly in zip(_converse_halves(m), sweep):
+        sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m))
+        for signs, poly in zip(converse_halves(m), sweep):
             if poly not in seen:
                 seen[poly] = (t, SignVector(co, signs))
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
@@ -383,7 +375,7 @@ def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     )
     # partial orientations over the BFS tree (s and -s share a charpoly),
     # then reduced complete orientations
-    polys = set(sign_sweep_charpolys(g.n, t.tree_edges, co, _converse_halves(m)))
+    polys = set(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m)))
     polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m), tree_arcs=True))
     violations = []
     for poly in sorted(polys):

@@ -203,9 +203,11 @@ class SignVector:
     def __post_init__(self) -> None:
         if len(self.edges) != len(self.signs):
             raise ValueError("one sign per edge required")
+        # compare before converting: int(1.5) would pass as +1
         for s in self.signs:
             if s not in (-1, 1):
                 raise ValueError("signs must be +1 or -1")
+        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
         for u, v in self.edges:
             if not u < v:
                 raise ValueError("sign-vector edges must be normalized (u < v)")
@@ -215,7 +217,7 @@ class SignVector:
         co = cotree_edges(g, t)
         if len(signs) != len(co):
             raise ValueError(f"expected {len(co)} signs for {len(co)} cotree edges, got {len(signs)}")
-        return cls(co, tuple(int(s) for s in signs))
+        return cls(co, signs)
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -628,3 +630,12 @@ def build_mixed(g: Graph, t: SpanningTree, s: SignVector) -> MixedGraph:
 def sign_vectors(count: int) -> Iterator[tuple[int, ...]]:
     """All sign tuples of the given length in ascending order (-1 < +1)."""
     return itertools.product((-1, 1), repeat=count)
+
+
+def converse_halves(m: int) -> Iterator[tuple[int, ...]]:
+    """The first half of `sign_vectors(m)`: those with s[0] = -1, or the
+    empty vector when m = 0.  For partial orientations s and -s are
+    converse, so they give complex-conjugate Hermitian matrices; these
+    reach every charpoly, each first at the same sign vector as the full
+    list does."""
+    return itertools.islice(sign_vectors(m), (1 << m) >> 1 or 1)

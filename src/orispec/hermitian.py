@@ -225,7 +225,7 @@ def _jacobi_eigenvalues(a: list[list[float]], eps: float) -> list[float]:
                     a[k][p] = a[p][k] = c * akp - s * akq
                     a[k][q] = a[q][k] = s * akp + c * akq
     else:
-        raise RuntimeError("Jacobi iteration failed to converge")
+        raise ValueError(f"Jacobi iteration did not converge to eps={eps}; choose a larger eps")
     return sorted(a[i][i] for i in range(n))
 
 
@@ -236,8 +236,8 @@ def eigenvalues_numeric(h: HermitianMatrix, eps: float = 1e-9) -> list[float]:
     spectrum is that of H doubled; we diagonalize with Jacobi rotations and
     keep one value per pair, checking the pairing really is tight.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     n = h.n
     if n == 0:
         return []

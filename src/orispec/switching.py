@@ -5,6 +5,10 @@ matrix S with entries in {1, i, -1, -i}, recorded here as exponents of i.
 It must map admissibly: every resulting entry has to be one of 0, 1, i, -i
 again (an entry -1 has no mixed-graph reading).  Taking the converse
 (reversing every arc) is also allowed and tracked separately.
+
+Over a fixed spanning tree the classification is in closed form: the tree
+edges stay undirected on both sides, so a switching between two partial
+orientations is a global unit, and the classes are the converse pairs {s, -s}.
 """
 
 from __future__ import annotations
@@ -18,16 +22,12 @@ from .graphs import (
     SignVector,
     SpanningTree,
     bfs_spanning_tree,
-    build_mixed,
+    converse_halves,
     cotree_edges,
-    sign_vectors,
     tree_parity_bipartition,
 )
 
 CLASSIFY_GUARD_M = 12
-
-# ordered-pair entry phases: i**0 = 1 undirected, i**1 arc u->v, i**3 arc v->u
-_PHASE_TO_STATE = {0: "undirected", 1: "forward", 3: "backward"}
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,12 @@ def classify_partial_orientations(
 ) -> list[list[SignVector]]:
     """Partition all 2^m sign vectors into switching-equivalence classes.
 
+    Every class is a converse pair {s, -s}, or the single class {()} when
+    m = 0.  A switching S = diag(i^p) maps an undirected entry 1 to
+    i^(p_v - p_u), and tree edges are undirected on both sides, so each
+    forces p_u = p_v: along T, S is a global unit and fixes every matrix,
+    which leaves only the converse.
+
     Classes are ordered by their lexicographically smallest member (with
     -1 < +1), and each class lists its members in that same order.
     """
@@ -150,19 +156,9 @@ def classify_partial_orientations(
             f"classification enumerates 2^m orientations; m={m} exceeds "
             f"{CLASSIFY_GUARD_M} (pass guard=False to override)"
         )
-    classes: list[list[SignVector]] = []
-    reps: list[MixedGraph] = []
-    for signs in sign_vectors(m):
-        sv = SignVector.for_tree(g, t, signs)
-        d = build_mixed(g, t, sv)
-        for idx, rep in enumerate(reps):
-            if switching_equivalent(rep, d) is not None:
-                classes[idx].append(sv)
-                break
-        else:
-            classes.append([sv])
-            reps.append(d)
-    return classes
+    return [
+        [SignVector(co, v) for v in sorted({s, tuple(-x for x in s)})] for s in converse_halves(m)
+    ]
 
 
 def equiv_to_unoriented(g: Graph, t: SpanningTree) -> bool:

@@ -16,6 +16,7 @@ from orispec.graphs import (
     MixedGraph,
     SignVector,
     bfs_spanning_tree,
+    build_mixed,
     cotree_edges,
     enumerate_spanning_trees,
     sign_vectors,
@@ -23,6 +24,7 @@ from orispec.graphs import (
 from orispec.hermitian import charpoly_of_mixed, spectral_radius_of_charpoly
 from orispec.orientation import conditional_sum_charpoly
 from orispec.polynomials import IntPoly, Order, compare_roots, isolate_largest_root
+from orispec.switching import switching_equivalent
 
 # ---------------------------------------------------------------------------
 # exact complex-integer determinants (Bareiss) and charpoly by interpolation
@@ -208,6 +210,26 @@ def brute_switching_equivalent(d1, d2) -> bool:
             if all((p1[e] + ph[e[1]] - ph[e[0]]) % 4 == p2[e] for e in edges):
                 return True
     return False
+
+
+def classify_by_switching_search(g, t) -> list[list[SignVector]]:
+    """Switching classes of the 2^m partial orientations over t, found by
+    testing each sign vector (ascending) against the first member of every
+    class so far with `switching_equivalent`; no closed form is assumed."""
+    co = cotree_edges(g, t)
+    classes = []
+    reps = []
+    for signs in sign_vectors(len(co)):
+        sv = SignVector(co, signs)
+        d = build_mixed(g, t, sv)
+        for idx, rep in enumerate(reps):
+            if switching_equivalent(rep, d) is not None:
+                classes[idx].append(sv)
+                break
+        else:
+            classes.append([sv])
+            reps.append(d)
+    return classes
 
 
 # ---------------------------------------------------------------------------

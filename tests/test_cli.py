@@ -1,5 +1,9 @@
+import hashlib
+import importlib.util
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ H1_MIXED = "0 1;1 2;2 3;0 > 3"
 D1_MIXED = "0 1;1 2;2 3;0 > 3;3 > 1"
 K5 = ";".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5))
 K7 = ";".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, *argv):
@@ -75,6 +80,14 @@ class TestCharpolyAndEigen:
         assert code == 0
         assert data["eigenvalues"] == sorted(data["eigenvalues"])
         assert data["eigenvalues"] == pytest.approx([-2, 0, 0, 2], abs=1e-6)
+
+    # nan never converges, inf stops before the first rotation, and eps / n
+    # underflows to 0 for 5e-324
+    @pytest.mark.parametrize("eps", ["nan", "inf", "5e-324"])
+    def test_eigen_rejects_unusable_eps(self, capsys, eps):
+        code, out, err = run(capsys, "eigen", "-g", "0 1;1 2", "--eps", eps)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "eps" in err
 
 
 class TestFindOrientation:
@@ -301,3 +314,31 @@ class TestPlumbing:
     def test_bad_tree_spec(self, capsys):
         code, _, err = run(capsys, "lemma4", "-g", C4, "--tree", "dfs:0")
         assert code == 1 and "tree spec" in err
+
+
+@pytest.fixture(scope="module")
+def family_items():
+    """The benchmark's family items by label, from perfbench/workloads.py
+    (which does not import orispec)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's string annotations through sys.modules
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        return {item.label: item for item in workloads.universe("family")}
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestBenchmarkReference:
+    @pytest.mark.parametrize("label", ["classify:grid2x8:bfs0", "classify:petersen:T0"])
+    def test_stdout_matches_reference_digest(self, capsys, family_items, label):
+        refs = dict(
+            line.split()
+            for line in (PERFBENCH / "reference.txt").read_text().splitlines()
+            if line and not line.startswith("#")
+        )
+        code, out, _ = run(capsys, *family_items[label].argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == refs[label]

@@ -263,6 +263,10 @@ class TestMixedGraphs:
             SignVector.for_tree(ex1, ex1_path_tree, (1,))
         with pytest.raises(ValueError):
             SignVector.for_tree(ex1, ex1_path_tree, (1, 2))
+        # checked before int(): 1.5 must not pass as +1
+        with pytest.raises(ValueError):
+            SignVector.for_tree(ex1, ex1_path_tree, (1, 1.5))
+        assert SignVector.for_tree(ex1, ex1_path_tree, (1.0, -1.0)).signs == (1, -1)
 
     def test_sign_vectors_order(self):
         assert list(sign_vectors(2)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]

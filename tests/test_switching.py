@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 import oracles
+from orispec import cli, kernel, switching
 from orispec.errors import GuardLimit
 from orispec.graphs import (
     Graph,
@@ -26,6 +28,27 @@ from orispec.switching import (
     equiv_to_unoriented,
     switching_equivalent,
 )
+
+
+PETERSEN_EDGES = sorted(
+    tuple(sorted(e))
+    for i in range(5)
+    for e in ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))
+)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call in the
+    returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def random_mixed(g, rng):
@@ -187,6 +210,37 @@ class TestClassification:
         assert sorted(flat) == sorted(s for s in sign_vectors(2))
         for cls in classes:
             assert [sv.signs for sv in cls] == sorted(sv.signs for sv in cls)
+
+    def test_closed_form_matches_switching_search(self, corpus5):
+        # the BFS tree of every graph, every other spanning tree up to m = 4,
+        # and one Petersen tree (m = 6)
+        petersen = Graph.of(10, PETERSEN_EDGES)
+        cases = [(petersen, bfs_spanning_tree(petersen, 0))]
+        for g in corpus5:
+            cases.append((g, bfs_spanning_tree(g, 0)))
+            cases += [(g, t) for t in enumerate_spanning_trees(g) if len(cotree_edges(g, t)) <= 4]
+        for g, t in cases:
+            assert classify_partial_orientations(g, t) == oracles.classify_by_switching_search(g, t)
+
+    def test_classify_cli_makes_one_charpoly_per_class(self, capsys, monkeypatch):
+        searches = count_calls(monkeypatch, switching, "switching_equivalent")
+        charpolys = count_calls(monkeypatch, kernel, "charpoly_flat")
+        petersen = ";".join(f"{u} {v}" for u, v in PETERSEN_EDGES)
+        assert cli.main(["classify", "-g", petersen, "--json"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        m = len(result["cotree"])
+        assert m == 6 and len(result["classes"]) == 1 << (m - 1)
+        assert len(searches) == 0
+        assert len(charpolys) == 1 << (m - 1)
+
+    def test_tree_graph_has_one_class(self, capsys, monkeypatch):
+        charpolys = count_calls(monkeypatch, kernel, "charpoly_flat")
+        assert cli.main(["classify", "-g", "0 1;1 2;1 3", "--json"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["cotree"] == []
+        assert [(c["size"], c["members"]) for c in result["classes"]] == [(1, [[]])]
+        assert result["classes"][0]["charpoly"]["text"] == "x^4-3x^2"
+        assert len(charpolys) == 1
 
     def test_guard(self):
         n = 8
