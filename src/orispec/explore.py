@@ -230,8 +230,22 @@ def _check_record_guards(g: Graph, guard: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _radius(poly: IntPoly, radii: dict[IntPoly, AlgebraicRoot]) -> AlgebraicRoot:
+    """Spectral radius of a charpoly through radii, a memo that lives for one
+    record (or one public search).
+
+    The memo keeps the root as `spectral_radius_of_charpoly` returns it and
+    hands out a fresh copy per lookup: comparisons refine roots in place, and
+    each search must print the intervals of its own refinement history.
+    """
+    root = radii.get(poly)
+    if root is None:
+        root = radii[poly] = spectral_radius_of_charpoly(poly)
+    return root.copy()
+
+
 def _radius_min(
-    candidates: "list[tuple[IntPoly, object]]",
+    candidates: "list[tuple[IntPoly, object]]", radii: dict[IntPoly, AlgebraicRoot]
 ) -> tuple[AlgebraicRoot, object]:
     """Exact minimum of spectral radii over (charpoly, witness) pairs.
 
@@ -241,11 +255,37 @@ def _radius_min(
     best_root: AlgebraicRoot | None = None
     best_witness: object = None
     for poly, witness in candidates:
-        root = spectral_radius_of_charpoly(poly)
+        root = _radius(poly, radii)
         if best_root is None or compare_roots(root, best_root) is Order.LT:
             best_root, best_witness = root, witness
     assert best_root is not None
     return best_root, best_witness
+
+
+def _complete_sweep(
+    g: Graph, t: SpanningTree, co: tuple[Edge, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(cotree signs, charpoly) of every reduced complete orientation over t:
+    tree arcs from smaller to larger endpoint, signs ascending."""
+    m = len(co)
+    sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m), tree_arcs=True)
+    return list(zip(sign_vectors(m), sweep))
+
+
+def _min_rho_complete(
+    g: Graph, co: tuple[Edge, ...], sweep, radii: dict[IntPoly, AlgebraicRoot]
+) -> tuple[AlgebraicRoot, SignVector]:
+    edge_order = g.edge_list
+    tree_positions = {e: idx for idx, e in enumerate(edge_order)}
+    seen: dict[tuple[int, ...], SignVector] = {}
+    for signs, poly in sweep:
+        if poly not in seen:
+            full = [1] * len(edge_order)
+            for j, s in enumerate(signs):
+                full[tree_positions[co[j]]] = s
+            seen[poly] = SignVector(edge_order, tuple(full))
+    root, witness = _radius_min([(IntPoly(p), sv) for p, sv in seen.items()], radii)
+    return root, witness  # type: ignore[return-value]
 
 
 def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignVector]:
@@ -261,21 +301,34 @@ def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignV
     g.require_connected()
     t = bfs_spanning_tree(g, 0)
     co = cotree_edges(g, t)
-    m = len(co)
     if guard:
-        _complete_guard(m)
-    edge_order = g.edge_list
-    tree_positions = {e: idx for idx, e in enumerate(edge_order)}
-    seen: dict[tuple[int, ...], SignVector] = {}
-    sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m), tree_arcs=True)
-    for signs, poly in zip(sign_vectors(m), sweep):
-        if poly not in seen:
-            full = [1] * len(edge_order)
-            for j, s in enumerate(signs):
-                full[tree_positions[co[j]]] = s
-            seen[poly] = SignVector(edge_order, tuple(full))
-    root, witness = _radius_min([(IntPoly(p), sv) for p, sv in seen.items()])
-    return root, witness
+        _complete_guard(len(co))
+    return _min_rho_complete(g, co, _complete_sweep(g, t, co), {})
+
+
+def _min_rho_partial(
+    g: Graph, guard: bool, radii: dict[IntPoly, AlgebraicRoot]
+) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
+    g.require_connected()
+    if guard:
+        _partial_guard(g.n)
+    auts = automorphisms(g)
+    covered: set[frozenset[Edge]] = set()  # trees of the orbits visited so far
+    seen: dict[tuple[int, ...], tuple[SpanningTree, SignVector]] = {}
+    for t in enumerate_spanning_trees(g, guard=guard):
+        if t.tree_edges in covered:
+            continue
+        covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
+        co = cotree_edges(g, t)
+        m = len(co)
+        sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m))
+        for signs, poly in zip(converse_halves(m), sweep):
+            if poly not in seen:
+                seen[poly] = (t, SignVector(co, signs))
+    candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
+    root, witness = _radius_min(candidates, radii)
+    t, sv = witness  # type: ignore[misc]
+    return root, t, sv
 
 
 def min_rho_partial(
@@ -295,30 +348,12 @@ def min_rho_partial(
     thus reach `_radius_min` exactly as the unreduced search lists them
     (tests/oracles.py keeps that search as the reference).
     """
-    g.require_connected()
-    if guard:
-        _partial_guard(g.n)
-    auts = automorphisms(g)
-    covered: set[frozenset[Edge]] = set()  # trees of the orbits visited so far
-    seen: dict[tuple[int, ...], tuple[SpanningTree, SignVector]] = {}
-    for t in enumerate_spanning_trees(g, guard=guard):
-        if t.tree_edges in covered:
-            continue
-        covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
-        co = cotree_edges(g, t)
-        m = len(co)
-        sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m))
-        for signs, poly in zip(converse_halves(m), sweep):
-            if poly not in seen:
-                seen[poly] = (t, SignVector(co, signs))
-    candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
-    root, witness = _radius_min(candidates)
-    t, sv = witness  # type: ignore[misc]
-    return root, t, sv
+    return _min_rho_partial(g, guard, {})
 
 
-def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, MixedGraph]:
-    """Minimum spectral radius over every mixed graph on g (3^|E| states)."""
+def _min_rho_all_mixed(
+    g: Graph, guard: bool, radii: dict[IntPoly, AlgebraicRoot]
+) -> tuple[AlgebraicRoot, MixedGraph]:
     g.require_connected()
     if guard and g.n > ALL_MIXED_GUARD_N:
         raise GuardLimit(
@@ -335,8 +370,13 @@ def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, Mixe
         poly = tuple(charpoly_of_mixed(d).coeffs)
         if poly not in seen:
             seen[poly] = d
-    root, witness = _radius_min([(IntPoly(p), d) for p, d in seen.items()])
+    root, witness = _radius_min([(IntPoly(p), d) for p, d in seen.items()], radii)
     return root, witness  # type: ignore[return-value]
+
+
+def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, MixedGraph]:
+    """Minimum spectral radius over every mixed graph on g (3^|E| states)."""
+    return _min_rho_all_mixed(g, guard, {})
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +396,21 @@ class GuoMoharReport:
         return not self.violations
 
 
+def _guo_mohar(
+    g: Graph, t: SpanningTree, co: tuple[Edge, ...], complete, radii: dict[IntPoly, AlgebraicRoot]
+) -> GuoMoharReport:
+    rho_g = _radius(charpoly_of_mixed(MixedGraph.undirected(g)), radii)
+    # partial orientations over the BFS tree (s and -s share a charpoly),
+    # then the reduced complete orientations of the given sweep
+    polys = set(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(len(co))))
+    polys.update(poly for _, poly in complete)
+    violations = []
+    for poly in sorted(polys):
+        if compare_roots(_radius(IntPoly(poly), radii), rho_g) is Order.GT:
+            violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
+    return GuoMoharReport(checked=len(polys), violations=tuple(violations))
+
+
 def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     """Compare rho of every sweep-visited mixed graph on g against rho(G).
 
@@ -367,22 +422,9 @@ def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     g.require_connected()
     t = bfs_spanning_tree(g, 0)
     co = cotree_edges(g, t)
-    m = len(co)
     if guard:
-        _sweep_guard(m)
-    rho_g = spectral_radius_of_charpoly(
-        charpoly_of_mixed(MixedGraph.undirected(g))
-    )
-    # partial orientations over the BFS tree (s and -s share a charpoly),
-    # then reduced complete orientations
-    polys = set(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m)))
-    polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m), tree_arcs=True))
-    violations = []
-    for poly in sorted(polys):
-        rho = spectral_radius_of_charpoly(IntPoly(poly))
-        if compare_roots(rho, rho_g) is Order.GT:
-            violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
-    return GuoMoharReport(checked=len(polys), violations=tuple(violations))
+        _sweep_guard(len(co))
+    return _guo_mohar(g, t, co, _complete_sweep(g, t, co), {})
 
 
 @dataclass(frozen=True)
@@ -438,20 +480,21 @@ class ConjectureReport:
         return data
 
 
-def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> ConjectureReport:
-    """Assemble the three-tier minimum-rho comparison for one graph.
-
-    include_all_mixed defaults to running the 3^|E| sweep only when the
-    guard allows it (n <= 4).
-    """
-    c_root, c_witness = min_rho_complete(g, guard=guard)
-    p_root, p_tree, p_witness = min_rho_partial(g, guard=guard)
+def _conjecture_report(
+    g: Graph,
+    complete: tuple[AlgebraicRoot, SignVector],
+    include_all_mixed: bool | None,
+    guard: bool,
+    radii: dict[IntPoly, AlgebraicRoot],
+) -> ConjectureReport:
+    c_root, c_witness = complete
+    p_root, p_tree, p_witness = _min_rho_partial(g, guard, radii)
     if include_all_mixed is None:
         include_all_mixed = g.n <= ALL_MIXED_GUARD_N
     all_root = None
     all_cmp = None
     if include_all_mixed:
-        all_root, _ = min_rho_all_mixed(g, guard=guard)
+        all_root, _ = _min_rho_all_mixed(g, guard, radii)
         all_cmp = compare_roots(all_root, c_root)
     return ConjectureReport(
         graph=g,
@@ -466,11 +509,37 @@ def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bo
     )
 
 
+def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> ConjectureReport:
+    """Assemble the three-tier minimum-rho comparison for one graph.
+
+    include_all_mixed defaults to running the 3^|E| sweep only when the
+    guard allows it (n <= 4).
+    """
+    complete = min_rho_complete(g, guard=guard)
+    return _conjecture_report(g, complete, include_all_mixed, guard, {})
+
+
 def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> dict:
     """One JSON-ready record per graph: conjecture tiers plus the exact
-    rho(mixed) <= rho(G) sweep."""
-    report = conjecture_report(g, include_all_mixed=include_all_mixed, guard=guard)
-    gm = guo_mohar_sweep(g, guard=guard)
+    rho(mixed) <= rho(G) sweep.
+
+    `min_rho_complete` and `guo_mohar_sweep` share one complete-orientation
+    sweep over the BFS tree at 0, and every search of the record shares one
+    radius memo, so each distinct charpoly is isolated once per record.
+    Guards are checked in the order the public searches check them.
+    """
+    g.require_connected()
+    t = bfs_spanning_tree(g, 0)
+    co = cotree_edges(g, t)
+    if guard:
+        _complete_guard(len(co))
+    sweep = _complete_sweep(g, t, co)
+    radii: dict[IntPoly, AlgebraicRoot] = {}
+    complete = _min_rho_complete(g, co, sweep, radii)
+    report = _conjecture_report(g, complete, include_all_mixed, guard, radii)
+    if guard:
+        _sweep_guard(len(co))
+    gm = _guo_mohar(g, t, co, sweep, radii)
     data = report.to_json()
     data["guo_mohar"] = {
         "checked": gm.checked,

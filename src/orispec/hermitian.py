@@ -9,13 +9,21 @@ coefficients, which we compute exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import kernel
 from .errors import ComputationDefect
 from .graphs import Edge, Graph, MixedGraph, SignVector, SpanningTree, build_mixed
-from .polynomials import AlgebraicRoot, IntPoly, Order, isolate_largest_root, isolate_smallest_root
+from .polynomials import (
+    AlgebraicRoot,
+    IntPoly,
+    Order,
+    isolate_extreme_roots,
+    isolate_largest_root,
+    isolate_smallest_root,
+)
 
 
 @dataclass(frozen=True)
@@ -178,9 +186,14 @@ def lambda_min(h: HermitianMatrix) -> AlgebraicRoot:
 
 
 def spectral_radius_of_charpoly(p: IntPoly) -> AlgebraicRoot:
-    """max(|root|) of a real-rooted charpoly, as an exact algebraic number."""
-    top = isolate_largest_root(p)
-    bottom_abs = isolate_smallest_root(p).negated()
+    """max(|root|) of a real-rooted charpoly, as an exact algebraic number.
+
+    One square-free part and one Sturm chain serve both ends of the
+    spectrum (`isolate_extreme_roots`).  The result is the largest root of
+    p, or minus the smallest one, in the interval state left by comparing
+    the two; on a tie (a symmetric spectrum) the largest root wins.
+    """
+    top, bottom_abs = isolate_extreme_roots(p)
     return top if top.compare(bottom_abs) is not Order.LT else bottom_abs
 
 
@@ -234,7 +247,11 @@ def eigenvalues_numeric(h: HermitianMatrix, eps: float = 1e-9) -> list[float]:
 
     H = R + iQ maps to the symmetric 2n x 2n matrix [[R, -Q], [Q, R]] whose
     spectrum is that of H doubled; we diagonalize with Jacobi rotations and
-    keep one value per pair, checking the pairing really is tight.
+    keep one value per pair, checking the pairing really is tight.  Rounding
+    alone can split a pair by a few units of 2n * ulp(1) * ||M||_F, so the
+    pairing tolerance is ten times the larger of eps and that resolution: an
+    eps below float resolution yields values at float resolution, not a
+    defect.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -249,11 +266,13 @@ def eigenvalues_numeric(h: HermitianMatrix, eps: float = 1e-9) -> list[float]:
             big[n + u][n + v] = float(e.re)
             big[u][n + v] = float(-e.im)
             big[n + u][v] = float(e.im)
+    resolution = 2 * n * sys.float_info.epsilon * math.sqrt(sum(x * x for row in big for x in row))
+    tolerance = 10 * max(eps, resolution)
     doubled = _jacobi_eigenvalues(big, eps)
     out = []
     for k in range(0, 2 * n, 2):
         lo, hi = doubled[k], doubled[k + 1]
-        if hi - lo > 10 * eps:
+        if hi - lo > tolerance:
             raise ComputationDefect("doubled spectrum failed to pair up")
         out.append((lo + hi) / 2.0)
     return out

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from . import kernel
 from .errors import ComputationDefect, GuardLimit
-from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, cotree_edges, sign_vectors
+from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, converse_halves, cotree_edges
 from .hermitian import charpoly_of_mixed, sign_sweep_charpolys
 from .matching import matching_radius
 from .polynomials import (
@@ -335,10 +335,50 @@ class AuditReport:
         }
 
 
+def _family_levels(g: Graph, t: SpanningTree, co: tuple[Edge, ...]) -> list[list[IntPoly]]:
+    """Node polynomials of the sign-assignment tree, level by level.
+
+    Level m holds the leaf charpolys in `sign_vectors` order, level k the
+    sums of the pairs below.  Only the converse halves are swept: leaf -s
+    sits at index 2^m - 1 - i when s sits at i, and has the same charpoly
+    (the matrices are complex conjugates), so the second half of the leaves
+    is the first half reversed.
+    """
+    m = len(co)
+    half = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m))]
+    levels: list[list[IntPoly]] = [[] for _ in range(m + 1)]
+    levels[m] = half + half[::-1] if m else half
+    for k in range(m - 1, -1, -1):
+        prev = levels[k + 1]
+        levels[k] = [prev[2 * i] + prev[2 * i + 1] for i in range(len(prev) // 2)]
+    return levels
+
+
+def _node_defect(
+    left: list[AlgebraicRoot], right: list[AlgebraicRoot], parent: list[AlgebraicRoot]
+) -> str | None:
+    """What is wrong at an internal node, given the sorted roots of its two
+    children and its own, or None."""
+    if not roots_admit_common_interlacer(left, right):
+        return "children admit no common interlacer"
+    child_min_top = left[-1] if compare_roots(left[-1], right[-1]) is not Order.GT else right[-1]
+    if compare_roots(child_min_top, parent[-1]) is Order.GT:
+        return "both children exceed the parent's largest root"
+    return None
+
+
 def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> AuditReport:
     """Check, for every sign prefix: the conditional sum is real-rooted, the
     two children of every internal node admit a common interlacer, and the
-    smaller child largest-root does not exceed the parent largest-root."""
+    smaller child largest-root does not exceed the parent largest-root.
+
+    Every node is reported on, in (level, index) order, but the work is done
+    once per distinct polynomial: the leaves come from one sweep over the
+    converse halves (`_family_levels`), each distinct node polynomial is
+    isolated once, and each distinct pair of children is checked once (the
+    parent is their sum).  Exact answers do not depend on how far a shared
+    root was refined, and the report prints no interval.
+    """
     g.require_connected()
     co = cotree_edges(g, t)
     m = len(co)
@@ -347,12 +387,7 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
             f"the audit walks 2^(m+1)-1 prefixes; m={m} exceeds {AUDIT_GUARD_M} "
             f"(pass guard=False to override)"
         )
-    # leaves first (exact charpolys), then parents as sums of children
-    levels: list[list[IntPoly]] = [[] for _ in range(m + 1)]
-    levels[m] = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m))]
-    for k in range(m - 1, -1, -1):
-        prev = levels[k + 1]
-        levels[k] = [prev[2 * i] + prev[2 * i + 1] for i in range(len(prev) // 2)]
+    levels = _family_levels(g, t, co)
 
     # sign_vectors yields (-1, ...) before (+1, ...): children of node i at
     # level k are prev[2i] (sign -1) and prev[2i+1] (sign +1)
@@ -363,31 +398,26 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
         return "(" + "".join(signs) + ")" if signs else "(root)"
 
     violations: list[str] = []
-    roots: list[list[list[AlgebraicRoot]]] = [[] for _ in range(m + 1)]
+    roots: dict[IntPoly, list[AlgebraicRoot]] = {}
     nodes = 0
     for k in range(m + 1):
         for i, poly in enumerate(levels[k]):
             nodes += 1
-            rs = isolate_real_roots(poly)
-            roots[k].append(rs)
+            rs = roots.get(poly)
+            if rs is None:
+                rs = roots[poly] = isolate_real_roots(poly)
             if len(rs) != poly.degree:
                 violations.append(f"level {k} node {name(k, i)}: sum is not real-rooted")
     if not violations:
+        defects: dict[tuple[IntPoly, IntPoly], str | None] = {}
         for k in range(m):
+            below = levels[k + 1]
             for i, poly in enumerate(levels[k]):
-                left = roots[k + 1][2 * i]
-                right = roots[k + 1][2 * i + 1]
-                if not roots_admit_common_interlacer(left, right):
-                    violations.append(
-                        f"level {k} node {name(k, i)}: children admit no common interlacer"
-                    )
-                    continue
-                parent_top = roots[k][i][-1]
-                child_min_top = left[-1] if compare_roots(left[-1], right[-1]) is not Order.GT else right[-1]
-                if compare_roots(child_min_top, parent_top) is Order.GT:
-                    violations.append(
-                        f"level {k} node {name(k, i)}: both children exceed the parent's largest root"
-                    )
+                pair = (below[2 * i], below[2 * i + 1])
+                if pair not in defects:
+                    defects[pair] = _node_defect(roots[pair[0]], roots[pair[1]], roots[poly])
+                if defects[pair] is not None:
+                    violations.append(f"level {k} node {name(k, i)}: {defects[pair]}")
     return AuditReport(nodes_checked=nodes, violations=tuple(violations))
 
 

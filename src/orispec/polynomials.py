@@ -25,6 +25,7 @@ __all__ = [
     "is_real_rooted",
     "isolate_largest_root",
     "isolate_smallest_root",
+    "isolate_extreme_roots",
     "isolate_real_roots",
     "compare_roots",
     "refine",
@@ -437,7 +438,9 @@ class AlgebraicRoot:
     neither endpoint is a root of the polynomial; lo == hi marks an exact
     rational value.  ``refine`` narrows the interval in place by bisection;
     narrowing is deterministic, so duplicated refinement across threads is
-    harmless.
+    harmless.  Comparisons refine in place too, and a printed interval
+    depends on every refinement its root went through, so a memo of roots
+    hands out a ``copy()`` per lookup and keeps its own object unrefined.
     """
 
     __slots__ = ("poly", "lo", "hi", "_chain", "_vlo", "_vhi")
@@ -457,6 +460,10 @@ class AlgebraicRoot:
         self._chain = chain
         self._vlo = vlo
         self._vhi = vhi
+
+    def copy(self) -> "AlgebraicRoot":
+        """An independent root in the same interval state."""
+        return AlgebraicRoot(self.poly, self.lo, self.hi, self._chain, self._vlo, self._vhi)
 
     @classmethod
     def exact(cls, poly: IntPoly, value: Fraction) -> "AlgebraicRoot":
@@ -698,17 +705,42 @@ def is_real_rooted(p: IntPoly) -> bool:
     return total == p.degree
 
 
-def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:
-    """Isolating interval (or exact value) of the largest real root of p."""
+def _squarefree_with_chain(p: IntPoly) -> tuple[IntPoly, tuple[IntPoly, ...] | None]:
+    """Square-free part of p and its Sturm chain (None when it is linear)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     q = squarefree_part(p)
     if q.degree < 1:
         raise ValueError("polynomial has no roots")
+    return q, (sturm_chain(q) if q.degree > 1 else None)
+
+
+def _reflected(
+    q: IntPoly, chain: tuple[IntPoly, ...] | None
+) -> tuple[IntPoly, tuple[IntPoly, ...] | None]:
+    """q(-x) made primitive with positive leading coefficient, and its Sturm
+    chain, read off q's chain without a remainder sequence.
+
+    With sigma = (-1)^deg q, the members sigma * (-1)^k * S_k(-x) start with
+    q(-x) made positive and its derivative, and satisfy the same remainder
+    recurrence with the same positive constants; each S_k has content 1, so
+    they are exactly what `sturm_chain` builds for the reflected polynomial.
+    """
+    sigma = -1 if q.degree % 2 else 1
+    reflected = q.reflected() * sigma
+    if chain is None:
+        return reflected, None
+    return reflected, tuple(
+        s.reflected() * (sigma if k % 2 == 0 else -sigma) for k, s in enumerate(chain)
+    )
+
+
+def _largest_root(q: IntPoly, chain: tuple[IntPoly, ...] | None) -> AlgebraicRoot:
+    """Isolating interval (or exact value) of the largest real root of the
+    square-free q, by bisection of the Cauchy interval on q's Sturm chain."""
     if q.degree == 1:
         c0, c1 = q.coeffs
         return AlgebraicRoot.exact(q, Fraction(-c0, c1))
-    chain = sturm_chain(q)
     bound = cauchy_root_bound(q)
     lo, hi = Fraction(-bound), Fraction(bound)
     va, vb = variations_at(chain, lo), variations_at(chain, hi)
@@ -745,8 +777,25 @@ def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:
     return AlgebraicRoot(q, lo, hi, chain, va, vb)
 
 
+def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:
+    """Isolating interval (or exact value) of the largest real root of p."""
+    return _largest_root(*_squarefree_with_chain(p))
+
+
 def isolate_smallest_root(p: IntPoly) -> AlgebraicRoot:
-    return isolate_largest_root(p.reflected()).negated()
+    """The smallest real root of p: minus the largest root of p(-x)."""
+    return _largest_root(*_reflected(*_squarefree_with_chain(p))).negated()
+
+
+def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
+    """(largest root of p, largest root of p(-x)) from one square-free part
+    and one Sturm chain: the second bisection runs on the reflected chain.
+
+    The second root is minus the smallest root of p; its poly is the
+    square-free part of p(-x), as `isolate_smallest_root(p).negated()` gives.
+    """
+    q, chain = _squarefree_with_chain(p)
+    return _largest_root(q, chain), _largest_root(*_reflected(q, chain))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,16 @@ from orispec.graphs import (
     enumerate_spanning_trees,
     sign_vectors,
 )
-from orispec.hermitian import charpoly_of_mixed, spectral_radius_of_charpoly
-from orispec.orientation import conditional_sum_charpoly
-from orispec.polynomials import IntPoly, Order, compare_roots, isolate_largest_root
+from orispec.hermitian import charpoly_of_mixed, sign_sweep_charpolys
+from orispec.orientation import AuditReport, conditional_sum_charpoly
+from orispec.polynomials import (
+    IntPoly,
+    Order,
+    compare_roots,
+    isolate_largest_root,
+    isolate_real_roots,
+    roots_admit_common_interlacer,
+)
 from orispec.switching import switching_equivalent
 
 # ---------------------------------------------------------------------------
@@ -299,6 +306,64 @@ def greedy_by_brute_sums(g, t):
 
 
 # ---------------------------------------------------------------------------
+# root isolation without shared work
+# ---------------------------------------------------------------------------
+
+
+def spectral_radius_two_isolations(p):
+    """max(|root|) of p from two independent isolations: the largest root of
+    p, and the largest root of p(-x) with its own square-free part and its
+    own Sturm chain (negated twice, as the smallest root of p negated)."""
+    top = isolate_largest_root(p)
+    bottom_abs = isolate_largest_root(p.reflected()).negated().negated()
+    return top if top.compare(bottom_abs) is not Order.LT else bottom_abs
+
+
+def audit_interlacing_family_unreduced(g, t) -> AuditReport:
+    """The interlacing-family audit over all 2^m leaves, each node isolated
+    and each internal node checked on its own, in (level, index) order."""
+    co = cotree_edges(g, t)
+    m = len(co)
+    levels = [[] for _ in range(m + 1)]
+    levels[m] = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m))]
+    for k in range(m - 1, -1, -1):
+        prev = levels[k + 1]
+        levels[k] = [prev[2 * i] + prev[2 * i + 1] for i in range(len(prev) // 2)]
+
+    def name(k, i):
+        signs = ["+" if (i >> bit) & 1 else "-" for bit in range(k - 1, -1, -1)]
+        return "(" + "".join(signs) + ")" if signs else "(root)"
+
+    violations = []
+    roots = [[] for _ in range(m + 1)]
+    nodes = 0
+    for k in range(m + 1):
+        for i, poly in enumerate(levels[k]):
+            nodes += 1
+            rs = isolate_real_roots(poly)
+            roots[k].append(rs)
+            if len(rs) != poly.degree:
+                violations.append(f"level {k} node {name(k, i)}: sum is not real-rooted")
+    if not violations:
+        for k in range(m):
+            for i in range(len(levels[k])):
+                left = roots[k + 1][2 * i]
+                right = roots[k + 1][2 * i + 1]
+                if not roots_admit_common_interlacer(left, right):
+                    violations.append(
+                        f"level {k} node {name(k, i)}: children admit no common interlacer"
+                    )
+                    continue
+                parent_top = roots[k][i][-1]
+                child_min_top = left[-1] if compare_roots(left[-1], right[-1]) is not Order.GT else right[-1]
+                if compare_roots(child_min_top, parent_top) is Order.GT:
+                    violations.append(
+                        f"level {k} node {name(k, i)}: both children exceed the parent's largest root"
+                    )
+    return AuditReport(nodes_checked=nodes, violations=tuple(violations))
+
+
+# ---------------------------------------------------------------------------
 # minimum-rho search and bound sweep, without symmetries
 # ---------------------------------------------------------------------------
 
@@ -326,7 +391,7 @@ def min_rho_partial_unreduced(g):
             if poly not in seen:
                 seen[poly] = (t, SignVector(co, signs))
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
-    root, (t, sv) = _radius_min(candidates)
+    root, (t, sv) = _radius_min(candidates, {})
     return root, t, sv, candidates
 
 
@@ -345,10 +410,10 @@ def guo_mohar_sweep_unreduced(g) -> GuoMoharReport:
         arcs = {e: sv.arc(j) for j, e in enumerate(co)}
         for tree in (undirected_tree, oriented_tree):
             polys.add(charpoly_of_mixed(MixedGraph.of(g, {**tree, **arcs})).coeffs)
-    rho_g = spectral_radius_of_charpoly(charpoly_of_mixed(MixedGraph.undirected(g)))
+    rho_g = spectral_radius_two_isolations(charpoly_of_mixed(MixedGraph.undirected(g)))
     violations = []
     for poly in sorted(polys):
-        if compare_roots(spectral_radius_of_charpoly(IntPoly(poly)), rho_g) is Order.GT:
+        if compare_roots(spectral_radius_two_isolations(IntPoly(poly)), rho_g) is Order.GT:
             violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
     return GuoMoharReport(checked=len(polys), violations=tuple(violations))
 

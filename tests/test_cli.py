@@ -15,6 +15,10 @@ H1_MIXED = "0 1;1 2;2 3;0 > 3"
 D1_MIXED = "0 1;1 2;2 3;0 > 3;3 > 1"
 K5 = ";".join(f"{u} {v}" for u in range(5) for v in range(u + 1, 5))
 K7 = ";".join(f"{u} {v}" for u in range(7) for v in range(u + 1, 7))
+# K7 with the arc u -> v on every edge with u + v even
+K7_MIXED = ";".join(
+    f"{u} > {v}" if (u + v) % 2 == 0 else f"{u} {v}" for u in range(7) for v in range(u + 1, 7)
+)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -88,6 +92,17 @@ class TestCharpolyAndEigen:
         code, out, err = run(capsys, "eigen", "-g", "0 1;1 2", "--eps", eps)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "eps" in err
+
+    # Jacobi converges at these eps, but rounding splits the doubled pairs
+    # by more than 10 * eps; the values come out at float resolution
+    @pytest.mark.parametrize(
+        "graph, eps", [(D1_MIXED, "1e-30"), (K7_MIXED, "1e-16")], ids=["D1-1e-30", "K7-1e-16"]
+    )
+    def test_eigen_eps_below_float_resolution(self, capsys, graph, eps):
+        code, data, err = run_json(capsys, "eigen", "-g", graph, "--format", "mixed", "--eps", eps)
+        assert code == 0 and err == ""
+        _, default, _ = run_json(capsys, "eigen", "-g", graph, "--format", "mixed")
+        assert data["eigenvalues"] == pytest.approx(default["eigenvalues"], abs=1e-8)
 
 
 class TestFindOrientation:
@@ -317,28 +332,37 @@ class TestPlumbing:
 
 
 @pytest.fixture(scope="module")
-def family_items():
-    """The benchmark's family items by label, from perfbench/workloads.py
-    (which does not import orispec)."""
+def benchmark_items():
+    """The benchmark's explore and family items by label, from
+    perfbench/workloads.py (which does not import orispec)."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses resolves the module's string annotations through sys.modules
     sys.modules[spec.name] = workloads
     try:
         spec.loader.exec_module(workloads)
-        return {item.label: item for item in workloads.universe("family")}
+        return {item.label: item for name in ("explore", "family") for item in workloads.universe(name)}
     finally:
         del sys.modules[spec.name]
 
 
 class TestBenchmarkReference:
-    @pytest.mark.parametrize("label", ["classify:grid2x8:bfs0", "classify:petersen:T0"])
-    def test_stdout_matches_reference_digest(self, capsys, family_items, label):
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "classify:grid2x8:bfs0",
+            "classify:petersen:T0",
+            "explore:max-n5",
+            "audit-family:grid2x8:bfs0",
+            "audit-family:petersen:T0",
+        ],
+    )
+    def test_stdout_matches_reference_digest(self, capsys, benchmark_items, label):
         refs = dict(
             line.split()
             for line in (PERFBENCH / "reference.txt").read_text().splitlines()
             if line and not line.startswith("#")
         )
-        code, out, _ = run(capsys, *family_items[label].argv)
+        code, out, _ = run(capsys, *benchmark_items[label].argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == refs[label]

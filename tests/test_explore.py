@@ -7,6 +7,8 @@ import oracles
 from orispec import explore, kernel
 from orispec.errors import GuardLimit
 from orispec.explore import (
+    ConjectureReport,
+    _radius,
     automorphisms,
     canonical_form,
     conjecture_report,
@@ -24,13 +26,14 @@ from orispec.graphs import (
     Graph,
     MixedGraph,
     SignVector,
+    bfs_spanning_tree,
     build_mixed,
     cotree_edges,
     encode_graph6,
     enumerate_spanning_trees,
     sign_vectors,
 )
-from orispec.hermitian import charpoly_of_mixed, hermitian_adjacency, spectral_radius
+from orispec.hermitian import charpoly_of_mixed, hermitian_adjacency, spectral_radius, spectral_radius_of_charpoly
 from orispec.polynomials import IntPoly, Order, compare_roots, isolate_largest_root
 
 
@@ -217,9 +220,9 @@ class TestMinRhoPartial:
         calls = []
         radius_min = explore._radius_min
 
-        def recording(candidates):
+        def recording(candidates, radii):
             calls.append(candidates)
-            return radius_min(candidates)
+            return radius_min(candidates, radii)
 
         monkeypatch.setattr(explore, "_radius_min", recording)
         return calls
@@ -365,3 +368,92 @@ class TestExploreRecords:
         monkeypatch.setenv("ORISPEC_THREADS", "2")
         parallel = explore_corpus(4)
         assert parallel == serial
+
+
+def separate_record(g):
+    """explore_record(g) assembled from the public searches, each with its
+    own radius memo and its own sweeps, and the unreduced bound sweep.  The
+    comparisons run in the record's order, since they refine in place."""
+    c_root, c_witness = min_rho_complete(g)
+    p_root, p_tree, p_witness = min_rho_partial(g)
+    all_root = all_cmp = None
+    if g.n <= 4:
+        all_root, _ = min_rho_all_mixed(g)
+        all_cmp = compare_roots(all_root, c_root)
+    report = ConjectureReport(
+        g, c_root, c_witness, p_root, p_tree, p_witness, compare_roots(c_root, p_root), all_root, all_cmp
+    )
+    gm = oracles.guo_mohar_sweep_unreduced(g)
+    data = report.to_json()
+    data["guo_mohar"] = {"checked": gm.checked, "violations": list(gm.violations)}
+    return data
+
+
+class TestRecordSharing:
+    """One explore record shares one complete-orientation sweep and one
+    radius memo among its searches."""
+
+    def test_radius_memo_hands_out_fresh_copies(self, monkeypatch):
+        calls = []
+        original = explore.spectral_radius_of_charpoly
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(explore, "spectral_radius_of_charpoly", counting)
+        radii = {}
+        p = IntPoly((2, 2, -5, 0, 1))
+        first = _radius(p, radii)
+        state = (first.poly, first.lo, first.hi)
+        first.to_json()  # refines first in place
+        second = _radius(p, radii)
+        assert len(calls) == 1 and list(radii) == [p]
+        assert second is not first and radii[p] is not first and radii[p] is not second
+        assert (second.poly, second.lo, second.hi) == state != (first.poly, first.lo, first.hi)
+        assert (radii[p].lo, radii[p].hi) == state[1:]
+
+    def test_shared_memo_does_not_leak_refinement(self):
+        # 665857/470832 is within 2^-38 of sqrt(2): telling them apart
+        # refines sqrt(2) far below the printed width, and a later search on
+        # the same memo must still print the interval of a fresh isolation
+        sqrt2, close = IntPoly((-2, 0, 1)), IntPoly((-665857, 470832))
+        radii = {}
+        explore._radius_min([(close, "close"), (sqrt2, "sqrt2")], radii)
+        root, _ = explore._radius_min([(sqrt2, "sqrt2")], radii)
+        assert root.to_json() == spectral_radius_of_charpoly(sqrt2).to_json()
+
+    def test_record_matches_separate_searches(self, corpus5):
+        for g in corpus5:
+            assert explore_record(g) == separate_record(g), encode_graph6(g)
+
+    def test_one_complete_sweep_per_record(self, corpus5, monkeypatch):
+        sweeps = []
+        kernel_calls = []
+        sweep = explore.sign_sweep_charpolys
+        charpoly_flat = kernel.charpoly_flat
+
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(kwargs.get("tree_arcs", False))
+            return sweep(*args, **kwargs)
+
+        def counting(re, im, n):
+            kernel_calls.append(n)
+            return charpoly_flat(re, im, n)
+
+        monkeypatch.setattr(explore, "sign_sweep_charpolys", recording_sweep)
+        monkeypatch.setattr(kernel, "charpoly_flat", counting)
+        for g in corpus5[-6:]:
+            m = len(cotree_edges(g, bfs_spanning_tree(g, 0)))
+            sweeps.clear()
+            kernel_calls.clear()
+            min_rho_complete(g)
+            min_rho_partial(g)
+            guo_mohar_sweep(g)
+            separate = len(kernel_calls)
+            assert sweeps.count(True) == 2
+            sweeps.clear()
+            kernel_calls.clear()
+            explore_record(g)
+            assert sweeps.count(True) == 1
+            assert len(kernel_calls) == separate - 2**m

@@ -1,15 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import oracles
+from orispec import polynomials
 from orispec.graphs import (
     Graph,
     MixedGraph,
     SignVector,
     bfs_spanning_tree,
     build_mixed,
+    converse_halves,
     cotree_edges,
+    enumerate_spanning_trees,
     sign_vectors,
 )
 from orispec.hermitian import (
@@ -25,10 +29,12 @@ from orispec.hermitian import (
     lambda_max,
     lambda_min,
     rank_one_witness,
+    sign_sweep_charpolys,
     spectral_radius,
+    spectral_radius_of_charpoly,
     verify_rank_one_identity,
 )
-from orispec.polynomials import Order, compare_roots
+from orispec.polynomials import IntPoly, Order, cauchy_root_bound, compare_roots, squarefree_part
 
 
 def mixed_of(n, undirected=(), arcs=()):
@@ -165,6 +171,106 @@ class TestExactSpectra:
                 d = MixedGraph.of(g, states)
                 rho = spectral_radius(hermitian_adjacency(d))
                 assert compare_roots(rho, g_rho) is not Order.GT
+
+
+def sweep_charpolys(g):
+    """Every distinct charpoly the explore searches meet on g: partial
+    orientations over each spanning tree, complete ones over the BFS tree."""
+    polys = set()
+    for t in enumerate_spanning_trees(g):
+        co = cotree_edges(g, t)
+        polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(len(co))))
+    t = bfs_spanning_tree(g, 0)
+    co = cotree_edges(g, t)
+    polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)), tree_arcs=True))
+    return [IntPoly(p) for p in sorted(polys)]
+
+
+def midpoint_root_polys():
+    """Cubics with a root at the first or second bisection midpoint of their
+    Cauchy interval (-B, B): 0, B/2 or -B/2."""
+    out = []
+    for roots in ((0, 1, -3), (0, 2, 5), (0, -1, 4)):
+        out.append(IntPoly.from_roots(roots))
+    for a in range(-6, 7):
+        for b in range(a + 1, 7):
+            for c in range(b + 1, 7):
+                p = IntPoly.from_roots((a, b, c))
+                half = Fraction(cauchy_root_bound(p), 2)
+                if half in (a, b, c) or -half in (a, b, c):
+                    out.append(p)
+    return out
+
+
+class TestSpectralRadiusOneChain:
+    """spectral_radius_of_charpoly isolates both ends of the spectrum on one
+    square-free part and one Sturm chain; tests/oracles.py keeps the two
+    independent isolations it replaced."""
+
+    @staticmethod
+    def assert_same_radius(p):
+        try:
+            ref = oracles.spectral_radius_two_isolations(p)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                spectral_radius_of_charpoly(p)
+            return
+        got = spectral_radius_of_charpoly(p)
+        assert (got.poly, got.lo, got.hi) == (ref.poly, ref.lo, ref.hi)
+        assert got.to_json() == ref.to_json()
+
+    def test_sweep_charpolys_of_corpus5(self, corpus5):
+        polys = {p for g in corpus5 for p in sweep_charpolys(g)}
+        assert len(polys) > 200
+        for p in sorted(polys, key=lambda p: p.coeffs):
+            self.assert_same_radius(p)
+
+    def test_random_polys(self):
+        rng = random.Random(20)
+        for _ in range(150):
+            # real-rooted with repeated and rational roots
+            roots = [rng.randint(-7, 7) for _ in range(rng.randint(1, 6))]
+            self.assert_same_radius(IntPoly.from_roots(roots) * IntPoly((rng.choice([-1, 1]), 2)))
+            # mostly not real-rooted, some with no real root at all
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 8))] + [rng.randint(1, 3)]
+            self.assert_same_radius(IntPoly(coeffs))
+        self.assert_same_radius(IntPoly((1, 0, 1)))  # no real root
+
+    def test_root_at_a_bisection_midpoint(self):
+        polys = midpoint_root_polys()
+        assert len(polys) > 3
+        for p in polys:
+            self.assert_same_radius(p)
+
+    def test_symmetric_spectrum(self):
+        # bipartite charpolys: both ends tie, and the largest root wins
+        for p in (IntPoly((-2, 0, 1)), IntPoly((1, 0, -3, 0, 1)), IntPoly((0, -3, 0, 1))):
+            self.assert_same_radius(p)
+            got = spectral_radius_of_charpoly(p)
+            assert got.poly == squarefree_part(p)
+
+    def test_degree_one(self):
+        for p in (IntPoly((-3, 1)), IntPoly((1, 2)), IntPoly((9, -6, 1)), IntPoly((0, 1))):
+            self.assert_same_radius(p)
+            assert spectral_radius_of_charpoly(p).is_exact
+
+    def test_one_squarefree_part_and_one_chain_per_call(self, monkeypatch):
+        counts = {"squarefree_part": 0, "sturm_chain": 0}
+        for name in counts:
+            original = getattr(polynomials, name)
+
+            def counting(q, name=name, original=original):
+                counts[name] += 1
+                return original(q)
+
+            monkeypatch.setattr(polynomials, name, counting)
+        # path P4 (symmetric), the worked example's D1 (both ends refined)
+        # and a cubic whose smallest root is the radius
+        for p in (IntPoly((1, 0, -3, 0, 1)), IntPoly((2, 2, -5, 0, 1)), IntPoly.from_roots((-3, 1, 2))):
+            for name in counts:
+                counts[name] = 0
+            spectral_radius_of_charpoly(p).to_json()
+            assert counts == {"squarefree_part": 1, "sturm_chain": 1}
 
 
 class TestNumericEigenvalues:

@@ -3,6 +3,7 @@ import random
 import oracles
 import pytest
 
+from orispec import cli, kernel, orientation
 from orispec.errors import GuardLimit
 from orispec.graphs import (
     Graph,
@@ -14,10 +15,11 @@ from orispec.graphs import (
     sign_vectors,
     tree_from_edges,
 )
-from orispec.hermitian import charpoly_of_mixed
+from orispec.hermitian import charpoly_of_mixed, sign_sweep_charpolys
 from orispec.matching import matching_polynomial
 from orispec.orientation import (
     _expansion_sum,
+    _family_levels,
     audit_interlacing_family,
     conditional_sum_charpoly,
     conditional_sum_fast,
@@ -237,6 +239,109 @@ class TestAudit:
     def test_json_shape(self, c4, c4_path_tree):
         j = audit_interlacing_family(c4, c4_path_tree).to_json()
         assert j["passed"] is True and j["violations"] == []
+
+
+def petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.of(10, [tuple(sorted(e)) for e in edges])
+
+
+def audit_cases(corpus5, every_tree=True):
+    """(g, t): corpus <= 5 at every spanning tree (or the BFS tree) with
+    m <= 4, and the Petersen graph at its BFS tree (m = 6)."""
+    cases = []
+    for g in corpus5:
+        for t in enumerate_spanning_trees(g) if every_tree else [bfs_spanning_tree(g, 0)]:
+            if len(cotree_edges(g, t)) <= 4:
+                cases.append((g, t))
+    g = petersen()
+    return cases + [(g, bfs_spanning_tree(g, 0))]
+
+
+class TestAuditReductions:
+    """The audit isolates each distinct node polynomial once and checks each
+    distinct pair of children once; tests/oracles.py keeps the audit that
+    sweeps every leaf and checks every node on its own."""
+
+    def test_levels_match_the_full_sweep(self, corpus5):
+        for g, t in audit_cases(corpus5):
+            co = cotree_edges(g, t)
+            full = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)))]
+            levels = _family_levels(g, t, co)
+            assert levels[-1] == full
+            assert levels[0] == [sum(full, IntPoly.zero())]
+
+    def test_matches_unreduced_audit(self, corpus5):
+        for g, t in audit_cases(corpus5):
+            assert audit_interlacing_family(g, t) == oracles.audit_interlacing_family_unreduced(g, t)
+
+    @staticmethod
+    def patch_both(monkeypatch, name, replacement):
+        monkeypatch.setattr(orientation, name, replacement)
+        monkeypatch.setattr(oracles, name, replacement)
+
+    @pytest.mark.parametrize("rule", ["always", "left_top_above_right_top"])
+    def test_forced_interlacer_violations_match(self, corpus5, monkeypatch, rule):
+        def reject(left, right):
+            if rule == "always":
+                return False
+            return compare_roots(left[-1], right[-1]) is not Order.GT
+
+        self.patch_both(monkeypatch, "roots_admit_common_interlacer", reject)
+        seen = 0
+        for g, t in audit_cases(corpus5, every_tree=False):
+            report = audit_interlacing_family(g, t)
+            assert report == oracles.audit_interlacing_family_unreduced(g, t)
+            seen += len(report.violations)
+        assert seen > 20
+
+    def test_forced_real_rootedness_violations_match(self, corpus5, monkeypatch):
+        # drop the largest root of every polynomial with p(1) odd
+        def lossy(p):
+            roots = isolate_real_roots(p)
+            return roots[:-1] if p.evaluate(1) % 2 else roots
+
+        self.patch_both(monkeypatch, "isolate_real_roots", lossy)
+        seen = 0
+        for g, t in audit_cases(corpus5, every_tree=False):
+            report = audit_interlacing_family(g, t)
+            assert report == oracles.audit_interlacing_family_unreduced(g, t)
+            seen += len(report.violations)
+        assert seen > 20
+
+    def test_work_on_the_ladder(self, capsys, monkeypatch):
+        # audit-family on the 2x8 ladder at bfs:0 (m = 7): half of the 128
+        # leaves are swept, and each distinct node polynomial is isolated once
+        g = grid(2, 8)
+        t = bfs_spanning_tree(g, 0)
+        co = cotree_edges(g, t)
+        leaves = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)))]
+        distinct = set(leaves)
+        level = leaves
+        while len(level) > 1:
+            level = [level[2 * i] + level[2 * i + 1] for i in range(len(level) // 2)]
+            distinct.update(level)
+
+        kernel_calls = []
+        isolations = []
+        charpoly_flat = kernel.charpoly_flat
+
+        def counting(re, im, n):
+            kernel_calls.append(n)
+            return charpoly_flat(re, im, n)
+
+        def recording(p):
+            isolations.append(p)
+            return isolate_real_roots(p)
+
+        monkeypatch.setattr(kernel, "charpoly_flat", counting)
+        monkeypatch.setattr(orientation, "isolate_real_roots", recording)
+        graph = ";".join(f"{u} {v}" for u, v in sorted(g.edges))
+        assert cli.main(["audit-family", "-g", graph, "--tree", "bfs:0", "--json"]) == 0
+        assert '"passed": true' in capsys.readouterr().out
+        assert kernel_calls == [16] * 64
+        assert len(isolations) == len(set(isolations)) == len(distinct) == 100
 
 
 class TestCommonInterlacerAgainstCombinations:

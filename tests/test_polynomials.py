@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orispec.polynomials import (
+    _reflected,
     AlgebraicRoot,
     IntPoly,
     Order,
@@ -15,6 +16,7 @@ from orispec.polynomials import (
     count_roots_open,
     interlaces,
     is_real_rooted,
+    isolate_extreme_roots,
     isolate_largest_root,
     isolate_real_roots,
     isolate_smallest_root,
@@ -160,6 +162,21 @@ class TestSturm:
             assert count_roots_open(chain, a, b) == expected
 
 
+    @given(st.lists(small_ints, min_size=2, max_size=9))
+    @settings(max_examples=80, deadline=None)
+    def test_reflected_chain_is_the_chain_of_the_reflection(self, coeffs):
+        # the second bisection of isolate_extreme_roots runs on this chain
+        p = IntPoly(coeffs)
+        if p.degree < 1:
+            return
+        q = squarefree_part(p)
+        if q.degree < 2:
+            return
+        reflected, chain = _reflected(q, sturm_chain(q))
+        assert reflected == q.reflected().primitive()
+        assert chain == sturm_chain(reflected)
+
+
 class TestRealRootedness:
     def test_simple_cases(self):
         assert is_real_rooted(poly_of(-1, 0, 1))
@@ -200,6 +217,25 @@ class TestIsolation:
     def test_smallest_root(self):
         r = isolate_smallest_root(poly_of(2, 2, -5, 0, 1))
         assert abs(float(r) - (-2.3429)) < 1e-3
+
+    @given(st.lists(small_ints, min_size=2, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_extreme_roots_match_separate_isolations(self, coeffs):
+        # one square-free part and one chain serve both ends: the same
+        # polys and intervals as isolating p and p(-x) separately
+        p = IntPoly(coeffs)
+        try:
+            expected = (isolate_largest_root(p), isolate_largest_root(p.reflected()))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                isolate_extreme_roots(p)
+            return
+        for got, want in zip(isolate_extreme_roots(p), expected):
+            assert (got.poly, got.lo, got.hi) == (want.poly, want.lo, want.hi)
+            assert got.to_json() == want.to_json()
+        smallest = isolate_smallest_root(p)
+        want = isolate_largest_root(p.reflected()).negated()
+        assert (smallest.poly, smallest.lo, smallest.hi) == (want.poly, want.lo, want.hi)
 
     def test_roots_numeric_with_multiplicity(self):
         assert roots_numeric(poly_of(4, 0, -5, 0, 1)) == pytest.approx([-2, -1, 1, 2])
@@ -325,3 +361,12 @@ class TestAlgebraicRootExtras:
         assert data["poly"] == [-2, 0, 1]
         assert isinstance(data["interval"][0], str)
         assert abs(data["approx"] - 2 ** 0.5) < 1e-6
+
+    def test_copy_refines_independently(self):
+        r = isolate_largest_root(poly_of(-2, 0, 1))
+        c = r.copy()
+        assert c is not r and (c.poly, c.lo, c.hi) == (r.poly, r.lo, r.hi)
+        before = (r.lo, r.hi)
+        c.refine(Fraction(1, 10**6))
+        assert (r.lo, r.hi) == before
+        assert r.lo <= c.lo < c.hi <= r.hi
