@@ -4,11 +4,29 @@ An undirected edge contributes 1 to both symmetric entries; an arc u -> v
 contributes i at (u, v) and -i at (v, u).  The matrix is Hermitian, so its
 spectrum is real and its characteristic polynomial has integer
 coefficients, which we compute exactly.
+
+A single matrix goes through the kernel.  The 2^m orientations of the
+cotree edges of one spanning tree T (tree edges undirected, or all arcs) go
+through the cycle expansion instead (Sachs' theorem in its Hermitian form,
+Guo & Mohar 2017):
+
+    phi(H) = sum_D (-2)^c(D) prod_{C in D} Re w(C) mu(G - V(D)),
+
+D ranging over the sets of c(D) vertex-disjoint cycles of G, w(C) being the
+product of the entries around C and mu the matching polynomial.  Re w(C)
+vanishes when C crosses an odd number of arcs, and is otherwise a sign
+times the product of the cotree signs on C, so the charpoly is multilinear
+in the cotree signs: phi(H_s) = sum_S c_S prod_{j in S} s_j.  A set S of
+cotree edges has at most one D, because D is an element of the cycle space
+and that element is the sum of the fundamental cycles of S.  So the table
+c_S has at most 2^m entries, c_{} = mu(G), and one Walsh-Hadamard transform
+turns it into every charpoly of the sweep (`sign_sweep_charpolys`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -16,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 from . import kernel
 from .errors import ComputationDefect
 from .graphs import Edge, Graph, MixedGraph, SignVector, SpanningTree, build_mixed
+from .matching import induced_matching_polynomials
 from .polynomials import (
     AlgebraicRoot,
     IntPoly,
@@ -149,27 +168,127 @@ def sign_sweep_charpolys(
     sign_seq: Iterable[Sequence[int]],
     tree_arcs: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """det(xI - H) coefficients (ascending) for each sign vector of sign_seq,
-    in input order, over one (tree, cotree) pair on n vertices.
+    """det(xI - H_s) coefficients (ascending) for each sign vector s of
+    sign_seq, in input order, over one (tree, cotree) pair on n vertices.
 
     Tree edges enter undirected, or with tree_arcs as arcs u -> v (i at
     (u, v)); cotree edge j = (u, v) enters as the arc u -> v when its sign
     is +1 and as v -> u when it is -1, as in `build_mixed`.
+
+    No matrix is formed: phi(H_s) = sum_S c_S prod_{j in S} s_j over the
+    sets S of cotree edges (module docstring), where c_S is the term
+    (-2)^c(D) prod_{C in D} Re w(C) mu(G - V(D)) of the one set D of
+    disjoint cycles whose cotree edges are S, or 0.  There is at most one:
+    D is a 2-regular element of the cycle space, and each element is the
+    sum of the fundamental cycles of its cotree edges.  c_{} = mu(G).  One
+    Walsh-Hadamard transform of the table gives all 2^m charpolys.
     """
-    re = [0] * (n * n)
-    base_im = [0] * (n * n)
-    for (u, v) in tree_edges:
-        if tree_arcs:
-            base_im[u * n + v] = 1
-            base_im[v * n + u] = -1
-        else:
-            re[u * n + v] = re[v * n + u] = 1
+    tree_edges = tuple(tree_edges)
+    m = len(cotree)
+    terms = _cycle_expansion(n, tree_edges, cotree, tree_arcs)
+    # Pack each c_S into one integer, base 2^width with signed digits: no
+    # partial sum of the transform has a coefficient above the sum of all
+    # |coefficients|, so width leaves every digit room for its sign.
+    width = sum(abs(c) for coeffs in terms.values() for c in coeffs).bit_length() + 1
+    table = [0] * (1 << m)
+    for index, coeffs in terms.items():
+        for c in reversed(coeffs):
+            table[index] = (table[index] << width) + c
+    # Walsh-Hadamard transform in constant geometry: pairing i with
+    # i + 2^(m-1) and writing the sum and difference to 2i and 2i + 1 rotates
+    # the index bits, so m passes treat every bit once and end in order.
+    middle = len(table) >> 1
+    for _ in range(m):
+        low, high = table[:middle], table[middle:]
+        table[0::2] = map(operator.add, low, high)
+        table[1::2] = map(operator.sub, low, high)
+    # Bit m-1-j of the index is set when s_j = -1, as in the keys of S, so
+    # the transform's sign (-1)^|S & index| is prod_{j in S} s_j.
+    digit = (1 << width) - 1
+    half = digit >> 1
+    shifts = range(0, width * (n + 1), width)
+    bias = sum(half << shift for shift in shifts)
     for signs in sign_seq:
-        im = list(base_im)
-        for (u, v), s in zip(cotree, signs):
-            im[u * n + v] = s
-            im[v * n + u] = -s
-        yield tuple(kernel.charpoly_flat(re, im, n))
+        if len(signs) != m:
+            raise ValueError(f"sign vector {tuple(signs)} does not have {m} entries")
+        index = 0
+        for s in signs:
+            if s not in (1, -1):
+                raise ValueError(f"sign vector {tuple(signs)} has an entry other than +-1")
+            index = 2 * index + (s == -1)
+        packed = table[index] + bias
+        yield tuple([((packed >> shift) & digit) - half for shift in shifts])
+
+
+def _cycle_expansion(
+    n: int, tree_edges: tuple[Edge, ...], cotree: Sequence[Edge], tree_arcs: bool
+) -> dict[int, list[int]]:
+    """The nonzero c_S of `sign_sweep_charpolys`, as ascending coefficients,
+    keyed by the mask of S with bit m-1-j for cotree edge j.
+
+    The sets S are walked in Gray-code order, so that the cycle-space element
+    E of S changes by one fundamental cycle per step.  E is an even
+    subgraph, so it is 2-regular exactly when it has as many edges as it
+    touches vertices; then D is E's cycles.  Each cycle is walked once to
+    count its arcs a and the arcs it crosses against their direction b: the
+    entries multiply to prod s_j i^a (-1)^b, whose real part is 0 for odd a
+    and (-1)^(a/2 + b) prod s_j for even a.
+    """
+    m = len(cotree)
+    g = Graph.of(n, [*tree_edges, *cotree])
+    # edge bit m-1-j is cotree edge j, bit m+i is tree edge i: (tail, head, arc)
+    edges = [(u, v, True) for (u, v) in reversed(cotree)]
+    edges += [(u, v, tree_arcs) for (u, v) in tree_edges]
+    star = [0] * n
+    for bit, (u, v, _) in enumerate(edges):
+        star[u] |= 1 << bit
+        star[v] |= 1 << bit
+    # root the tree at 0: the path to the root of each vertex, as an edge mask
+    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for bit, (u, v) in enumerate(tree_edges, start=m):
+        tree_adj[u].append((v, bit))
+        tree_adj[v].append((u, bit))
+    up = [0] * n
+    frontier = [0] if n else []
+    reached = set(frontier)
+    for u in frontier:
+        for v, bit in tree_adj[u]:
+            if v not in reached:
+                reached.add(v)
+                up[v] = up[u] | 1 << bit
+                frontier.append(v)
+    spanning = len(reached) == n and len(tree_edges) == max(n - 1, 0)
+    if not spanning or len(g.edges) != len(tree_edges) + m:
+        raise ValueError("tree_edges must be a spanning tree and cotree the other edges")
+    fundamental = [1 << bit | up[u] ^ up[v] for bit, (u, v, _) in enumerate(edges[:m])]
+    mu = induced_matching_polynomials(g)
+    everyone = (1 << n) - 1
+    terms = {0: list(mu(everyone))}
+    element = 0
+    for k in range(1, 1 << m):
+        flip = (k & -k).bit_length() - 1
+        element ^= fundamental[flip]
+        if element.bit_count() != sum(1 for at in star if element & at):
+            continue
+        factor, covered, rest = 1, 0, element
+        while rest and factor:
+            first = rest & -rest
+            rest ^= first
+            start, here, arcs = edges[first.bit_length() - 1]
+            against = 0
+            covered |= 1 << start
+            while here != start:
+                covered |= 1 << here
+                step = rest & star[here]
+                rest ^= step
+                u, v, arc = edges[step.bit_length() - 1]
+                arcs += arc
+                against += arc and u != here
+                here = v if u == here else u
+            factor = 0 if arcs % 2 else -2 * factor * (-1) ** (arcs // 2 + against)
+        if factor:
+            terms[k ^ (k >> 1)] = [factor * c for c in mu(everyone ^ covered)]
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +361,9 @@ def _jacobi_eigenvalues(a: list[list[float]], eps: float) -> list[float]:
     return sorted(a[i][i] for i in range(n))
 
 
-def eigenvalues_numeric(h: HermitianMatrix, eps: float = 1e-9) -> list[float]:
-    """All eigenvalues ascending, to roughly eps, via the real embedding.
-
-    H = R + iQ maps to the symmetric 2n x 2n matrix [[R, -Q], [Q, R]] whose
-    spectrum is that of H doubled; we diagonalize with Jacobi rotations and
-    keep one value per pair, checking the pairing really is tight.  Rounding
-    alone can split a pair by a few units of 2n * ulp(1) * ||M||_F, so the
-    pairing tolerance is ten times the larger of eps and that resolution: an
-    eps below float resolution yields values at float resolution, not a
-    defect.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+def _real_embedding(h: HermitianMatrix) -> list[list[float]]:
+    """[[R, -Q], [Q, R]] for H = R + iQ, as floats."""
     n = h.n
-    if n == 0:
-        return []
     big = [[0.0] * (2 * n) for _ in range(2 * n)]
     for u in range(n):
         for v in range(n):
@@ -266,13 +372,36 @@ def eigenvalues_numeric(h: HermitianMatrix, eps: float = 1e-9) -> list[float]:
             big[n + u][n + v] = float(e.re)
             big[u][n + v] = float(-e.im)
             big[n + u][v] = float(e.im)
+    return big
+
+
+def eigenvalues_numeric(h: HermitianMatrix, eps: float = 1e-9) -> list[float]:
+    """All eigenvalues ascending, to roughly eps, via the real embedding.
+
+    H = R + iQ maps to the symmetric 2n x 2n matrix [[R, -Q], [Q, R]] whose
+    spectrum is that of H doubled; we diagonalize with Jacobi rotations and
+    keep one value per pair, checking the pairing really is tight.  Rounding
+    alone moves the values by a few units of the resolution
+    2n * ulp(1) * ||M||_F, so Jacobi runs to the larger of eps and that
+    resolution, and the pairing tolerance is ten times it: an eps below
+    float resolution yields values at float resolution, neither a defect
+    nor a non-convergence.  Near-degenerate pairs can make the off-diagonal
+    norm fall only linearly, for more sweeps than Jacobi allows, long after
+    it has stopped moving the values.  eps must be a normal float.
+    """
+    if not (math.isfinite(eps) and eps >= sys.float_info.min):
+        raise ValueError(f"eps must be finite and at least {sys.float_info.min}, got {eps}")
+    n = h.n
+    if n == 0:
+        return []
+    big = _real_embedding(h)
     resolution = 2 * n * sys.float_info.epsilon * math.sqrt(sum(x * x for row in big for x in row))
-    tolerance = 10 * max(eps, resolution)
-    doubled = _jacobi_eigenvalues(big, eps)
+    target = max(eps, resolution)
+    doubled = _jacobi_eigenvalues(big, target)
     out = []
     for k in range(0, 2 * n, 2):
         lo, hi = doubled[k], doubled[k + 1]
-        if hi - lo > tolerance:
+        if hi - lo > 10 * target:
             raise ComputationDefect("doubled spectrum failed to pair up")
         out.append((lo + hi) / 2.0)
     return out

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ComputationDefect
-from .graphs import Edge, Graph
+from .graphs import Graph
 from .polynomials import AlgebraicRoot, IntPoly, isolate_largest_root
 
 
@@ -24,42 +25,53 @@ class MatchingProfile:
         return len(self.counts) - 1
 
 
-def matching_counts(g: Graph) -> MatchingProfile:
-    """Count matchings of every size by edge deletion.
+def induced_matching_polynomials(g: Graph) -> Callable[[int], tuple[int, ...]]:
+    """mu(G[U]) for the vertex masks U of g (bit v for vertex v).
 
-    m_k(G) = m_k(G - e) + m_{k-1}(G - u - v) for the smallest edge e = (u, v),
-    memoized on the remaining edge set.
+    The returned function gives the ascending coefficients of the matching
+    polynomial of the subgraph induced on U, of degree |U|, by expanding at
+    the lowest vertex v of U:
+
+        mu(U) = x mu(U - v) - sum_{w in N(v) & U} mu(U - v - w).
+
+    Every mask met is memoised for the life of the function, so one function
+    serves all the vertex-deleted subgraphs of one graph.
     """
-    memo: dict[frozenset[Edge], tuple[int, ...]] = {}
+    neighbours = [sum(1 << w for w in a) for a in g.adjacency]
+    memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
-    def rec(edges: frozenset[Edge]) -> tuple[int, ...]:
-        if not edges:
-            return (1,)
-        cached = memo.get(edges)
+    def mu(mask: int) -> tuple[int, ...]:
+        cached = memo.get(mask)
         if cached is not None:
             return cached
-        e = min(edges)
-        u, v = e
-        rest = edges - {e}
-        skip = rec(rest)
-        take = rec(frozenset(f for f in rest if u not in f and v not in f))
-        out = list(skip) + [0] * max(0, len(take) + 1 - len(skip))
-        for k, c in enumerate(take):
-            out[k + 1] += c
-        result = tuple(out)
-        memo[edges] = result
+        low = mask & -mask
+        rest = mask ^ low
+        out = [0, *mu(rest)]
+        others = neighbours[low.bit_length() - 1] & rest
+        while others:
+            w = others & -others
+            others ^= w
+            for k, c in enumerate(mu(rest ^ w)):
+                out[k] -= c
+        result = memo[mask] = tuple(out)
         return result
 
-    return MatchingProfile(rec(frozenset(g.edges)))
+    return mu
+
+
+def matching_counts(g: Graph) -> MatchingProfile:
+    """Count matchings of every size: m_k is (-1)^k times the coefficient of
+    x^(n-2k) in the matching polynomial."""
+    mu = induced_matching_polynomials(g)((1 << g.n) - 1)
+    counts = [(-1) ** k * mu[g.n - 2 * k] for k in range(g.n // 2 + 1)]
+    while counts[-1] == 0:
+        counts.pop()
+    return MatchingProfile(tuple(counts))
 
 
 def matching_polynomial(g: Graph) -> IntPoly:
     """mu(x) = sum_k (-1)^k m_k x^(n-2k)."""
-    profile = matching_counts(g)
-    coeffs = [0] * (g.n + 1)
-    for k, m_k in enumerate(profile.counts):
-        coeffs[g.n - 2 * k] = m_k if k % 2 == 0 else -m_k
-    return IntPoly(coeffs)
+    return IntPoly(induced_matching_polynomials(g)((1 << g.n) - 1))
 
 
 def matching_radius(g: Graph) -> AlgebraicRoot:

@@ -1,6 +1,6 @@
 import pytest
 
-from orispec import Graph, generate_corpus, tree_from_edges
+from orispec import Graph, cli, explore, generate_corpus, hermitian, kernel, orientation, tree_from_edges
 
 # Worked example 1: K4 minus one edge plus nothing -- the 4-vertex graph
 # with edges {01, 12, 23, 03, 13}; its two named spanning trees.
@@ -51,3 +51,34 @@ def corpus6():
 @pytest.fixture(scope="session")
 def corpus7():
     return generate_corpus(7)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The order n of every `kernel.charpoly_flat` call, in call order."""
+    calls = []
+    charpoly_flat = kernel.charpoly_flat
+
+    def counting(re, im, n):
+        calls.append(n)
+        return charpoly_flat(re, im, n)
+
+    monkeypatch.setattr(kernel, "charpoly_flat", counting)
+    return calls
+
+
+@pytest.fixture
+def sweep_charpolys(monkeypatch):
+    """The degree of every charpoly `sign_sweep_charpolys` yields, in yield
+    order, through each module that calls it."""
+    degrees = []
+    sweep = hermitian.sign_sweep_charpolys
+
+    def recording(*args, **kwargs):
+        for poly in sweep(*args, **kwargs):
+            degrees.append(len(poly) - 1)
+            yield poly
+
+    for module in (cli, explore, orientation):
+        monkeypatch.setattr(module, "sign_sweep_charpolys", recording)
+    return degrees

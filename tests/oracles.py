@@ -21,7 +21,7 @@ from orispec.graphs import (
     enumerate_spanning_trees,
     sign_vectors,
 )
-from orispec.hermitian import charpoly_of_mixed, sign_sweep_charpolys
+from orispec.hermitian import charpoly_of_mixed
 from orispec.orientation import AuditReport, conditional_sum_charpoly
 from orispec.polynomials import (
     IntPoly,
@@ -319,13 +319,32 @@ def spectral_radius_two_isolations(p):
     return top if top.compare(bottom_abs) is not Order.LT else bottom_abs
 
 
+def sign_sweep_charpolys_by_kernel(n, tree_edges, cotree, sign_seq, tree_arcs=False):
+    """`sign_sweep_charpolys` by one kernel charpoly per sign vector: the
+    Hermitian matrix of each partial orientation is built entry by entry."""
+    re = [0] * (n * n)
+    base_im = [0] * (n * n)
+    for (u, v) in tree_edges:
+        if tree_arcs:
+            base_im[u * n + v] = 1
+            base_im[v * n + u] = -1
+        else:
+            re[u * n + v] = re[v * n + u] = 1
+    for signs in sign_seq:
+        im = list(base_im)
+        for (u, v), s in zip(cotree, signs):
+            im[u * n + v] = s
+            im[v * n + u] = -s
+        yield tuple(kernel.charpoly_flat(re, im, n))
+
+
 def audit_interlacing_family_unreduced(g, t) -> AuditReport:
     """The interlacing-family audit over all 2^m leaves, each node isolated
     and each internal node checked on its own, in (level, index) order."""
     co = cotree_edges(g, t)
     m = len(co)
     levels = [[] for _ in range(m + 1)]
-    levels[m] = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m))]
+    levels[m] = [IntPoly(p) for p in sign_sweep_charpolys_by_kernel(g.n, t.tree_edges, co, sign_vectors(m))]
     for k in range(m - 1, -1, -1):
         prev = levels[k + 1]
         levels[k] = [prev[2 * i] + prev[2 * i + 1] for i in range(len(prev) // 2)]

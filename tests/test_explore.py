@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from orispec import explore, kernel
+from orispec import explore
 from orispec.errors import GuardLimit
 from orispec.explore import (
     ConjectureReport,
@@ -264,18 +264,11 @@ class TestMinRhoPartial:
                 d_neg = build_mixed(g, t, SignVector(co, negated))
                 assert charpoly_of_mixed(d) == charpoly_of_mixed(d_neg)
 
-    def test_one_charpoly_per_tree_orbit_and_converse_pair(self, monkeypatch):
+    def test_one_charpoly_per_tree_orbit_and_converse_pair(self, kernel_calls, sweep_charpolys):
         # K5: 125 trees in 3 orbits, m = 6, so 3 * 2^5 charpolys instead of 125 * 2^6
-        calls = []
-        charpoly_flat = kernel.charpoly_flat
-
-        def counting(re, im, n):
-            calls.append(n)
-            return charpoly_flat(re, im, n)
-
-        monkeypatch.setattr(kernel, "charpoly_flat", counting)
         min_rho_partial(complete_graph(5))
-        assert len(calls) == 3 * 2 ** 5
+        assert len(sweep_charpolys) == 3 * 2 ** 5
+        assert kernel_calls == []
 
 
 class TestMinRhoAllMixed:
@@ -427,33 +420,28 @@ class TestRecordSharing:
         for g in corpus5:
             assert explore_record(g) == separate_record(g), encode_graph6(g)
 
-    def test_one_complete_sweep_per_record(self, corpus5, monkeypatch):
+    def test_one_complete_sweep_per_record(self, corpus5, monkeypatch, kernel_calls, sweep_charpolys):
         sweeps = []
-        kernel_calls = []
         sweep = explore.sign_sweep_charpolys
-        charpoly_flat = kernel.charpoly_flat
 
         def recording_sweep(*args, **kwargs):
             sweeps.append(kwargs.get("tree_arcs", False))
             return sweep(*args, **kwargs)
 
-        def counting(re, im, n):
-            kernel_calls.append(n)
-            return charpoly_flat(re, im, n)
-
         monkeypatch.setattr(explore, "sign_sweep_charpolys", recording_sweep)
-        monkeypatch.setattr(kernel, "charpoly_flat", counting)
         for g in corpus5[-6:]:
             m = len(cotree_edges(g, bfs_spanning_tree(g, 0)))
             sweeps.clear()
             kernel_calls.clear()
+            sweep_charpolys.clear()
             min_rho_complete(g)
             min_rho_partial(g)
             guo_mohar_sweep(g)
-            separate = len(kernel_calls)
+            separate = len(kernel_calls) + len(sweep_charpolys)
             assert sweeps.count(True) == 2
             sweeps.clear()
             kernel_calls.clear()
+            sweep_charpolys.clear()
             explore_record(g)
             assert sweeps.count(True) == 1
-            assert len(kernel_calls) == separate - 2**m
+            assert len(kernel_calls) + len(sweep_charpolys) == separate - 2**m

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from orispec import polynomials
+from orispec import hermitian, polynomials
 from orispec.graphs import (
     Graph,
     MixedGraph,
@@ -13,6 +14,7 @@ from orispec.graphs import (
     build_mixed,
     converse_halves,
     cotree_edges,
+    encode_graph6,
     enumerate_spanning_trees,
     sign_vectors,
 )
@@ -35,6 +37,38 @@ from orispec.hermitian import (
     verify_rank_one_identity,
 )
 from orispec.polynomials import IntPoly, Order, cauchy_root_bound, compare_roots, squarefree_part
+from orispec.switching import classify_partial_orientations
+
+
+def grid(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph.of(rows * cols, edges)
+
+
+PETERSEN = Graph.of(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+K7 = Graph.of(7, itertools.combinations(range(7), 2))
+
+
+def random_mixed_k7(draw):
+    """Draw number `draw` (from 0) of a seeded stream of mixed K7: each edge,
+    in sorted order, undirected, u -> v or v -> u with equal odds."""
+    rng = random.Random(0)
+    for _ in range(draw + 1):
+        states = {e: (None, e, (e[1], e[0]))[rng.randrange(3)] for e in sorted(K7.edges)}
+    return MixedGraph.of(K7, states)
 
 
 def mixed_of(n, undirected=(), arcs=()):
@@ -173,6 +207,113 @@ class TestExactSpectra:
                 assert compare_roots(rho, g_rho) is not Order.GT
 
 
+def sweep_against_kernel(g, t, sign_seq, tree_arcs=False):
+    """(the sweep, the kernel oracle) over one sign sequence of (g, t)."""
+    co = cotree_edges(g, t)
+    seq = list(sign_seq)
+    got = list(sign_sweep_charpolys(g.n, t.tree_edges, co, seq, tree_arcs=tree_arcs))
+    want = list(oracles.sign_sweep_charpolys_by_kernel(g.n, t.tree_edges, co, seq, tree_arcs=tree_arcs))
+    return got, want
+
+
+class TestSignSweepByCycleExpansion:
+    """The sweep against one kernel charpoly per sign vector."""
+
+    @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
+    def test_every_tree_of_corpus5(self, corpus5, tree_arcs):
+        for g in corpus5:
+            for t in enumerate_spanning_trees(g):
+                got, want = sweep_against_kernel(g, t, sign_vectors(len(cotree_edges(g, t))), tree_arcs)
+                assert got == want, (encode_graph6(g), sorted(t.tree_edges))
+
+    @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
+    def test_petersen_trees(self, tree_arcs):
+        # every 100th of the 2,000 spanning trees, BFS order first
+        trees = [bfs_spanning_tree(PETERSEN, 0)] + enumerate_spanning_trees(PETERSEN)[::100]
+        for t in trees:
+            got, want = sweep_against_kernel(PETERSEN, t, sign_vectors(6), tree_arcs)
+            assert got == want, sorted(t.tree_edges)
+
+    @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
+    def test_ladder_at_bfs0(self, tree_arcs):
+        g = grid(2, 8)
+        got, want = sweep_against_kernel(g, bfs_spanning_tree(g, 0), sign_vectors(7), tree_arcs)
+        assert got == want
+
+    @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
+    def test_first_tree_of_k7(self, tree_arcs):
+        # m = 15: a seeded sample of the 32,768 sign vectors, in sample order
+        t = enumerate_spanning_trees(K7)[0]
+        assert len(cotree_edges(K7, t)) == 15
+        rng = random.Random(7)
+        sample = [tuple(rng.choice((-1, 1)) for _ in range(15)) for _ in range(600)]
+        got, want = sweep_against_kernel(K7, t, sample, tree_arcs)
+        assert got == want
+
+    def test_class_representatives(self, corpus5):
+        # the first member of each switching class, as `classify` passes them
+        cases = [(PETERSEN, bfs_spanning_tree(PETERSEN, 0))]
+        cases += [(g, bfs_spanning_tree(g, 0)) for g in corpus5]
+        for g, t in cases:
+            reps = (members[0].signs for members in classify_partial_orientations(g, t))
+            got, want = sweep_against_kernel(g, t, reps)
+            assert got == want, encode_graph6(g)
+
+    def test_repeats_in_any_order(self, ex1, ex1_path_tree):
+        seq = [(1, 1), (-1, 1), (1, 1), (1, -1), (-1, -1), (-1, 1), (1, 1)]
+        for tree_arcs in (False, True):
+            got, want = sweep_against_kernel(ex1, ex1_path_tree, seq, tree_arcs)
+            assert got == want and len(got) == len(seq)
+
+    def test_no_cotree_edges(self):
+        g = Graph.of(4, [(0, 1), (1, 2), (1, 3)])
+        t = bfs_spanning_tree(g, 0)
+        for tree_arcs in (False, True):
+            got, want = sweep_against_kernel(g, t, [(), ()], tree_arcs)
+            assert got == want == [(0, 0, -3, 0, 1)] * 2
+
+    def test_one_and_no_vertex(self):
+        for n, poly in ((1, (0, 1)), (0, (1,))):
+            assert list(sign_sweep_charpolys(n, (), (), [()])) == [poly]
+            assert list(oracles.sign_sweep_charpolys_by_kernel(n, (), (), [()])) == [poly]
+
+    def test_empty_sequence(self, ex1, ex1_path_tree):
+        assert sweep_against_kernel(ex1, ex1_path_tree, []) == ([], [])
+
+    def test_rejects_malformed_sign_vectors(self, ex1, ex1_path_tree):
+        co = cotree_edges(ex1, ex1_path_tree)
+        for bad in [(1,), (1, 1, 1), (1, 0), (2, -1)]:
+            with pytest.raises(ValueError):
+                list(sign_sweep_charpolys(4, ex1_path_tree.tree_edges, co, [bad]))
+
+    def test_rejects_a_tree_that_does_not_span(self):
+        with pytest.raises(ValueError):
+            list(sign_sweep_charpolys(4, [(0, 1), (2, 3)], [(1, 2)], [(1,)]))
+        with pytest.raises(ValueError):
+            list(sign_sweep_charpolys(3, [(0, 1), (1, 2)], [(0, 1)], [(1,)]))
+
+    def test_makes_no_kernel_call(self, kernel_calls):
+        t = bfs_spanning_tree(PETERSEN, 0)
+        co = cotree_edges(PETERSEN, t)
+        for tree_arcs in (False, True):
+            polys = list(sign_sweep_charpolys(10, t.tree_edges, co, sign_vectors(6), tree_arcs=tree_arcs))
+            assert len(polys) == 64
+        assert kernel_calls == []
+
+    def test_constant_term_is_the_matching_polynomial(self, corpus5):
+        # c_{} = mu(G): the charpolys of the 2^m partial orientations over
+        # any tree average to the matching polynomial
+        from orispec.matching import matching_polynomial
+
+        for g in corpus5:
+            t = bfs_spanning_tree(g, 0)
+            m = len(cotree_edges(g, t))
+            total = IntPoly.zero()
+            for p in sign_sweep_charpolys(g.n, t.tree_edges, cotree_edges(g, t), sign_vectors(m)):
+                total = total + IntPoly(p)
+            assert total == matching_polynomial(g) * IntPoly([1 << m])
+
+
 def sweep_charpolys(g):
     """Every distinct charpoly the explore searches meet on g: partial
     orientations over each spanning tree, complete ones over the BFS tree."""
@@ -298,6 +439,19 @@ class TestNumericEigenvalues:
             ours = eigenvalues_numeric(hermitian_adjacency(d), eps=1e-10)
             ref = oracles.numpy_eigenvalues(d)
             assert ours == pytest.approx(ref, abs=1e-7)
+
+    @pytest.mark.parametrize("draw", [142, 144])
+    def test_eps_below_float_resolution(self, draw):
+        # at eps = 1e-30 the off-diagonal norm of these falls only linearly,
+        # by about 0.6 a sweep, and was still above eps / 14 after 80 sweeps
+        d = random_mixed_k7(draw)
+        vals = eigenvalues_numeric(hermitian_adjacency(d), eps=1e-30)
+        assert vals == pytest.approx(oracles.numpy_eigenvalues(d), abs=1e-12)
+
+    def test_jacobi_reports_a_target_it_cannot_meet(self):
+        big = hermitian._real_embedding(hermitian_adjacency(random_mixed_k7(142)))
+        with pytest.raises(ValueError, match="did not converge"):
+            hermitian._jacobi_eigenvalues(big, 1e-30)
 
     def test_matches_exact_roots(self, ex1, ex1_path_tree):
         sv = SignVector.for_tree(ex1, ex1_path_tree, (1, 1))

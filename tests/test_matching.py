@@ -4,8 +4,33 @@ from hypothesis import strategies as st
 
 import oracles
 from orispec.graphs import Graph
-from orispec.matching import MatchingProfile, matching_counts, matching_polynomial, matching_radius
-from orispec.polynomials import Order
+from orispec.matching import (
+    MatchingProfile,
+    induced_matching_polynomials,
+    matching_counts,
+    matching_polynomial,
+    matching_radius,
+)
+from orispec.polynomials import IntPoly, Order
+
+
+def grid(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph.of(rows * cols, edges)
+
+
+def polynomial_from_counts(n, counts):
+    coeffs = [0] * (n + 1)
+    for k, m_k in enumerate(counts):
+        coeffs[n - 2 * k] = (-1) ** k * m_k
+    return IntPoly(coeffs)
 
 
 class TestMatchingProfile:
@@ -36,6 +61,30 @@ class TestMatchingCounts:
     def test_matches_enumeration_on_full_corpus(self, corpus7):
         for g in corpus7:
             assert matching_counts(g).counts == tuple(oracles.matching_counts_by_combinations(g))
+
+    @pytest.mark.parametrize("rows, cols", [(3, 5), (4, 4), (2, 8)])
+    def test_matches_enumeration_on_grids(self, rows, cols):
+        g = grid(rows, cols)
+        assert matching_counts(g).counts == tuple(oracles.matching_counts_by_combinations(g))
+
+
+class TestInducedMatchingPolynomials:
+    def test_every_induced_subgraph_of_corpus6(self, corpus6):
+        # the vertex-deleted subgraphs G - V(D) that the sign sweep expands over
+        for g in corpus6:
+            mu = induced_matching_polynomials(g)
+            for mask in range(1 << g.n):
+                keep = [v for v in range(g.n) if mask >> v & 1]
+                index = {v: i for i, v in enumerate(keep)}
+                inside = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+                sub = Graph.of(len(keep), inside)
+                counts = oracles.matching_counts_by_combinations(sub)
+                coeffs = mu(mask)
+                assert len(coeffs) == len(keep) + 1
+                assert IntPoly(coeffs) == polynomial_from_counts(len(keep), counts)
+
+    def test_empty_mask(self):
+        assert induced_matching_polynomials(Graph.of(3, [(0, 1)]))(0) == (1,)
 
 
 class TestMatchingPolynomial:

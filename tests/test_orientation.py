@@ -3,7 +3,7 @@ import random
 import oracles
 import pytest
 
-from orispec import cli, kernel, orientation
+from orispec import cli, orientation
 from orispec.errors import GuardLimit
 from orispec.graphs import (
     Graph,
@@ -310,7 +310,7 @@ class TestAuditReductions:
             seen += len(report.violations)
         assert seen > 20
 
-    def test_work_on_the_ladder(self, capsys, monkeypatch):
+    def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, sweep_charpolys):
         # audit-family on the 2x8 ladder at bfs:0 (m = 7): half of the 128
         # leaves are swept, and each distinct node polynomial is isolated once
         g = grid(2, 8)
@@ -323,24 +323,18 @@ class TestAuditReductions:
             level = [level[2 * i] + level[2 * i + 1] for i in range(len(level) // 2)]
             distinct.update(level)
 
-        kernel_calls = []
         isolations = []
-        charpoly_flat = kernel.charpoly_flat
-
-        def counting(re, im, n):
-            kernel_calls.append(n)
-            return charpoly_flat(re, im, n)
 
         def recording(p):
             isolations.append(p)
             return isolate_real_roots(p)
 
-        monkeypatch.setattr(kernel, "charpoly_flat", counting)
         monkeypatch.setattr(orientation, "isolate_real_roots", recording)
         graph = ";".join(f"{u} {v}" for u, v in sorted(g.edges))
         assert cli.main(["audit-family", "-g", graph, "--tree", "bfs:0", "--json"]) == 0
         assert '"passed": true' in capsys.readouterr().out
-        assert kernel_calls == [16] * 64
+        assert sweep_charpolys == [16] * 64
+        assert kernel_calls == []
         assert len(isolations) == len(set(isolations)) == len(distinct) == 100
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from orispec import cli, kernel, switching
+from orispec import cli, switching
 from orispec.errors import GuardLimit
 from orispec.graphs import (
     Graph,
@@ -222,25 +222,25 @@ class TestClassification:
         for g, t in cases:
             assert classify_partial_orientations(g, t) == oracles.classify_by_switching_search(g, t)
 
-    def test_classify_cli_makes_one_charpoly_per_class(self, capsys, monkeypatch):
+    def test_classify_cli_makes_one_charpoly_per_class(self, capsys, monkeypatch, kernel_calls, sweep_charpolys):
         searches = count_calls(monkeypatch, switching, "switching_equivalent")
-        charpolys = count_calls(monkeypatch, kernel, "charpoly_flat")
         petersen = ";".join(f"{u} {v}" for u, v in PETERSEN_EDGES)
         assert cli.main(["classify", "-g", petersen, "--json"]) == 0
         (result,) = json.loads(capsys.readouterr().out)["results"]
         m = len(result["cotree"])
         assert m == 6 and len(result["classes"]) == 1 << (m - 1)
         assert len(searches) == 0
-        assert len(charpolys) == 1 << (m - 1)
+        assert len(sweep_charpolys) == 1 << (m - 1)
+        assert kernel_calls == []
 
-    def test_tree_graph_has_one_class(self, capsys, monkeypatch):
-        charpolys = count_calls(monkeypatch, kernel, "charpoly_flat")
+    def test_tree_graph_has_one_class(self, capsys, kernel_calls, sweep_charpolys):
         assert cli.main(["classify", "-g", "0 1;1 2;1 3", "--json"]) == 0
         (result,) = json.loads(capsys.readouterr().out)["results"]
         assert result["cotree"] == []
         assert [(c["size"], c["members"]) for c in result["classes"]] == [(1, [[]])]
         assert result["classes"][0]["charpoly"]["text"] == "x^4-3x^2"
-        assert len(charpolys) == 1
+        assert sweep_charpolys == [4]
+        assert kernel_calls == []
 
     def test_guard(self):
         n = 8
