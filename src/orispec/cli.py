@@ -85,6 +85,8 @@ def _poly_json(p: IntPoly) -> dict:
 def _load_source(spec: str) -> str:
     """Inline graph text, with ';' doubling as a line break, or @path."""
     if spec.startswith("@"):
+        if not spec[1:]:
+            raise ParseError("a file path must follow '@' (as in -g @graph.txt)")
         with open(spec[1:], "r", encoding="utf-8") as fh:
             return fh.read()
     return spec.replace(";", "\n")

@@ -308,9 +308,11 @@ def spectral_radius_of_charpoly(p: IntPoly) -> AlgebraicRoot:
     """max(|root|) of a real-rooted charpoly, as an exact algebraic number.
 
     One square-free part and one Sturm chain serve both ends of the
-    spectrum (`isolate_extreme_roots`).  The result is the largest root of
-    p, or minus the smallest one, in the interval state left by comparing
-    the two; on a tie (a symmetric spectrum) the largest root wins.
+    spectrum (`isolate_extreme_roots`); comparing the two ends refines
+    them by signs of their polynomials alone.  The result is the largest
+    root of p, or minus the smallest one, in the interval state left by
+    comparing the two; on a tie (a symmetric spectrum) the largest root
+    wins.
     """
     top, bottom_abs = isolate_extreme_roots(p)
     return top if top.compare(bottom_abs) is not Order.LT else bottom_abs

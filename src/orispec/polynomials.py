@@ -1,8 +1,12 @@
 """Exact integer polynomials and real algebraic numbers.
 
 Every decision procedure here (root counting, ordering, interlacing checks)
-runs in exact integer or rational arithmetic through Sturm sequences.
-Floating point appears only in display helpers such as ``roots_numeric``.
+runs in exact integer or rational arithmetic.  Root counts come from Sturm
+sequences, evaluated at a rational point through one table of powers of its
+numerator and denominator; points beyond an integer bound on every complex
+root's modulus need no count at all.  Once a root is isolated, a sign of its
+defining polynomial decides every further step.  Floating point appears only
+in display helpers such as ``roots_numeric``.
 
 A real algebraic number is carried as a square-free integer polynomial plus
 an isolating interval with rational endpoints.  Comparisons refine intervals
@@ -16,6 +20,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -58,7 +63,9 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = [int(c) for c in self.coeffs]
+        cs = list(map(int, self.coeffs))
+        if cs != list(self.coeffs):
+            raise ValueError(f"IntPoly coefficients must be integral, got {self.coeffs!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -174,6 +181,33 @@ class IntPoly:
             acc = acc * num + c * dp
         return (acc > 0) - (acc < 0)
 
+    def root_radius(self) -> int:
+        """Integer R with |z| <= R for every complex root z of p.
+
+        Fujiwara's bound 2 * max_k |a_(d-k) / a_d|^(1/k), with the constant
+        term halved, rounded up through integer k-th roots: the smallest t
+        with t^k >= |a_(d-k) / a_d| is the smallest with t^k >= its ceiling.
+        """
+        d = self.degree
+        if d < 1:
+            return 0
+        lead = abs(self.coeffs[-1])
+        top = 0
+        for k in range(1, d + 1):
+            c = abs(self.coeffs[d - k])
+            ratio = -(-c // (2 * lead if k == d else lead))
+            if top**k >= ratio:
+                continue
+            lo, hi = top + 1, 1 << -(-ratio.bit_length() // k)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if mid**k >= ratio:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            top = lo
+        return 2 * top
+
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
@@ -270,12 +304,44 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> tuple[IntPoly, bool]:
     return rem, negated
 
 
+# Euclid's algorithm modulo this prime certifies most coprime pairs in poly_gcd
+_GCD_PRIME = 2**61 - 1
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient (constants ignored)."""
+    """Primitive gcd with positive leading coefficient (constants ignored).
+
+    Coprime inputs are certified by Euclid's algorithm over GF(p), p =
+    `_GCD_PRIME`: when p does not divide lc(a), the gcd over the integers
+    keeps its degree modulo p (its leading coefficient divides lc(a)) and
+    divides both images, so a constant gcd of the images proves it constant
+    (Brown, JACM 1971).  Every other case runs the primitive
+    pseudo-remainder sequence.
+    """
     if a.is_zero:
         return b.primitive()
     if b.is_zero:
         return a.primitive()
+    p = _GCD_PRIME
+    if a.leading % p:
+        f = [c % p for c in a.coeffs]
+        g = [c % p for c in b.coeffs]
+        while g and not g[-1]:
+            g.pop()
+        while len(g) > 1:
+            inv = pow(g[-1], -1, p)
+            dg = len(g) - 1
+            for k in range(len(f) - 1, dg - 1, -1):
+                q = f[k] * inv % p
+                if q:
+                    for i, c in enumerate(g, k - dg):
+                        f[i] = (f[i] - q * c) % p
+            del f[dg:]
+            while f and not f[-1]:
+                f.pop()
+            f, g = g, f
+        if g or len(f) == 1:
+            return IntPoly((1,))
     f, g = a.primitive(), b.primitive()
     if f.degree < g.degree:
         f, g = g, f
@@ -335,6 +401,8 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     if f.degree == 0:
         return []
     w = poly_gcd(f, f.derivative())
+    if w.degree == 0:
+        return [(f, 1)]
     c = _divexact_poly(f, w).primitive()  # product of the distinct factors
     out: list[tuple[IntPoly, int]] = []
     k = 1
@@ -388,7 +456,32 @@ def _sign_variations(signs: Iterable[int]) -> int:
 
 
 def variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
-    return _sign_variations(p.sign_at(x) for p in chain)
+    """Sign variations of a Sturm chain at a rational point.
+
+    One table T_k = num^k * den^(D-k), D = deg chain[0], signs every member:
+    for a member p of degree d, sum c_k T_k = den^(D-d) * den^d * p(x), and
+    den > 0.
+    """
+    num, den = x.numerator, x.denominator
+    table = [1] * len(chain[0].coeffs)
+    acc = 1
+    for k in range(1, len(table)):
+        acc *= num
+        table[k] = acc
+    if den != 1:
+        acc = 1
+        for k in range(len(table) - 2, -1, -1):
+            acc *= den
+            table[k] *= acc
+    count = last = 0
+    for p in chain:
+        v = sum(map(mul, p.coeffs, table))
+        if v:
+            sign = 1 if v > 0 else -1
+            if sign == -last:
+                count += 1
+            last = sign
+    return count
 
 
 def variations_pos_inf(chain: Sequence[IntPoly]) -> int:
@@ -407,13 +500,6 @@ def variations_neg_inf(chain: Sequence[IntPoly]) -> int:
 
 def count_real_roots(chain: Sequence[IntPoly]) -> int:
     return variations_neg_inf(chain) - variations_pos_inf(chain)
-
-
-def count_roots_open(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct roots in the open interval (a, b); endpoints must not be roots."""
-    if chain[0].sign_at(a) == 0 or chain[0].sign_at(b) == 0:
-        raise ValueError("interval endpoint is a root")
-    return variations_at(chain, a) - variations_at(chain, b)
 
 
 def cauchy_root_bound(p: IntPoly) -> int:
@@ -436,34 +522,43 @@ class AlgebraicRoot:
 
     For a non-degenerate root the value lies strictly inside (lo, hi) and
     neither endpoint is a root of the polynomial; lo == hi marks an exact
-    rational value.  ``refine`` narrows the interval in place by bisection;
-    narrowing is deterministic, so duplicated refinement across threads is
-    harmless.  Comparisons refine in place too, and a printed interval
-    depends on every refinement its root went through, so a memo of roots
-    hands out a ``copy()`` per lookup and keeps its own object unrefined.
+    rational value.  ``refine`` narrows the interval in place by bisection:
+    the one root in the interval is simple, so the polynomial changes sign
+    across it and a sign at the midpoint picks the half that keeps it.
+    The constructor therefore rejects a non-degenerate interval whose ends
+    do not differ in sign.  Narrowing is deterministic, so duplicated
+    refinement across threads is harmless.  Comparisons refine in place
+    too, and a printed interval depends on every refinement its root went
+    through, so a memo of roots hands out a ``copy()`` per lookup and keeps
+    its own object unrefined.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_chain", "_vlo", "_vhi")
+    __slots__ = ("poly", "lo", "hi", "_slo")
 
-    def __init__(
-        self,
-        poly: IntPoly,
-        lo: Fraction,
-        hi: Fraction,
-        chain: tuple[IntPoly, ...] | None = None,
-        vlo: int | None = None,
-        vhi: int | None = None,
-    ) -> None:
+    def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction) -> None:
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._chain = chain
-        self._vlo = vlo
-        self._vhi = vhi
+        self._slo = 0  # sign of poly at lo, 0 until a bisection step takes it
+        if self.lo != self.hi:
+            self._slo = poly.sign_at(self.lo)
+            if self._slo * poly.sign_at(self.hi) >= 0:
+                raise ValueError(
+                    f"{poly} does not change sign between {self.lo} and {self.hi}, "
+                    "so the interval isolates no simple root"
+                )
+
+    @classmethod
+    def _isolated(cls, poly: IntPoly, lo: Fraction, hi: Fraction, slo: int = 0) -> "AlgebraicRoot":
+        """A root in an interval that a root count or a bisection certified,
+        built without the constructor's sign check."""
+        root = cls.__new__(cls)
+        root.poly, root.lo, root.hi, root._slo = poly, lo, hi, slo
+        return root
 
     def copy(self) -> "AlgebraicRoot":
         """An independent root in the same interval state."""
-        return AlgebraicRoot(self.poly, self.lo, self.hi, self._chain, self._vlo, self._vhi)
+        return AlgebraicRoot._isolated(self.poly, self.lo, self.hi, self._slo)
 
     @classmethod
     def exact(cls, poly: IntPoly, value: Fraction) -> "AlgebraicRoot":
@@ -495,26 +590,20 @@ class AlgebraicRoot:
             raise ValueError("root has not collapsed to a rational value")
         return self.lo
 
-    def _need_chain(self) -> tuple[IntPoly, ...]:
-        if self._chain is None:
-            self._chain = sturm_chain(self.poly)
-        return self._chain
-
     def _refine_step(self) -> None:
         if self.is_exact:
             return
         mid = (self.lo + self.hi) / 2
-        if self.poly.sign_at(mid) == 0:
+        sign = self.poly.sign_at(mid)
+        if sign == 0:
             self.lo = self.hi = mid
             return
-        chain = self._need_chain()
-        if self._vlo is None:
-            self._vlo = variations_at(chain, self.lo)
-        vm = variations_at(chain, mid)
-        if self._vlo - vm == 1:
-            self.hi, self._vhi = mid, vm
+        if not self._slo:
+            self._slo = self.poly.sign_at(self.lo)
+        if sign == self._slo:
+            self.lo = mid
         else:
-            self.lo, self._vlo = mid, vm
+            self.hi = mid
 
     def refine(self, eps) -> tuple[Fraction, Fraction]:
         """Narrow the isolating interval until its width is below eps."""
@@ -534,7 +623,7 @@ class AlgebraicRoot:
 
     def negated(self) -> "AlgebraicRoot":
         poly = self.poly.reflected().primitive()
-        return AlgebraicRoot(poly, -self.hi, -self.lo)
+        return AlgebraicRoot._isolated(poly, -self.hi, -self.lo)
 
     # -- exact comparisons ---------------------------------------------------
 
@@ -575,12 +664,15 @@ class AlgebraicRoot:
             return Order.LT
         if other.hi <= self.lo:
             return Order.GT
-        # overlapping intervals: decide equality once, exactly, through the gcd
+        # overlapping intervals: decide equality once, exactly, through the
+        # gcd g.  It divides both square-free polynomials, so it has at most
+        # one root in (a, b), a simple one, and none at a or b: a sign change
+        # of g is that root.
         g = poly_gcd(self.poly, other.poly)
         if g.degree >= 1:
             a = max(self.lo, other.lo)
             b = min(self.hi, other.hi)
-            if a < b and count_roots_open(sturm_chain(g), a, b) >= 1:
+            if a < b and g.sign_at(a) != g.sign_at(b):
                 return Order.EQ
         # distinct values: bisect until the intervals separate
         while True:
@@ -619,12 +711,17 @@ class AlgebraicRoot:
 
 
 def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[AlgebraicRoot]:
-    """All real roots of a square-free q, ascending, as isolating intervals."""
+    """All real roots of a square-free q, ascending, as isolating intervals.
+
+    The walk bisects the Cauchy interval (-B, B), and no root lies outside
+    it, so the counts at its ends are those at -inf and +inf.  No root lies
+    beyond q's root radius R either, so a midpoint beyond R needs no count.
+    """
     if q.degree == 1:
         c0, c1 = q.coeffs
         return [AlgebraicRoot.exact(q, Fraction(-c0, c1))]
     bound = cauchy_root_bound(q)
-    lo, hi = Fraction(-bound), Fraction(bound)
+    radius = q.root_radius()
     out: list[AlgebraicRoot] = []
 
     def walk(a: Fraction, va: int, b: Fraction, vb: int) -> None:
@@ -632,10 +729,14 @@ def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[Algebrai
         if count == 0:
             return
         if count == 1:
-            out.append(AlgebraicRoot(q, a, b, chain, va, vb))
+            out.append(AlgebraicRoot._isolated(q, a, b))
             return
         mid = (a + b) / 2
-        if q.sign_at(mid) == 0:
+        if mid > radius:
+            vm = vb
+        elif mid < -radius:
+            vm = va
+        elif q.sign_at(mid) == 0:
             delta = (b - a) / 4
             while True:
                 left, right = mid - delta, mid + delta
@@ -647,12 +748,13 @@ def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[Algebrai
             walk(a, va, left, vl)
             out.append(AlgebraicRoot.exact(q, mid))
             walk(right, vr, b, vb)
+            return
         else:
             vm = variations_at(chain, mid)
-            walk(a, va, mid, vm)
-            walk(mid, vm, b, vb)
+        walk(a, va, mid, vm)
+        walk(mid, vm, b, vb)
 
-    walk(lo, variations_at(chain, lo), hi, variations_at(chain, hi))
+    walk(Fraction(-bound), variations_neg_inf(chain), Fraction(bound), variations_pos_inf(chain))
     return out
 
 
@@ -737,19 +839,26 @@ def _reflected(
 
 def _largest_root(q: IntPoly, chain: tuple[IntPoly, ...] | None) -> AlgebraicRoot:
     """Isolating interval (or exact value) of the largest real root of the
-    square-free q, by bisection of the Cauchy interval on q's Sturm chain."""
+    square-free q, by bisection of the Cauchy interval on q's Sturm chain.
+    As in `_isolate_squarefree`, the ends of the Cauchy interval take the
+    counts at infinity, and a midpoint beyond q's root radius needs none."""
     if q.degree == 1:
         c0, c1 = q.coeffs
         return AlgebraicRoot.exact(q, Fraction(-c0, c1))
     bound = cauchy_root_bound(q)
+    radius = q.root_radius()
     lo, hi = Fraction(-bound), Fraction(bound)
-    va, vb = variations_at(chain, lo), variations_at(chain, hi)
+    va, vb = variations_neg_inf(chain), variations_pos_inf(chain)
     count = va - vb
     if count == 0:
         raise ValueError("polynomial has no real roots")
     while count > 1:
         mid = (lo + hi) / 2
-        if q.sign_at(mid) == 0:
+        if mid > radius:
+            vm = vb
+        elif mid < -radius:
+            vm = va
+        elif q.sign_at(mid) == 0:
             # mid is itself a root; shrink a window that isolates it
             delta = (hi - mid) / 2
             while True:
@@ -767,14 +876,15 @@ def _largest_root(q: IntPoly, chain: tuple[IntPoly, ...] | None) -> AlgebraicRoo
             if above == 0:
                 return AlgebraicRoot.exact(q, mid)
             lo, va, count = right, vr, above
+            continue
         else:
             vm = variations_at(chain, mid)
-            above = vm - vb
-            if above >= 1:
-                lo, va, count = mid, vm, above
-            else:
-                hi, vb, count = mid, vm, va - vm
-    return AlgebraicRoot(q, lo, hi, chain, va, vb)
+        above = vm - vb
+        if above >= 1:
+            lo, va, count = mid, vm, above
+        else:
+            hi, vb, count = mid, vm, va - vm
+    return AlgebraicRoot._isolated(q, lo, hi)
 
 
 def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:

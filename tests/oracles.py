@@ -24,12 +24,16 @@ from orispec.graphs import (
 from orispec.hermitian import charpoly_of_mixed
 from orispec.orientation import AuditReport, conditional_sum_charpoly
 from orispec.polynomials import (
+    AlgebraicRoot,
     IntPoly,
     Order,
+    _pseudo_rem,
     compare_roots,
     isolate_largest_root,
     isolate_real_roots,
     roots_admit_common_interlacer,
+    sturm_chain,
+    variations_at,
 )
 from orispec.switching import switching_equivalent
 
@@ -317,6 +321,105 @@ def spectral_radius_two_isolations(p):
     top = isolate_largest_root(p)
     bottom_abs = isolate_largest_root(p.reflected()).negated().negated()
     return top if top.compare(bottom_abs) is not Order.LT else bottom_abs
+
+
+# ---------------------------------------------------------------------------
+# root decisions by Sturm counts and the plain pseudo-remainder gcd
+# ---------------------------------------------------------------------------
+
+
+def count_roots_open(chain, a: Fraction, b: Fraction) -> int:
+    """Distinct roots in the open interval (a, b); endpoints must not be roots."""
+    if chain[0].sign_at(a) == 0 or chain[0].sign_at(b) == 0:
+        raise ValueError("interval endpoint is a root")
+    return variations_at(chain, a) - variations_at(chain, b)
+
+
+def poly_gcd_by_prs(a: IntPoly, b: IntPoly) -> IntPoly:
+    """`poly_gcd` by the primitive pseudo-remainder sequence alone, with no
+    certificate modulo a prime."""
+    if a.is_zero:
+        return b.primitive()
+    if b.is_zero:
+        return a.primitive()
+    f, g = a.primitive(), b.primitive()
+    if f.degree < g.degree:
+        f, g = g, f
+    while not g.is_zero:
+        rem, _ = _pseudo_rem(f, g)
+        f, g = g, rem.primitive()
+    return f
+
+
+class SturmRoot(AlgebraicRoot):
+    """An algebraic root that decides every step by Sturm counts.
+
+    A bisection step keeps the half whose ends differ in the number of sign
+    variations of the chain, and overlapping intervals are equal when the
+    gcd's chain counts a root between them.  Everything else is inherited,
+    so a `SturmRoot` and an `AlgebraicRoot` in one interval state must stay
+    in one state through any sequence of `compare` and `refine` calls.
+    """
+
+    __slots__ = ("_chain", "_vlo")
+
+    def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction) -> None:
+        super().__init__(poly, lo, hi)
+        self._chain = None
+        self._vlo = None
+
+    @classmethod
+    def of(cls, root: AlgebraicRoot) -> "SturmRoot":
+        return cls(root.poly, root.lo, root.hi)
+
+    def _refine_step(self) -> None:
+        if self.is_exact:
+            return
+        mid = (self.lo + self.hi) / 2
+        if self.poly.sign_at(mid) == 0:
+            self.lo = self.hi = mid
+            return
+        if self._chain is None:
+            self._chain = sturm_chain(self.poly)
+        if self._vlo is None:
+            self._vlo = variations_at(self._chain, self.lo)
+        vm = variations_at(self._chain, mid)
+        if self._vlo - vm == 1:
+            self.hi = mid
+        else:
+            self.lo, self._vlo = mid, vm
+
+    def compare(self, other: "SturmRoot") -> Order:
+        if self is other:
+            return Order.EQ
+        if other.is_exact:
+            return self.compare_rational(other.lo)
+        if self.is_exact:
+            flipped = other.compare_rational(self.lo)
+            if flipped is Order.EQ:
+                return Order.EQ
+            return Order.LT if flipped is Order.GT else Order.GT
+        if self.poly == other.poly and self.lo == other.lo and self.hi == other.hi:
+            return Order.EQ
+        if self.hi <= other.lo:
+            return Order.LT
+        if other.hi <= self.lo:
+            return Order.GT
+        g = poly_gcd_by_prs(self.poly, other.poly)
+        if g.degree >= 1:
+            a = max(self.lo, other.lo)
+            b = min(self.hi, other.hi)
+            if a < b and count_roots_open(sturm_chain(g), a, b) >= 1:
+                return Order.EQ
+        while True:
+            wider = self if self.width >= other.width else other
+            wider._refine_step()
+            if self.is_exact or other.is_exact:
+                return self.compare(other)
+            if self.hi <= other.lo:
+                return Order.LT
+            if other.hi <= self.lo:
+                return Order.GT
 
 
 def sign_sweep_charpolys_by_kernel(n, tree_edges, cotree, sign_seq, tree_arcs=False):

@@ -326,6 +326,11 @@ class TestPlumbing:
         code, _, err = run(capsys, "matching", "-g", "@/no/such/file")
         assert code == 1 and "error:" in err
 
+    def test_at_without_a_path(self, capsys):
+        code, out, err = run(capsys, "matching", "-g", "@")
+        assert code == 1 and out == ""
+        assert "file path must follow '@'" in err and "Errno" not in err
+
     def test_bad_tree_spec(self, capsys):
         code, _, err = run(capsys, "lemma4", "-g", C4, "--tree", "dfs:0")
         assert code == 1 and "tree spec" in err

@@ -1,19 +1,32 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import SturmRoot, count_roots_open, poly_gcd_by_prs
 
+from orispec import polynomials
+from orispec.graphs import (
+    Graph,
+    bfs_spanning_tree,
+    converse_halves,
+    cotree_edges,
+    enumerate_spanning_trees,
+    sign_vectors,
+)
+from orispec.hermitian import sign_sweep_charpolys
+from orispec.orientation import _family_levels
 from orispec.polynomials import (
     _reflected,
+    _sign_variations,
     AlgebraicRoot,
     IntPoly,
     Order,
     common_interlacing,
     compare_roots,
     count_real_roots,
-    count_roots_open,
     interlaces,
     is_real_rooted,
     isolate_extreme_roots,
@@ -26,6 +39,7 @@ from orispec.polynomials import (
     squarefree_decomposition,
     squarefree_part,
     sturm_chain,
+    variations_at,
 )
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -72,6 +86,15 @@ class TestIntPolyBasics:
     def test_reflected(self):
         p = poly_of(2, 2, -5, 0, 1)
         assert p.reflected().coeffs == (2, -2, -5, 0, 1)
+
+    def test_non_integral_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            IntPoly((1.5, 2.7))
+        with pytest.raises(ValueError, match="integral"):
+            IntPoly([Fraction(1, 2), 1])
+        assert IntPoly((2.0, 1)).coeffs == (2, 1)
+        assert IntPoly((Fraction(4, 2), 0.0)).coeffs == (2,)
+        assert all(type(c) is int for c in IntPoly((2.0, 1)).coeffs)
 
     def test_divexact(self):
         p = poly_of(4, 0, -8)
@@ -124,6 +147,52 @@ class TestGcdAndSquarefree:
                 product = product * factor
         assert product.coeffs == p.coeffs
 
+    @given(
+        st.lists(small_ints, min_size=1, max_size=5),
+        st.lists(small_ints, min_size=1, max_size=5),
+        st.lists(small_ints, min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_gcd_matches_the_pseudo_remainder_sequence(self, a, b, common):
+        # with a common factor, mostly, and coprime pairs when it is constant
+        c = IntPoly(common)
+        for f, g in ((IntPoly(a) * c, IntPoly(b) * c), (IntPoly(a), IntPoly(b))):
+            assert poly_gcd(f, g) == poly_gcd_by_prs(f, g)
+            assert poly_gcd(f, f.derivative()) == poly_gcd_by_prs(f, f.derivative())
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_gcd_falls_back_under_a_small_prime(self, monkeypatch, prime):
+        # modulo a small prime the leading coefficient of a often vanishes,
+        # and coprime pairs often have a common factor: both must fall back
+        monkeypatch.setattr(polynomials, "_GCD_PRIME", prime)
+        rng = random.Random(prime)
+        lc_divisible = images_share_factor = 0
+        for _ in range(300):
+            c = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+            f = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 6))])
+            g = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 6))])
+            for a, b in ((f, g), (f * c, g * c)):
+                want = poly_gcd_by_prs(a, b)
+                assert poly_gcd(a, b) == want
+                if a.is_zero or b.is_zero:
+                    continue
+                if a.leading % prime == 0:
+                    lc_divisible += 1
+                elif want.degree == 0 and (
+                    poly_gcd_by_prs(
+                        IntPoly([x % prime for x in a.coeffs]), IntPoly([x % prime for x in b.coeffs])
+                    ).degree
+                    > 0
+                ):
+                    images_share_factor += 1
+        assert lc_divisible > 20 and images_share_factor > 5
+
+    def test_decomposition_of_a_squarefree_polynomial(self, monkeypatch):
+        # gcd(f, f') constant: one factor, no quotient taken
+        monkeypatch.setattr(polynomials, "_divexact_poly", None)
+        p = IntPoly((-4, 0, 2))  # 2x^2 - 4
+        assert squarefree_decomposition(p) == [(IntPoly((-2, 0, 1)), 1)]
+
     @given(root_lists)
     @settings(max_examples=60, deadline=None)
     def test_squarefree_has_distinct_roots(self, roots):
@@ -161,6 +230,37 @@ class TestSturm:
             expected = sum(1 for r in numeric if a < r < b)
             assert count_roots_open(chain, a, b) == expected
 
+
+    @given(
+        st.lists(small_ints, min_size=2, max_size=10),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_power_table_variations_match_member_signs(self, coeffs, num, den):
+        q = squarefree_part(IntPoly(coeffs)) if any(coeffs[1:]) else None
+        if q is None or q.degree < 1:
+            return
+        chain = sturm_chain(q)
+        x = Fraction(num, den)
+        assert variations_at(chain, x) == _sign_variations(p.sign_at(x) for p in chain)
+
+    @given(st.lists(small_ints, min_size=2, max_size=12), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=150, deadline=None)
+    def test_root_radius_bounds_every_complex_root(self, coeffs, lead):
+        p = IntPoly(coeffs + [lead])
+        radius = p.root_radius()
+        moduli = np.abs(np.roots(list(reversed(p.coeffs))))
+        assert isinstance(radius, int)
+        assert all(m <= radius * (1 + 1e-9) + 1e-9 for m in moduli)
+
+    def test_root_radius_is_fujiwaras_bound_rounded_up(self):
+        # x^2 - 2: 2 * max(0, ceil(sqrt(2 / 2))) = 2
+        assert poly_of(-2, 0, 1).root_radius() == 2
+        # x^3 - 9x^2 + x - 1: 2 * max(9, 1, ceil(cbrt(1/2))) = 18
+        assert poly_of(-1, 1, -9, 1).root_radius() == 18
+        assert IntPoly.monomial(4).root_radius() == 0
+        assert IntPoly.constant(5).root_radius() == 0
 
     @given(st.lists(small_ints, min_size=2, max_size=9))
     @settings(max_examples=80, deadline=None)
@@ -362,6 +462,21 @@ class TestAlgebraicRootExtras:
         assert isinstance(data["interval"][0], str)
         assert abs(data["approx"] - 2 ** 0.5) < 1e-6
 
+    def test_constructor_rejects_an_interval_without_a_sign_change(self):
+        # (x^2 - 2)^2 does not change sign at sqrt(2): a sign-only bisection
+        # would not know which half to keep
+        p = poly_of(-2, 0, 1) * poly_of(-2, 0, 1)
+        with pytest.raises(ValueError, match="does not change sign"):
+            AlgebraicRoot(p, Fraction(1), Fraction(2))
+        with pytest.raises(ValueError, match="does not change sign"):
+            AlgebraicRoot(poly_of(-2, 0, 1), Fraction(2), Fraction(3))
+        with pytest.raises(ValueError, match="does not change sign"):
+            AlgebraicRoot(poly_of(-1, 1), Fraction(1), Fraction(2))  # root at an end
+        r = AlgebraicRoot(poly_of(-2, 0, 1), Fraction(1), Fraction(2))
+        lo, hi = r.refine(Fraction(1, 100))
+        assert lo * lo < 2 < hi * hi and hi - lo < Fraction(1, 100)
+        assert AlgebraicRoot(p, Fraction(3, 2), Fraction(3, 2)).is_exact
+
     def test_copy_refines_independently(self):
         r = isolate_largest_root(poly_of(-2, 0, 1))
         c = r.copy()
@@ -370,3 +485,89 @@ class TestAlgebraicRootExtras:
         c.refine(Fraction(1, 10**6))
         assert (r.lo, r.hi) == before
         assert r.lo <= c.lo < c.hi <= r.hi
+
+
+def ladder(cols):
+    edges = [(c, c + 1) for c in range(cols - 1)]
+    edges += [(cols + c, cols + c + 1) for c in range(cols - 1)]
+    edges += [(c, cols + c) for c in range(cols)]
+    return Graph.of(2 * cols, edges)
+
+
+def intervals(roots):
+    return [(r.poly, r.lo, r.hi) for r in roots]
+
+
+class TestSignDecisionsAgainstSturmOracle:
+    """Refinement by a sign change and equality by the gcd's sign change
+    against the Sturm-count rules of `oracles.SturmRoot`: the same intervals
+    after `to_json()` and after a seeded sequence of compare/refine calls."""
+
+    @staticmethod
+    def assert_same_decisions(p, seed):
+        roots = isolate_real_roots(p)
+        try:
+            roots += isolate_extreme_roots(p)
+        except ValueError:
+            pass
+        # one object per distinct interval, as isolate_real_roots shares them
+        roots = list({id(r): r for r in roots}.values())
+        if not roots:
+            return
+        twins = [SturmRoot.of(r) for r in roots]
+        rng = random.Random(seed)
+        for _ in range(12):
+            i, j = rng.randrange(len(roots)), rng.randrange(len(roots))
+            if rng.random() < 0.25:
+                eps = Fraction(1, rng.choice((3, 1000, 2**20)))
+                assert roots[i].refine(eps) == twins[i].refine(eps)
+            else:
+                assert roots[i].compare(roots[j]) is twins[i].compare(twins[j])
+            assert intervals(roots) == intervals(twins)
+        assert [r.to_json() for r in roots] == [t.to_json() for t in twins]
+
+    def test_corpus5_charpolys(self, corpus5):
+        # partial orientations over every spanning tree, complete ones over
+        # the BFS tree
+        polys = set()
+        for g in corpus5:
+            for t in enumerate_spanning_trees(g):
+                co = cotree_edges(g, t)
+                polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(len(co))))
+            t = bfs_spanning_tree(g, 0)
+            co = cotree_edges(g, t)
+            polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)), tree_arcs=True))
+        assert len(polys) > 200
+        for seed, p in enumerate(sorted(polys)):
+            self.assert_same_decisions(IntPoly(p), seed)
+
+    def test_ladder_family_node_polynomials(self):
+        g = ladder(8)
+        t = bfs_spanning_tree(g, 0)
+        polys = {p for level in _family_levels(g, t, cotree_edges(g, t)) for p in level}
+        assert len(polys) == 100
+        for seed, p in enumerate(sorted(polys, key=lambda p: p.coeffs)):
+            self.assert_same_decisions(p, seed)
+
+    def test_overlapping_equal_roots_of_different_polynomials(self):
+        # sqrt(2) from x^2 - 2 and from (x^2 - 2)(x^2 - 9): the gcd decides
+        a = isolate_largest_root(poly_of(-2, 0, 1))
+        b = isolate_real_roots(poly_of(18, 0, -11, 0, 1))[2]
+        assert a.hi > b.lo and b.hi > a.lo
+        assert compare_roots(a, b) is Order.EQ
+        assert SturmRoot.of(a).compare(SturmRoot.of(b)) is Order.EQ
+
+    @given(root_lists, st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_random_real_rooted(self, roots, seed):
+        p = IntPoly.from_roots(roots) * IntPoly.from_roots([r + 1 for r in roots[:2]])
+        self.assert_same_decisions(p * poly_of(-3, 0, 1), seed)
+
+    @given(st.lists(small_ints, min_size=2, max_size=9), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_random_polynomials(self, coeffs, seed):
+        # mostly not real-rooted; times x^2 - 2 so that roots repeat across factors
+        p = IntPoly(coeffs)
+        if p.degree < 1:
+            return
+        self.assert_same_decisions(p * poly_of(-2, 0, 1), seed)
