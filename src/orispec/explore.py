@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 
 from .errors import GuardLimit
@@ -30,7 +31,7 @@ from .graphs import (
     sign_vectors,
 )
 from .hermitian import charpoly_of_mixed, sign_sweep_charpolys, spectral_radius_of_charpoly
-from .polynomials import AlgebraicRoot, IntPoly, Order, compare_roots
+from .polynomials import PRINT_WIDTH, AlgebraicRoot, IntPoly, Order, compare_roots
 
 CORPUS_GUARD_N = 7
 MIN_COMPLETE_GUARD_M = 20
@@ -244,6 +245,21 @@ def _radius(poly: IntPoly, radii: dict[IntPoly, AlgebraicRoot]) -> AlgebraicRoot
     return root.copy()
 
 
+def _root_beyond(p: IntPoly, h: Fraction) -> bool:
+    """True when p, of degree >= 1, has a real root r with |r| >= h > 0,
+    certified by one sign at h and one at -h.
+
+    A sign at h that differs from p's sign at +inf means an odd number of
+    roots above h, and a zero sign is a root at h; likewise at -h against
+    -inf.  An even number of roots beyond h shows no sign change and is not
+    certified.
+    """
+    top = 1 if p.leading > 0 else -1
+    if p.sign_at(h) != top:
+        return True
+    return p.sign_at(-h) != (top if p.degree % 2 == 0 else -top)
+
+
 def _radius_min(
     candidates: "list[tuple[IntPoly, object]]", radii: dict[IntPoly, AlgebraicRoot]
 ) -> tuple[AlgebraicRoot, object]:
@@ -251,10 +267,28 @@ def _radius_min(
 
     Candidates must already be deduplicated by polynomial and listed in
     witness-preference order: on exact ties the earliest witness wins.
+
+    A candidate p is discarded before isolation when `_root_beyond(p, h)`
+    holds for h = best.hi + eps, eps = `PRINT_WIDTH`, the width `to_json`
+    refines to.  Then rho(p) >= h > rho(best): p is not LT, so the winner
+    and its witness do not change, and p never enters the radius memo.  The
+    margin eps keeps every printed interval byte-identical:
+
+    - comparing p with best would refine best only while best is the wider
+      of two overlapping intervals; p's interval then reaches below best.hi
+      and contains rho(p) >= best.hi + eps, so both are wider than eps;
+    - so a skipped comparison leaves best no narrower than the first interval
+      of its bisection below eps, which `to_json` prints anyway;
+    - bisection follows one fixed sequence of intervals per root, and a
+      comparison refines past the printed interval only after both roots
+      reach theirs, so every later comparison ends in the same printed state
+      with or without the skipped ones.
     """
     best_root: AlgebraicRoot | None = None
     best_witness: object = None
     for poly, witness in candidates:
+        if best_root is not None and _root_beyond(poly, best_root.hi + PRINT_WIDTH):
+            continue
         root = _radius(poly, radii)
         if best_root is None or compare_roots(root, best_root) is Order.LT:
             best_root, best_witness = root, witness

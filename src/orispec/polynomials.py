@@ -515,6 +515,9 @@ def cauchy_root_bound(p: IntPoly) -> int:
 # algebraic roots
 # ---------------------------------------------------------------------------
 
+# width below which ``AlgebraicRoot.to_json`` refines the interval it prints
+PRINT_WIDTH = Fraction(1, 2**20)
+
 
 class AlgebraicRoot:
     """A real algebraic number: square-free defining polynomial plus an
@@ -690,7 +693,7 @@ class AlgebraicRoot:
     def interval_strings(self) -> tuple[str, str]:
         return (str(self.lo), str(self.hi))
 
-    def to_json(self, eps=Fraction(1, 2**20)) -> dict:
+    def to_json(self, eps=PRINT_WIDTH) -> dict:
         self.refine(eps)
         lo, hi = self.interval_strings()
         return {

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from orispec import kernel
-from orispec.explore import GuoMoharReport, _radius_min
+from orispec.explore import GuoMoharReport, _radius
 from orispec.graphs import (
     MixedGraph,
     SignVector,
@@ -490,6 +490,19 @@ def audit_interlacing_family_unreduced(g, t) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 
+def radius_min_unpruned(candidates, radii):
+    """`explore._radius_min` without its sign-test pruning: every candidate
+    is isolated and compared against the best so far."""
+    best_root = None
+    best_witness = None
+    for poly, witness in candidates:
+        root = _radius(poly, radii)
+        if best_root is None or compare_roots(root, best_root) is Order.LT:
+            best_root, best_witness = root, witness
+    assert best_root is not None
+    return best_root, best_witness
+
+
 def min_rho_partial_unreduced(g):
     """One charpoly per (spanning tree, sign vector) pair; each distinct
     charpoly keeps its first witness in enumeration order (trees as listed,
@@ -513,7 +526,7 @@ def min_rho_partial_unreduced(g):
             if poly not in seen:
                 seen[poly] = (t, SignVector(co, signs))
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
-    root, (t, sv) = _radius_min(candidates, {})
+    root, (t, sv) = radius_min_unpruned(candidates, {})
     return root, t, sv, candidates
 
 

@@ -20,6 +20,8 @@ K7_MIXED = ";".join(
     f"{u} > {v}" if (u + v) % 2 == 0 else f"{u} {v}" for u in range(7) for v in range(u + 1, 7)
 )
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# SHA-256 of `explore --max-n 6 --json` stdout; a faster search must keep it
+EXPLORE_MAX_N6_SHA256 = "6a9e8cad87265d6bbb155f57e42e570c22108bbbe99f9b9556572027f5cb5019"
 
 
 def run(capsys, *argv):
@@ -371,3 +373,10 @@ class TestBenchmarkReference:
         code, out, _ = run(capsys, *benchmark_items[label].argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == refs[label]
+
+    def test_explore_max_n6_is_byte_identical(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORISPEC_THREADS", "1")
+        code, out, err = run(capsys, "explore", "--max-n", "6", "--json")
+        assert code == 0
+        assert "note: 7 graph(s) inconsistent with the conjecture" in err
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPLORE_MAX_N6_SHA256

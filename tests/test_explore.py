@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from orispec import explore
+from orispec import explore, polynomials
 from orispec.errors import GuardLimit
 from orispec.explore import (
     ConjectureReport,
@@ -34,7 +34,7 @@ from orispec.graphs import (
     sign_vectors,
 )
 from orispec.hermitian import charpoly_of_mixed, hermitian_adjacency, spectral_radius, spectral_radius_of_charpoly
-from orispec.polynomials import IntPoly, Order, compare_roots, isolate_largest_root
+from orispec.polynomials import AlgebraicRoot, IntPoly, Order, compare_roots, isolate_largest_root
 
 
 def brute_min_rho_complete(g):
@@ -61,6 +61,31 @@ def relabel(g, perm):
 
 def complete_graph(n):
     return Graph.of(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def small_n6(corpus6):
+    """The n = 6 corpus graphs whose unreduced partial search lists at most
+    2,000 (tree, sign vector) charpolys."""
+    small = [
+        g for g in corpus6
+        if g.n == 6 and len(enumerate_spanning_trees(g)) << (len(g.edges) - 5) <= 2000
+    ]
+    assert len(small) == 80
+    return small
+
+
+@pytest.fixture
+def isolated(monkeypatch):
+    """The charpoly of every spectral radius explore isolates, in call order."""
+    calls = []
+    original = explore.spectral_radius_of_charpoly
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(explore, "spectral_radius_of_charpoly", counting)
+    return calls
 
 
 class TestWorkerCount:
@@ -246,12 +271,7 @@ class TestMinRhoPartial:
             self.assert_matches_unreduced(g, compared)
 
     def test_symmetry_reduction_matches_unreduced_search_n6(self, corpus6, compared):
-        small = [
-            g for g in corpus6
-            if g.n == 6 and len(enumerate_spanning_trees(g)) << (len(g.edges) - 5) <= 2000
-        ]
-        assert len(small) == 80
-        for g in small:
+        for g in small_n6(corpus6):
             self.assert_matches_unreduced(g, compared)
 
     def test_converse_pairs_share_a_charpoly(self, corpus5):
@@ -281,6 +301,124 @@ class TestMinRhoAllMixed:
         big = next(g for g in corpus5 if g.n == 5)
         with pytest.raises(GuardLimit):
             min_rho_all_mixed(big)
+
+
+SQRT2 = IntPoly((-2, 0, 1))
+# 665857/470832 is within 2^-38 of sqrt(2)
+NEAR_SQRT2 = IntPoly((-665857, 470832))
+
+
+class TestRadiusMinPruning:
+    """`_radius_min` discards a candidate with a root of modulus at least
+    best.hi + PRINT_WIDTH before isolating it, and must print what the
+    unpruned search prints."""
+
+    @staticmethod
+    def run(candidates, isolated):
+        """Pruned and unpruned minimum agree; returns the polys isolated by
+        the pruned one."""
+        isolated.clear()
+        root, witness = explore._radius_min(candidates, {})
+        pruned_isolations = list(isolated)
+        ref_root, ref_witness = oracles.radius_min_unpruned(candidates, {})
+        assert witness == ref_witness
+        assert root.to_json() == ref_root.to_json()
+        return pruned_isolations
+
+    @staticmethod
+    def h_after_sqrt2():
+        """The prune point once sqrt(2), isolated in (0, 3), is the best."""
+        h = spectral_radius_of_charpoly(SQRT2).hi + polynomials.PRINT_WIDTH
+        assert h == 3 + polynomials.PRINT_WIDTH
+        return h
+
+    def test_root_at_h_is_pruned(self, isolated):
+        h = self.h_after_sqrt2()
+        at_h = IntPoly((-h.numerator, h.denominator))
+        assert at_h.sign_at(h) == 0
+        assert self.run([(SQRT2, "sqrt2"), (at_h, "at h")], isolated) == [SQRT2]
+
+    def test_one_root_above_h_is_pruned(self, isolated):
+        above = IntPoly((0, -5, 1))  # roots 0 and 5
+        assert self.run([(SQRT2, "sqrt2"), (above, "above")], isolated) == [SQRT2]
+
+    def test_two_roots_above_h_are_not_pruned(self, isolated):
+        # an even count beyond h shows no sign change, so the certificate
+        # does not apply and the candidate is isolated and compared
+        two_above = IntPoly((30, -11, 1))  # roots 5 and 6
+        h = self.h_after_sqrt2()
+        assert not explore._root_beyond(two_above, h)
+        assert self.run([(SQRT2, "sqrt2"), (two_above, "two above")], isolated) == [SQRT2, two_above]
+
+    def test_root_below_minus_h_only_is_pruned(self, isolated):
+        below = IntPoly((-5, 4, 1))  # roots -5 and 1
+        h = self.h_after_sqrt2()
+        assert below.sign_at(h) == 1
+        assert self.run([(SQRT2, "sqrt2"), (below, "below")], isolated) == [SQRT2]
+
+    def test_near_tie_is_not_pruned(self, isolated):
+        # telling the pair apart refines both far below the printed width
+        for pair in ([(SQRT2, "sqrt2"), (NEAR_SQRT2, "near")], [(NEAR_SQRT2, "near"), (SQRT2, "sqrt2")]):
+            assert self.run(pair, isolated) == [poly for poly, _ in pair]
+
+    def test_root_inside_the_margin_is_not_pruned(self, isolated, monkeypatch):
+        # the near tie leaves sqrt(2) far below the printed width; c's
+        # largest root lies just above best.hi, inside the margin, and its
+        # interval overlaps best's and is narrower, so comparing c refines
+        # the winner: the margin keeps c, and a zero margin changes the print
+        best = spectral_radius_of_charpoly(SQRT2)
+        spectral_radius_of_charpoly(NEAR_SQRT2).compare(best)
+        r1, r2 = best.hi - best.width / 7, best.hi + best.width / 13
+        c = IntPoly((-r1.numerator, r1.denominator)) * IntPoly((-r2.numerator, r2.denominator))
+        c = c * IntPoly((3, 0, 1))  # moves c's bisection grid off best's, so they overlap
+        candidates = [(SQRT2, "sqrt2"), (NEAR_SQRT2, "near"), (c, "c")]
+        assert self.run(candidates, isolated) == [SQRT2, NEAR_SQRT2, c]
+        unpruned = oracles.radius_min_unpruned(candidates, {})[0].to_json()
+        monkeypatch.setattr(explore, "PRINT_WIDTH", 0)
+        assert explore._radius_min(candidates, {})[0].to_json() != unpruned
+
+    def test_prune_margin_is_the_printed_width(self):
+        assert AlgebraicRoot.to_json.__defaults__ == (polynomials.PRINT_WIDTH,)
+        assert explore.PRINT_WIDTH is AlgebraicRoot.to_json.__defaults__[0]
+
+    @staticmethod
+    def searches(g):
+        """root.to_json() and witnesses of each minimum-rho search of g."""
+        results = [min_rho_complete(g), min_rho_partial(g)]
+        if g.n <= 4:
+            results.append(min_rho_all_mixed(g))
+        return [(root.to_json(), *witnesses) for root, *witnesses in results]
+
+    def assert_pruning_changes_nothing(self, graphs, monkeypatch, records=False):
+        pruned = [self.searches(g) for g in graphs]
+        pruned_records = [explore_record(g) for g in graphs] if records else []
+        monkeypatch.setattr(explore, "_radius_min", oracles.radius_min_unpruned)
+        for g, result in zip(graphs, pruned):
+            assert self.searches(g) == result, encode_graph6(g)
+        for g, record in zip(graphs, pruned_records):
+            assert explore_record(g) == record, encode_graph6(g)
+
+    def test_pruned_searches_match_unpruned(self, corpus5, monkeypatch):
+        self.assert_pruning_changes_nothing(corpus5, monkeypatch, records=True)
+
+    def test_pruned_searches_match_unpruned_n6(self, corpus6, monkeypatch):
+        self.assert_pruning_changes_nothing(small_n6(corpus6), monkeypatch)
+
+    def test_explore_record_isolates_fewer_radii_than_candidates(self, isolated, monkeypatch):
+        # K5: the complete and partial searches hand 2 + 22 distinct
+        # charpolys to `_radius_min`; all but 4 are pruned, and the bound
+        # sweep needs no other radius (23 isolations without pruning)
+        candidates = []
+        radius_min = explore._radius_min
+
+        def recording(cands, radii):
+            candidates.extend(poly for poly, _ in cands)
+            return radius_min(cands, radii)
+
+        monkeypatch.setattr(explore, "_radius_min", recording)
+        explore_record(complete_graph(5))
+        assert len(isolated) == len(set(isolated)) == 4
+        assert len(set(candidates)) == 22
 
 
 class TestGuoMoharSweep:
@@ -386,22 +524,14 @@ class TestRecordSharing:
     """One explore record shares one complete-orientation sweep and one
     radius memo among its searches."""
 
-    def test_radius_memo_hands_out_fresh_copies(self, monkeypatch):
-        calls = []
-        original = explore.spectral_radius_of_charpoly
-
-        def counting(p):
-            calls.append(p)
-            return original(p)
-
-        monkeypatch.setattr(explore, "spectral_radius_of_charpoly", counting)
+    def test_radius_memo_hands_out_fresh_copies(self, isolated):
         radii = {}
         p = IntPoly((2, 2, -5, 0, 1))
         first = _radius(p, radii)
         state = (first.poly, first.lo, first.hi)
         first.to_json()  # refines first in place
         second = _radius(p, radii)
-        assert len(calls) == 1 and list(radii) == [p]
+        assert len(isolated) == 1 and list(radii) == [p]
         assert second is not first and radii[p] is not first and radii[p] is not second
         assert (second.poly, second.lo, second.hi) == state != (first.poly, first.lo, first.hi)
         assert (radii[p].lo, radii[p].hi) == state[1:]
