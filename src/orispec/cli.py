@@ -16,7 +16,6 @@ import json
 import sys
 from typing import Sequence
 
-from . import kernel
 from .errors import ComputationDefect, OrispecError, ParseError
 from .explore import explore_records, generate_corpus
 from .graphs import (
@@ -105,6 +104,7 @@ def read_mixed(spec: str, fmt: str) -> MixedGraph:
 
 def resolve_trees(spec: str, g: Graph, guard: bool) -> list[SpanningTree]:
     """Tree spec: 'bfs:<root>', 'edges:u-v,u-v,...', or 'all'."""
+    g.require_connected()
     if spec == "all":
         return enumerate_spanning_trees(g, guard=guard)
     if spec.startswith("bfs:"):
@@ -456,19 +456,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_backend(args: argparse.Namespace) -> int:
-    if args.json:
-        _emit(
-            {
-                "command": "backend",
-                "backend": kernel.backend_name(),
-            }
-        )
-    else:
-        print(f"kernel backend: {kernel.backend_name()}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
@@ -560,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     source = explore.add_mutually_exclusive_group()
     source.add_argument("-g", "--graph", help=graph_help)
     source.add_argument("--max-n", type=int, help="sweep all connected graphs up to this order")
-    add("backend", cmd_backend, [common], "name the kernel implementation", needs_graph=False)
     return parser
 
 

@@ -185,7 +185,7 @@ def sign_sweep_charpolys(
     """
     tree_edges = tuple(tree_edges)
     m = len(cotree)
-    terms = _cycle_expansion(n, tree_edges, cotree, tree_arcs)
+    terms = cycle_expansion(n, tree_edges, cotree, tree_arcs)
     # Pack each c_S into one integer, base 2^width with signed digits: no
     # partial sum of the transform has a coefficient above the sum of all
     # |coefficients|, so width leaves every digit room for its sign.
@@ -220,11 +220,13 @@ def sign_sweep_charpolys(
         yield tuple([((packed >> shift) & digit) - half for shift in shifts])
 
 
-def _cycle_expansion(
+def cycle_expansion(
     n: int, tree_edges: tuple[Edge, ...], cotree: Sequence[Edge], tree_arcs: bool
 ) -> dict[int, list[int]]:
     """The nonzero c_S of `sign_sweep_charpolys`, as ascending coefficients,
-    keyed by the mask of S with bit m-1-j for cotree edge j.
+    keyed by the mask of S with bit m-1-j for cotree edge j.  The greedy
+    descent reads its conditional sums as prefix sums of this table
+    (`orientation._prefix_sum`).
 
     The sets S are walked in Gray-code order, so that the cycle-space element
     E of S changes by one fundamental cycle per step.  E is an even

@@ -4,6 +4,12 @@ Matrices are Gaussian-integer valued and arrive as two flat row-major lists
 (real and imaginary parts).  Arithmetic is arbitrary-precision throughout,
 so there is no restriction on order or entry size.  The public entries
 validate the flat shape once per call; the recurrence trusts it.
+
+The kernel serves single matrices (`hermitian.charpoly`) and the brute
+sum over the completions of a sign prefix
+(`orientation.conditional_sum_charpoly`), the reference for the conditional
+sums; sign sweeps and the greedy descent take their charpolys from the
+cycle-expansion table instead.
 """
 
 from __future__ import annotations

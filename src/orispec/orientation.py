@@ -7,13 +7,13 @@ which keeps every quantity an integer polynomial: the full sum equals
 2^m * mu_G, each node of the assignment tree is the sum of its two
 children, and the leaves are honest characteristic polynomials.
 
-Production computes every conditional sum through one route, the matching
-expansion over the unresolved cotree edges (see `conditional_sum_fast`).
-Each term is a charpoly of a vertex-deleted graph, evaluated as the product
-of its connected components' charpolys; component charpolys are memoised
-for the length of one descent.  The brute enumeration of completions,
-`conditional_sum_charpoly`, is kept as the reference the tests compare
-against.
+Production computes every conditional sum through one route, a prefix sum
+of the cycle-expansion table that also serves the sign sweeps
+(`hermitian.cycle_expansion`, see `conditional_sum_fast`); no matrix is
+formed.  The brute enumeration of completions, `conditional_sum_charpoly`,
+is kept as the reference the tests compare against, and the expectation
+is checked by an independent expansion over matchings
+(`expected_charpoly`).
 
 The greedy descent walks from the root to a leaf, at each level keeping the
 child whose largest root is (weakly) smaller, and certifies at the end that
@@ -28,8 +28,8 @@ from typing import Iterator, Sequence
 from . import kernel
 from .errors import ComputationDefect, GuardLimit
 from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, converse_halves, cotree_edges
-from .hermitian import charpoly_of_mixed, sign_sweep_charpolys
-from .matching import matching_radius
+from .hermitian import charpoly_of_mixed, cycle_expansion, sign_sweep_charpolys
+from .matching import induced_matching_polynomials, matching_radius
 from .polynomials import (
     AlgebraicRoot,
     IntPoly,
@@ -42,6 +42,7 @@ from .polynomials import (
 
 CONDITIONAL_SUM_GUARD_M = 20
 AUDIT_GUARD_M = 10
+_TABLE_WALK = "conditional sums walk the 2^m cotree-edge sets of the cycle-expansion table"
 
 
 def _check_prefix(prefix: Sequence[int], m: int) -> tuple[int, ...]:
@@ -55,11 +56,10 @@ def _check_prefix(prefix: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(int(s) for s in raw)
 
 
-def _check_expansion_guard(m: int, guard: bool) -> None:
+def _check_sum_guard(m: int, guard: bool, walk: str) -> None:
     if guard and m > CONDITIONAL_SUM_GUARD_M:
         raise GuardLimit(
-            f"conditional sums expand over matchings of the unresolved cotree "
-            f"edges; m={m} exceeds {CONDITIONAL_SUM_GUARD_M} (pass guard=False to override)"
+            f"{walk}; m={m} exceeds {CONDITIONAL_SUM_GUARD_M} (pass guard=False to override)"
         )
 
 
@@ -90,11 +90,7 @@ def conditional_sum_charpoly(
     """
     co = cotree_edges(g, t)
     m = len(co)
-    if guard and m > CONDITIONAL_SUM_GUARD_M:
-        raise GuardLimit(
-            f"conditional sums enumerate 2^(m-k) completions; m={m} exceeds "
-            f"{CONDITIONAL_SUM_GUARD_M} (pass guard=False to override)"
-        )
+    _check_sum_guard(m, guard, "conditional sums enumerate 2^(m-k) completions")
     p = _check_prefix(prefix, m)
     re, im, free = _base_flat(g, t, co, p)
     tails = [e[0] for e in free]
@@ -115,76 +111,34 @@ def _matchings(edges: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
         yield (head,) + m
 
 
-def _component_charpoly(
-    t: SpanningTree, arcs: list[tuple[int, int, int]], comp: list[int], memo: dict
-) -> IntPoly:
-    """Charpoly of the connected piece of H_fixed induced on comp.
+def _prefix_sum(terms: dict[int, list[int]], m: int, prefix: tuple[int, ...]) -> IntPoly:
+    """The conditional sum at a sign prefix, from the table c_S of
+    `cycle_expansion` (keys: bit m-1-j for cotree edge j).
 
-    The piece's Hermitian matrix is fixed by its vertex set (the tree edges
-    inside it) and the resolved arcs inside it, so that pair is an exact key
-    for every prefix and level of one (g, t).
+    phi(H_s) = sum_S c_S prod_{j in S} s_j, and summing over the free signs
+    cancels every S that holds a free edge, so with k edges resolved
+
+        sum = 2^(m-k) * sum_{S within the first k edges} c_S (-1)^|S & minus|
+
+    where minus is the set of resolved edges signed -1.
     """
-    comp.sort()
-    inside = set(comp)
-    key = (tuple(comp), tuple(a for a in arcs if a[0] in inside and a[1] in inside))
-    phi = memo.get(key)
-    if phi is None:
-        size = len(comp)
-        index = {v: i for i, v in enumerate(comp)}
-        re = [0] * (size * size)
-        im = [0] * (size * size)
-        for v in comp:
-            p = t.parent[v]
-            if p != v and p in inside:
-                i, j = index[v], index[p]
-                re[i * size + j] = re[j * size + i] = 1
-        for (u, v, s) in key[1]:
-            i, j = index[u], index[v]
-            im[i * size + j] = s
-            im[j * size + i] = -s
-        phi = memo[key] = IntPoly(kernel.charpoly_flat(re, im, size))
-    return phi
-
-
-def _expansion_sum(
-    t: SpanningTree, co: tuple[Edge, ...], prefix: tuple[int, ...], memo: dict
-) -> IntPoly:
-    """sum_M (-1)^|M| det(xI - H_fixed with V(M) deleted), M ranging over the
-    matchings of the unresolved cotree edges co[len(prefix):].
-
-    H_fixed is the tree plus the resolved cotree edges as arcs.  Each
-    vertex-deleted graph is split into connected components and its charpoly
-    is the product of theirs.  memo maps component keys to charpolys; it is
-    valid for this (g, t) only, so callers create one per descent.
-    """
-    n = t.n
-    arcs = [(u, v, s) for (u, v), s in zip(co, prefix)]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in t.tree_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for (u, v, _) in arcs:
-        adj[u].append(v)
-        adj[v].append(u)
-    total = IntPoly.zero()
-    for matched in _matchings(co[len(prefix) :]):
-        seen = [False] * n
-        for (u, v) in matched:
-            seen[u] = seen[v] = True
-        term = IntPoly.constant(-1 if len(matched) % 2 else 1)
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            for x in comp:
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-            term = term * _component_charpoly(t, arcs, comp, memo)
-        total = total + term
-    return total
+    k = len(prefix)
+    free = (1 << (m - k)) - 1
+    minus = 0
+    for s in prefix:
+        minus = 2 * minus + (s == -1)
+    minus <<= m - k
+    total = [0] * len(terms[0])
+    for mask, coeffs in terms.items():
+        if mask & free:
+            continue
+        if (mask & minus).bit_count() & 1:
+            for i, c in enumerate(coeffs):
+                total[i] -= c
+        else:
+            for i, c in enumerate(coeffs):
+                total[i] += c
+    return IntPoly(total) * (1 << (m - k))
 
 
 def conditional_sum_fast(
@@ -192,38 +146,42 @@ def conditional_sum_fast(
 ) -> IntPoly:
     """Same value as conditional_sum_charpoly without enumerating completions.
 
-    Expanding the determinant over the unresolved cotree entries, the terms
-    that survive the sum over completions are indexed by matchings M inside
-    the unresolved edges:
-
-        sum = 2^(m-k) * sum_M (-1)^|M| det(xI - H_fixed with V(M) deleted)
-
-    where H_fixed is the resolved mixed graph with every unresolved edge
-    removed.  This is the production route (greedy_orientation and
-    expected_charpoly evaluate the same expansion with a memo shared across
-    a descent); the brute-force sum is the reference the tests compare with.
+    The charpoly is multilinear in the cotree signs (`hermitian` module
+    docstring), so the sum over completions keeps the table entries c_S
+    whose set S lies inside the resolved edges (`_prefix_sum`).  This is the
+    production route, which greedy_orientation takes with one table per
+    descent; the brute-force sum is the reference the tests compare with.
     """
     co = cotree_edges(g, t)
     m = len(co)
-    _check_expansion_guard(m, guard)
+    _check_sum_guard(m, guard, _TABLE_WALK)
     p = _check_prefix(prefix, m)
-    return _expansion_sum(t, co, p, {}) * (1 << (m - len(p)))
+    return _prefix_sum(cycle_expansion(g.n, t.tree_edges, co, False), m, p)
 
 
 def expected_charpoly(g: Graph, t: SpanningTree, guard: bool = True) -> IntPoly:
     """Average of det(xI - H) over all 2^m partial orientations of (g, t).
 
-    The root conditional sum is 2^m times the matching expansion at the
-    empty prefix, so the average is that expansion itself:
-    sum_M (-1)^|M| det(xI - A(T - V(M))) over the matchings M of the cotree
-    edges, an integer polynomial by construction.  The expectation lemma
-    says it equals the matching polynomial of g; the tests also check that
-    by enumerating orientations.  Guarded like the conditional sums
-    (m <= CONDITIONAL_SUM_GUARD_M).
+    Expanding the determinant over the cotree entries, the terms that
+    survive the average are indexed by the matchings M of the cotree edges:
+    sum_M (-1)^|M| det(xI - A(T - V(M))), where T - V(M) is a forest, whose
+    charpoly is its matching polynomial.  The expectation lemma says the
+    result equals the matching polynomial of g.  The terms here are matching
+    polynomials of subforests of T, not of g, so comparing the two (as
+    `verify-expectation` does) does not check the recursion on g against
+    itself; the tests also enumerate orientations.  Guarded like the
+    conditional sums (m <= CONDITIONAL_SUM_GUARD_M).
     """
     co = cotree_edges(g, t)
-    _check_expansion_guard(len(co), guard)
-    return _expansion_sum(t, co, (), {})
+    _check_sum_guard(len(co), guard, "the expectation walks the matchings of the m cotree edges")
+    forest_mu = induced_matching_polynomials(Graph.of(g.n, t.tree_edges))
+    everyone = (1 << g.n) - 1
+    total = IntPoly.zero()
+    for matched in _matchings(co):
+        covered = sum(1 << u | 1 << v for (u, v) in matched)
+        term = IntPoly(forest_mu(everyone ^ covered))
+        total = total - term if len(matched) % 2 else total + term
+    return total
 
 
 @dataclass(frozen=True)
@@ -272,21 +230,20 @@ def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> Orienta
     """Descend the sign-assignment tree, always toward the child whose
     largest root is smaller (ties resolved to +1), and certify the result.
 
-    Conditional sums come from the matching expansion of
-    conditional_sum_fast, with one component-charpoly memo created for this
-    call and reused at every level.  Under guards m <= CONDITIONAL_SUM_GUARD_M.
+    Conditional sums are prefix sums of one cycle-expansion table built for
+    this call (`_prefix_sum`).  Under guards m <= CONDITIONAL_SUM_GUARD_M.
     """
     g.require_connected()
     co = cotree_edges(g, t)
     m = len(co)
-    _check_expansion_guard(m, guard)
+    _check_sum_guard(m, guard, _TABLE_WALK)
 
-    memo: dict = {}
+    terms = cycle_expansion(g.n, t.tree_edges, co, False)
     prefix: list[int] = []
-    current = _expansion_sum(t, co, (), memo) * (1 << m)
+    current = _prefix_sum(terms, m, ())
     levels: list[LevelChoice] = []
     for k in range(m):
-        plus = _expansion_sum(t, co, (*prefix, 1), memo) * (1 << (m - k - 1))
+        plus = _prefix_sum(terms, m, (*prefix, 1))
         minus = current - plus  # each node is the sum of its two children
         root_plus = isolate_largest_root(plus)
         root_minus = isolate_largest_root(minus)

@@ -298,7 +298,7 @@ def even_cycle_tree_condition(g, tree_edges) -> bool:
 def greedy_by_brute_sums(g, t):
     """The greedy descent with every child computed by enumerating its
     completions (the package's brute-force conditional sum) instead of the
-    matching expansion.  Same tie rule: +1 unless the +1 child's largest
+    cycle-expansion table.  Same tie rule: +1 unless the +1 child's largest
     root is greater.  Returns (signs, final charpoly)."""
     signs = []
     for _ in cotree_edges(g, t):

@@ -22,6 +22,11 @@ K7_MIXED = ";".join(
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # SHA-256 of `explore --max-n 6 --json` stdout; a faster search must keep it
 EXPLORE_MAX_N6_SHA256 = "6a9e8cad87265d6bbb155f57e42e570c22108bbbe99f9b9556572027f5cb5019"
+# SHA-256 of `find-orientation --json` stdout on the 5x5 grid, by BFS root
+GRID5X5_SHA256 = {
+    0: "33fac6832f6695a46c6513b8a992dcfb64e725ad8e21b6d9aabaa9afd4e5954b",
+    12: "576a689cb83a4bb4233ec763c18d65fca8694e049c8a5ebec156a9e51b02012e",
+}
 
 
 def run(capsys, *argv):
@@ -297,16 +302,6 @@ class TestExplore:
 
 
 class TestPlumbing:
-    def test_backend(self, capsys):
-        code, out, _ = run(capsys, "backend")
-        assert code == 0
-        assert out == "kernel backend: pure\n"
-
-    def test_backend_json(self, capsys):
-        code, data, _ = run_json(capsys, "backend")
-        assert code == 0
-        assert data == {"schema": "orispec/1", "command": "backend", "backend": "pure"}
-
     def test_missing_graph(self, capsys):
         code, _, err = run(capsys, "matching")
         assert code == 1 and "graph is required" in err
@@ -319,6 +314,14 @@ class TestPlumbing:
     def test_disconnected_input(self, capsys):
         code, _, err = run(capsys, "find-orientation", "-g", "0 1;2 3")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "command", ["find-orientation", "verify-expectation", "classify", "lemma4", "audit-family", "explore"]
+    )
+    def test_empty_graph(self, capsys, command):
+        code, out, err = run(capsys, command, "-g", "n=0")
+        assert code == 1 and out == ""
+        assert "graph has no vertices" in err
 
     def test_parse_error_line_number(self, capsys):
         code, _, err = run(capsys, "matching", "-g", "0 1;zzz")
@@ -380,3 +383,11 @@ class TestBenchmarkReference:
         assert code == 0
         assert "note: 7 graph(s) inconsistent with the conjecture" in err
         assert hashlib.sha256(out.encode()).hexdigest() == EXPLORE_MAX_N6_SHA256
+
+    @pytest.mark.parametrize("root", sorted(GRID5X5_SHA256))
+    def test_find_orientation_5x5_is_byte_identical(self, capsys, root):
+        edges = [(v, v + 1) for v in range(25) if v % 5 < 4] + [(v, v + 5) for v in range(20)]
+        graph = ";".join(f"{u} {v}" for u, v in sorted(edges))
+        code, out, _ = run(capsys, "find-orientation", "-g", graph, "--tree", f"bfs:{root}", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GRID5X5_SHA256[root]

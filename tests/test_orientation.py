@@ -15,11 +15,11 @@ from orispec.graphs import (
     sign_vectors,
     tree_from_edges,
 )
-from orispec.hermitian import charpoly_of_mixed, sign_sweep_charpolys
+from orispec.hermitian import charpoly_of_mixed, cycle_expansion, sign_sweep_charpolys
 from orispec.matching import matching_polynomial
 from orispec.orientation import (
-    _expansion_sum,
     _family_levels,
+    _prefix_sum,
     audit_interlacing_family,
     conditional_sum_charpoly,
     conditional_sum_fast,
@@ -102,19 +102,18 @@ class TestConditionalSums:
             prefix = tuple(rng.choice((-1, 1)) for _ in range(k))
             assert conditional_sum_fast(g, t, prefix) == conditional_sum_charpoly(g, t, prefix)
 
-    def test_shared_memo_matches_brute_along_descents(self, corpus5):
-        # one memo for the whole sign tree, visited depth first: every
-        # root-to-leaf walk sees the prefixes in descent order, and entries
-        # made under one branch are looked up again under the others
+    def test_prefix_sums_match_brute_along_descents(self, corpus5):
+        # one table per (g, t), read at every prefix of the sign tree in
+        # depth-first order, as the descent reads it along each path
         for g in [*corpus5, grid(3, 4)]:
             t = bfs_spanning_tree(g, 0)
             co = cotree_edges(g, t)
             m = len(co)
-            memo = {}
+            terms = cycle_expansion(g.n, t.tree_edges, co, False)
             stack = [()]
             while stack:
                 prefix = stack.pop()
-                got = _expansion_sum(t, co, prefix, memo) * 2 ** (m - len(prefix))
+                got = _prefix_sum(terms, m, prefix)
                 assert got == conditional_sum_charpoly(g, t, prefix), (g.edges, prefix)
                 if len(prefix) < m:
                     stack += [(*prefix, -1), (*prefix, 1)]
@@ -178,14 +177,29 @@ class TestGreedyDescent:
         assert cert.verdict is Order.EQ
         assert str(cert.final_charpoly) == "x^4-4x^2+2"
 
-    def test_matches_brute_sum_descent(self, ex1, c4, corpus5):
+    def test_matches_brute_sum_descent(self, ex1, c4, corpus5, corpus6):
+        k6 = Graph.of(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
         cases = [(g, t) for g in (ex1, c4) for t in enumerate_spanning_trees(g)]
-        cases += [(g, bfs_spanning_tree(g, 0)) for g in corpus5]
+        graphs = [*corpus5, k6, *(g for g in corpus6 if len(g.edges) - (g.n - 1) <= 7)]
+        cases += [(g, bfs_spanning_tree(g, 0)) for g in graphs]
         for g, t in cases:
             cert = greedy_orientation(g, t)
             signs, final = oracles.greedy_by_brute_sums(g, t)
-            assert cert.signs.signs == signs
+            assert cert.signs.signs == signs, g.edges
             assert cert.final_charpoly == final
+
+    def test_no_kernel_call_on_the_4x4_grid(self, capsys, monkeypatch, kernel_calls):
+        # the descent and the expectation form no matrix: the table and the
+        # matching polynomials serve every sum
+        def brute(*args):
+            raise AssertionError("brute conditional sum called")
+
+        monkeypatch.setattr(orientation.kernel, "sum_orientations_flat", brute)
+        graph = ";".join(f"{u} {v}" for u, v in sorted(grid(4, 4).edges))
+        for command in ("find-orientation", "verify-expectation"):
+            assert cli.main([command, "-g", graph, "--tree", "bfs:0", "--json"]) == 0
+        assert '"pass": true' in capsys.readouterr().out
+        assert kernel_calls == []
 
     def test_verdict_never_gt_on_corpus(self, corpus5):
         for g in corpus5:
