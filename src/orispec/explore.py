@@ -30,7 +30,7 @@ from .graphs import (
     norm_edge,
     sign_vectors,
 )
-from .hermitian import charpoly_of_mixed, sign_sweep_charpolys, spectral_radius_of_charpoly
+from .hermitian import GainTable, spectral_radius_of_charpoly
 from .polynomials import PRINT_WIDTH, AlgebraicRoot, IntPoly, Order, compare_roots
 
 CORPUS_GUARD_N = 7
@@ -296,29 +296,35 @@ def _radius_min(
     return best_root, best_witness
 
 
-def _complete_sweep(
-    g: Graph, t: SpanningTree, co: tuple[Edge, ...]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(cotree signs, charpoly) of every reduced complete orientation over t:
-    tree arcs from smaller to larger endpoint, signs ascending."""
-    m = len(co)
-    sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(m), tree_arcs=True)
-    return list(zip(sign_vectors(m), sweep))
+def _bfs_table(g: Graph) -> tuple[SpanningTree, tuple[Edge, ...], GainTable]:
+    """The BFS tree at 0, its cotree and the gain table over it: every
+    search of a record reads its charpolys from this one table."""
+    t = bfs_spanning_tree(g, 0)
+    co = cotree_edges(g, t)
+    return t, co, GainTable(g.n, t.tree_edges, co)
+
+
+def _complete_sweep(t: SpanningTree, co: tuple[Edge, ...], table: GainTable) -> list[int]:
+    """Packed charpolys of every reduced complete orientation over t, the
+    table's tree: tree arcs from smaller to larger endpoint, signs
+    ascending."""
+    return table.sweep(sorted(t.tree_edges), co)
 
 
 def _min_rho_complete(
-    g: Graph, co: tuple[Edge, ...], sweep, radii: dict[IntPoly, AlgebraicRoot]
+    g: Graph, co: tuple[Edge, ...], sweep: list[int], table: GainTable, radii: dict[IntPoly, AlgebraicRoot]
 ) -> tuple[AlgebraicRoot, SignVector]:
     edge_order = g.edge_list
     tree_positions = {e: idx for idx, e in enumerate(edge_order)}
-    seen: dict[tuple[int, ...], SignVector] = {}
-    for signs, poly in sweep:
-        if poly not in seen:
+    seen: dict[int, SignVector] = {}
+    for signs, packed in zip(sign_vectors(len(co)), sweep):
+        if packed not in seen:
             full = [1] * len(edge_order)
             for j, s in enumerate(signs):
                 full[tree_positions[co[j]]] = s
-            seen[poly] = SignVector(edge_order, tuple(full))
-    root, witness = _radius_min([(IntPoly(p), sv) for p, sv in seen.items()], radii)
+            seen[packed] = SignVector(edge_order, tuple(full))
+    candidates = [(IntPoly(table.unpack(p)), sv) for p, sv in seen.items()]
+    root, witness = _radius_min(candidates, radii)
     return root, witness  # type: ignore[return-value]
 
 
@@ -332,34 +338,29 @@ def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignV
     Returns the radius and a full-edge sign vector witness (+1 on every
     tree edge); ties resolve to the lexicographically smallest witness.
     """
-    g.require_connected()
-    t = bfs_spanning_tree(g, 0)
-    co = cotree_edges(g, t)
-    if guard:
-        _complete_guard(len(co))
-    return _min_rho_complete(g, co, _complete_sweep(g, t, co), {})
+    return _complete_tier(g, guard)[2]
 
 
 def _min_rho_partial(
-    g: Graph, guard: bool, radii: dict[IntPoly, AlgebraicRoot]
+    g: Graph, guard: bool, table: GainTable, radii: dict[IntPoly, AlgebraicRoot]
 ) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
-    g.require_connected()
-    if guard:
-        _partial_guard(g.n)
     auts = automorphisms(g)
     covered: set[frozenset[Edge]] = set()  # trees of the orbits visited so far
-    seen: dict[tuple[int, ...], tuple[SpanningTree, SignVector]] = {}
+    cosets: set[int] = set()  # parities of the cosets visited so far
+    seen: dict[int, tuple[SpanningTree, SignVector]] = {}
     for t in enumerate_spanning_trees(g, guard=guard):
         if t.tree_edges in covered:
             continue
         covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
         co = cotree_edges(g, t)
-        m = len(co)
-        sweep = sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m))
-        for signs, poly in zip(converse_halves(m), sweep):
-            if poly not in seen:
-                seen[poly] = (t, SignVector(co, signs))
-    candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
+        parity = table.gain(co)[0]
+        if parity in cosets:
+            continue
+        cosets.add(parity)
+        for signs, packed in zip(converse_halves(len(co)), table.sweep((), co, half=True)):
+            if packed not in seen:
+                seen[packed] = (t, SignVector(co, signs))
+    candidates = [(IntPoly(table.unpack(p)), tw) for p, tw in seen.items()]
     root, witness = _radius_min(candidates, radii)
     t, sv = witness  # type: ignore[misc]
     return root, t, sv
@@ -372,45 +373,64 @@ def min_rho_partial(
     orientation; exact, with a deterministic first-found witness on ties
     (trees in enumeration order, then signs ascending).
 
-    Two exact symmetries skip pairs that cannot hold a first witness.  An
+    Three exact reductions skip pairs that cannot hold a first witness.  An
     automorphism p of g carries (T, s) to (p(T), s') with a
     permutation-similar Hermitian matrix (s' permutes s and negates the
     edges whose endpoints p swaps), so a tree has the charpolys of the first
     tree of its Aut(g) orbit, which comes earlier: only that one is visited.
-    And s, -s give complex-conjugate matrices, so a charpoly first shows at
-    a sign vector with s[0] = -1: only those are visited.  The candidates
-    thus reach `_radius_min` exactly as the unreduced search lists them
-    (tests/oracles.py keeps that search as the reference).
+    The partial orientations over T are the coset of the gain table (over
+    the BFS tree T0) with parity |F_j - T| mod 2 on fundamental cycle F_j,
+    each element once, because the fundamental bases of T and T0 differ by
+    a unimodular matrix; so a tree whose coset an earlier tree visited
+    brings no new charpoly and is skipped.  And s, -s give complex-conjugate
+    matrices, so a charpoly first shows at a sign vector with s[0] = -1:
+    only those are visited.  The candidates thus reach `_radius_min`
+    exactly as the unreduced search lists them (tests/oracles.py keeps that
+    search as the reference).
     """
-    return _min_rho_partial(g, guard, {})
+    g.require_connected()
+    if guard:
+        _partial_guard(g.n)
+    return _min_rho_partial(g, guard, _bfs_table(g)[2], {})
+
+
+def _all_mixed_guard(n: int) -> None:
+    if n > ALL_MIXED_GUARD_N:
+        raise GuardLimit(
+            f"all-mixed search enumerates 3^|E| states; n={n} exceeds "
+            f"{ALL_MIXED_GUARD_N} (pass guard=False to override)"
+        )
 
 
 def _min_rho_all_mixed(
-    g: Graph, guard: bool, radii: dict[IntPoly, AlgebraicRoot]
+    g: Graph, table: GainTable, radii: dict[IntPoly, AlgebraicRoot]
 ) -> tuple[AlgebraicRoot, MixedGraph]:
-    g.require_connected()
-    if guard and g.n > ALL_MIXED_GUARD_N:
-        raise GuardLimit(
-            f"all-mixed search enumerates 3^|E| states; n={g.n} exceeds "
-            f"{ALL_MIXED_GUARD_N} (pass guard=False to override)"
-        )
     edges = g.edge_list
-    seen: dict[tuple[int, ...], MixedGraph] = {}
+    cosets: dict[int, list[int]] = {}
+    seen: dict[int, tuple[Edge, ...]] = {}  # the arcs of each first occurrence
     for states in itertools.product((0, 1, 2), repeat=len(edges)):
-        directions: dict[Edge, tuple[int, int] | None] = {}
-        for e, st in zip(edges, states):
-            directions[e] = None if st == 0 else (e if st == 1 else (e[1], e[0]))
-        d = MixedGraph.of(g, directions)
-        poly = tuple(charpoly_of_mixed(d).coeffs)
-        if poly not in seen:
-            seen[poly] = d
-    root, witness = _radius_min([(IntPoly(p), d) for p, d in seen.items()], radii)
+        arcs = tuple(e if st == 1 else (e[1], e[0]) for e, st in zip(edges, states) if st)
+        parity, carry = table.gain(arcs)
+        coset = cosets.get(parity)
+        if coset is None:
+            coset = cosets[parity] = table.coset(parity)
+        seen.setdefault(coset[carry], arcs)
+    candidates = [
+        (IntPoly(table.unpack(p)), MixedGraph.of(g, {norm_edge(*a): a for a in arcs})) for p, arcs in seen.items()
+    ]
+    root, witness = _radius_min(candidates, radii)
     return root, witness  # type: ignore[return-value]
 
 
 def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, MixedGraph]:
-    """Minimum spectral radius over every mixed graph on g (3^|E| states)."""
-    return _min_rho_all_mixed(g, guard, {})
+    """Minimum spectral radius over every mixed graph on g (3^|E| states),
+    each read from the gain table by its gain; ties resolve to the first
+    state in `itertools.product` order (undirected, forwards, backwards
+    per edge, edges ascending)."""
+    g.require_connected()
+    if guard:
+        _all_mixed_guard(g.n)
+    return _min_rho_all_mixed(g, _bfs_table(g)[2], {})
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +450,18 @@ class GuoMoharReport:
         return not self.violations
 
 
-def _guo_mohar(
-    g: Graph, t: SpanningTree, co: tuple[Edge, ...], complete, radii: dict[IntPoly, AlgebraicRoot]
-) -> GuoMoharReport:
-    rho_g = _radius(charpoly_of_mixed(MixedGraph.undirected(g)), radii)
-    # partial orientations over the BFS tree (s and -s share a charpoly),
-    # then the reduced complete orientations of the given sweep
-    polys = set(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(len(co))))
-    polys.update(poly for _, poly in complete)
+def _guo_mohar(complete: list[int], table: GainTable, radii: dict[IntPoly, AlgebraicRoot]) -> GuoMoharReport:
+    # rho(G) has every gain 1 (g = 0); then the partial orientations over the
+    # table's tree (its coset with parity 1...1) and the reduced complete
+    # orientations of the given sweep
+    rho_g = _radius(IntPoly(table.unpack(table.value((0, 0)))), radii)
+    packed = set(table.coset((1 << table.m) - 1))
+    packed.update(complete)
     violations = []
-    for poly in sorted(polys):
+    for poly in sorted(map(table.unpack, packed)):
         if compare_roots(_radius(IntPoly(poly), radii), rho_g) is Order.GT:
             violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
-    return GuoMoharReport(checked=len(polys), violations=tuple(violations))
+    return GuoMoharReport(checked=len(packed), violations=tuple(violations))
 
 
 def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
@@ -454,11 +473,10 @@ def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     treat a non-empty violation list as a defect.
     """
     g.require_connected()
-    t = bfs_spanning_tree(g, 0)
-    co = cotree_edges(g, t)
     if guard:
-        _sweep_guard(len(co))
-    return _guo_mohar(g, t, co, _complete_sweep(g, t, co), {})
+        _sweep_guard(len(g.edges) - g.n + 1)
+    t, co, table = _bfs_table(g)
+    return _guo_mohar(_complete_sweep(t, co, table), table, {})
 
 
 @dataclass(frozen=True)
@@ -519,16 +537,21 @@ def _conjecture_report(
     complete: tuple[AlgebraicRoot, SignVector],
     include_all_mixed: bool | None,
     guard: bool,
+    table: GainTable,
     radii: dict[IntPoly, AlgebraicRoot],
 ) -> ConjectureReport:
     c_root, c_witness = complete
-    p_root, p_tree, p_witness = _min_rho_partial(g, guard, radii)
+    if guard:
+        _partial_guard(g.n)
+    p_root, p_tree, p_witness = _min_rho_partial(g, guard, table, radii)
     if include_all_mixed is None:
         include_all_mixed = g.n <= ALL_MIXED_GUARD_N
     all_root = None
     all_cmp = None
     if include_all_mixed:
-        all_root, _ = _min_rho_all_mixed(g, guard, radii)
+        if guard:
+            _all_mixed_guard(g.n)
+        all_root, _ = _min_rho_all_mixed(g, table, radii)
         all_cmp = compare_roots(all_root, c_root)
     return ConjectureReport(
         graph=g,
@@ -543,37 +566,45 @@ def _conjecture_report(
     )
 
 
+def _complete_tier(
+    g: Graph, guard: bool
+) -> tuple[GainTable, list[int], tuple[AlgebraicRoot, SignVector], dict[IntPoly, AlgebraicRoot]]:
+    """The gain table of g, its complete-orientation sweep, the minimum
+    over that sweep and the radius memo it started."""
+    g.require_connected()
+    if guard:
+        _complete_guard(len(g.edges) - g.n + 1)
+    t, co, table = _bfs_table(g)
+    sweep = _complete_sweep(t, co, table)
+    radii: dict[IntPoly, AlgebraicRoot] = {}
+    return table, sweep, _min_rho_complete(g, co, sweep, table, radii), radii
+
+
 def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> ConjectureReport:
     """Assemble the three-tier minimum-rho comparison for one graph.
 
     include_all_mixed defaults to running the 3^|E| sweep only when the
     guard allows it (n <= 4).
     """
-    complete = min_rho_complete(g, guard=guard)
-    return _conjecture_report(g, complete, include_all_mixed, guard, {})
+    table, _, complete, radii = _complete_tier(g, guard)
+    return _conjecture_report(g, complete, include_all_mixed, guard, table, radii)
 
 
 def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> dict:
     """One JSON-ready record per graph: conjecture tiers plus the exact
     rho(mixed) <= rho(G) sweep.
 
-    `min_rho_complete` and `guo_mohar_sweep` share one complete-orientation
-    sweep over the BFS tree at 0, and every search of the record shares one
-    radius memo, so each distinct charpoly is isolated once per record.
-    Guards are checked in the order the public searches check them.
+    Every search of the record reads its charpolys from one gain table over
+    the BFS tree at 0: `min_rho_complete` and `guo_mohar_sweep` share its
+    complete-orientation sweep, and every search shares one radius memo, so
+    each distinct charpoly is isolated once per record.  Guards are checked
+    in the order the public searches check them.
     """
-    g.require_connected()
-    t = bfs_spanning_tree(g, 0)
-    co = cotree_edges(g, t)
+    table, sweep, complete, radii = _complete_tier(g, guard)
+    report = _conjecture_report(g, complete, include_all_mixed, guard, table, radii)
     if guard:
-        _complete_guard(len(co))
-    sweep = _complete_sweep(g, t, co)
-    radii: dict[IntPoly, AlgebraicRoot] = {}
-    complete = _min_rho_complete(g, co, sweep, radii)
-    report = _conjecture_report(g, complete, include_all_mixed, guard, radii)
-    if guard:
-        _sweep_guard(len(co))
-    gm = _guo_mohar(g, t, co, sweep, radii)
+        _sweep_guard(table.m)
+    gm = _guo_mohar(sweep, table, radii)
     data = report.to_json()
     data["guo_mohar"] = {
         "checked": gm.checked,

@@ -5,22 +5,25 @@ contributes i at (u, v) and -i at (v, u).  The matrix is Hermitian, so its
 spectrum is real and its characteristic polynomial has integer
 coefficients, which we compute exactly.
 
-A single matrix goes through the kernel.  The 2^m orientations of the
-cotree edges of one spanning tree T (tree edges undirected, or all arcs) go
-through the cycle expansion instead (Sachs' theorem in its Hermitian form,
-Guo & Mohar 2017):
+A single matrix goes through the kernel.  Families of mixed graphs on one
+graph G (the partial orientations over every spanning tree, the complete
+orientations, all 3^|E| mixed graphs) go through Sachs' theorem in its
+gain-graph form instead (Reff 2012; Guo & Mohar 2017):
 
     phi(H) = sum_D (-2)^c(D) prod_{C in D} Re w(C) mu(G - V(D)),
 
 D ranging over the sets of c(D) vertex-disjoint cycles of G, w(C) being the
-product of the entries around C and mu the matching polynomial.  Re w(C)
-vanishes when C crosses an odd number of arcs, and is otherwise a sign
-times the product of the cotree signs on C, so the charpoly is multilinear
-in the cotree signs: phi(H_s) = sum_S c_S prod_{j in S} s_j.  A set S of
-cotree edges has at most one D, because D is an element of the cycle space
-and that element is the sum of the fundamental cycles of S.  So the table
-c_S has at most 2^m entries, c_{} = mu(G), and one Walsh-Hadamard transform
-turns it into every charpoly of the sweep (`sign_sweep_charpolys`).
+product of the entries around C and mu the matching polynomial.  Fix one
+spanning tree T0: w(C) depends only on the gains i^(g_j) of the m
+fundamental cycles of T0, so one table per graph (`GainTable`) holds every
+D with the cotree crossings of its cycles, and phi depends on g in Z4^m
+alone.  The table is folded once per coset g = pi + 2b (pi fixed, b in
+{0, 1}^m) into c_S(pi), S the cotree support of D, at most one D per S
+because D is the element of the cycle space with those cotree edges; one
+Walsh-Hadamard transform of the fold gives all 2^m charpolys of the coset.
+A sign sweep over one tree is one coset of the table of that tree
+(`sign_sweep_charpolys`), and the conditional sums of the greedy descent
+are prefix sums of its fold.
 """
 
 from __future__ import annotations
@@ -175,39 +178,17 @@ def sign_sweep_charpolys(
     (u, v)); cotree edge j = (u, v) enters as the arc u -> v when its sign
     is +1 and as v -> u when it is -1, as in `build_mixed`.
 
-    No matrix is formed: phi(H_s) = sum_S c_S prod_{j in S} s_j over the
-    sets S of cotree edges (module docstring), where c_S is the term
-    (-2)^c(D) prod_{C in D} Re w(C) mu(G - V(D)) of the one set D of
-    disjoint cycles whose cotree edges are S, or 0.  There is at most one:
-    D is a 2-regular element of the cycle space, and each element is the
-    sum of the fundamental cycles of its cotree edges.  c_{} = mu(G).  One
-    Walsh-Hadamard transform of the table gives all 2^m charpolys.
+    No matrix is formed: the sweep is one coset of the `GainTable` of the
+    tree itself.  Flipping s_j adds 2 to the gain of fundamental cycle j
+    and nothing to the others, so the coset's base point is the gain with
+    every sign +1, and s sits at the index of its -1 entries.
     """
     tree_edges = tuple(tree_edges)
     m = len(cotree)
-    terms = cycle_expansion(n, tree_edges, cotree, tree_arcs)
-    # Pack each c_S into one integer, base 2^width with signed digits: no
-    # partial sum of the transform has a coefficient above the sum of all
-    # |coefficients|, so width leaves every digit room for its sign.
-    width = sum(abs(c) for coeffs in terms.values() for c in coeffs).bit_length() + 1
-    table = [0] * (1 << m)
-    for index, coeffs in terms.items():
-        for c in reversed(coeffs):
-            table[index] = (table[index] << width) + c
-    # Walsh-Hadamard transform in constant geometry: pairing i with
-    # i + 2^(m-1) and writing the sum and difference to 2i and 2i + 1 rotates
-    # the index bits, so m passes treat every bit once and end in order.
-    middle = len(table) >> 1
-    for _ in range(m):
-        low, high = table[:middle], table[middle:]
-        table[0::2] = map(operator.add, low, high)
-        table[1::2] = map(operator.sub, low, high)
-    # Bit m-1-j of the index is set when s_j = -1, as in the keys of S, so
-    # the transform's sign (-1)^|S & index| is prod_{j in S} s_j.
-    digit = (1 << width) - 1
-    half = digit >> 1
-    shifts = range(0, width * (n + 1), width)
-    bias = sum(half << shift for shift in shifts)
+    table = GainTable(n, tree_edges, cotree)
+    parity, carry = table.gain([*(tree_edges if tree_arcs else ()), *cotree])
+    coset = table.coset(parity)
+    unpacked: dict[int, tuple[int, ...]] = {}
     for signs in sign_seq:
         if len(signs) != m:
             raise ValueError(f"sign vector {tuple(signs)} does not have {m} entries")
@@ -216,81 +197,237 @@ def sign_sweep_charpolys(
             if s not in (1, -1):
                 raise ValueError(f"sign vector {tuple(signs)} has an entry other than +-1")
             index = 2 * index + (s == -1)
-        packed = table[index] + bias
-        yield tuple([((packed >> shift) & digit) - half for shift in shifts])
+        packed = coset[carry ^ index]
+        poly = unpacked.get(packed)
+        if poly is None:
+            poly = unpacked[packed] = table.unpack(packed)
+        yield poly
 
 
-def cycle_expansion(
-    n: int, tree_edges: tuple[Edge, ...], cotree: Sequence[Edge], tree_arcs: bool
-) -> dict[int, list[int]]:
-    """The nonzero c_S of `sign_sweep_charpolys`, as ascending coefficients,
-    keyed by the mask of S with bit m-1-j for cotree edge j.  The greedy
-    descent reads its conditional sums as prefix sums of this table
-    (`orientation._prefix_sum`).
+Gain = tuple[int, int]
 
-    The sets S are walked in Gray-code order, so that the cycle-space element
-    E of S changes by one fundamental cycle per step.  E is an even
-    subgraph, so it is 2-regular exactly when it has as many edges as it
-    touches vertices; then D is E's cycles.  Each cycle is walked once to
-    count its arcs a and the arcs it crosses against their direction b: the
-    entries multiply to prod s_j i^a (-1)^b, whose real part is 0 for odd a
-    and (-1)^(a/2 + b) prod s_j for even a.
+
+class GainTable:
+    """Sachs' cycle expansion of one graph, keyed by cycle gains.
+
+    Fix a spanning tree T0 with cotree edges j = (u_j, v_j) and their
+    fundamental cycles F_j, each walked u_j -> v_j and back along T0.  Any
+    mixed graph on the same edges gives F_j a gain i^(g_j); the vector
+    g in Z4^m (a `Gain`) determines the charpoly.  A cycle C that crosses
+    cotree edge j forwards (eps_j = 1) or backwards (eps_j = -1) is the
+    chain sum_j eps_j F_j, so its gain is i^(eps . g).  The table stores,
+    for each 2-regular element D of the cycle space, its vertex set, for
+    the term mu(G - V(D)), and the eps-vector of each of its cycles; D's key
+    is its cotree support S, bit m-1-j for cotree edge j.
+
+    A Gain is bit-sliced with the same bit order: (parity, carry) masks with
+    g_j = parity_j + 2 carry_j.  Adding 2b to g flips carry by b and leaves
+    the parity, so with g = pi + 2b,
+
+        phi(g) = sum_S c_S(pi) (-1)^|S & b|,
+        c_S(pi) = mu(G - V(D)) prod_{C in D} -2 Re i^(eps_C . pi),
+
+    and one Walsh-Hadamard transform of the fold c(pi) gives all 2^m
+    charpolys of the coset pi (`coset`).  Charpolys are packed into one
+    integer each, base 2^width with signed digits; the width holds every
+    partial sum of every fold, so packed integers of one table are equal
+    exactly when their charpolys are (`unpack`).
     """
-    m = len(cotree)
-    g = Graph.of(n, [*tree_edges, *cotree])
-    # edge bit m-1-j is cotree edge j, bit m+i is tree edge i: (tail, head, arc)
-    edges = [(u, v, True) for (u, v) in reversed(cotree)]
-    edges += [(u, v, tree_arcs) for (u, v) in tree_edges]
-    star = [0] * n
-    for bit, (u, v, _) in enumerate(edges):
-        star[u] |= 1 << bit
-        star[v] |= 1 << bit
-    # root the tree at 0: the path to the root of each vertex, as an edge mask
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bit, (u, v) in enumerate(tree_edges, start=m):
-        tree_adj[u].append((v, bit))
-        tree_adj[v].append((u, bit))
-    up = [0] * n
-    frontier = [0] if n else []
-    reached = set(frontier)
-    for u in frontier:
-        for v, bit in tree_adj[u]:
-            if v not in reached:
-                reached.add(v)
-                up[v] = up[u] | 1 << bit
-                frontier.append(v)
-    spanning = len(reached) == n and len(tree_edges) == max(n - 1, 0)
-    if not spanning or len(g.edges) != len(tree_edges) + m:
-        raise ValueError("tree_edges must be a spanning tree and cotree the other edges")
-    fundamental = [1 << bit | up[u] ^ up[v] for bit, (u, v, _) in enumerate(edges[:m])]
-    mu = induced_matching_polynomials(g)
-    everyone = (1 << n) - 1
-    terms = {0: list(mu(everyone))}
-    element = 0
-    for k in range(1, 1 << m):
-        flip = (k & -k).bit_length() - 1
-        element ^= fundamental[flip]
-        if element.bit_count() != sum(1 for at in star if element & at):
-            continue
-        factor, covered, rest = 1, 0, element
-        while rest and factor:
-            first = rest & -rest
-            rest ^= first
-            start, here, arcs = edges[first.bit_length() - 1]
-            against = 0
-            covered |= 1 << start
-            while here != start:
-                covered |= 1 << here
-                step = rest & star[here]
-                rest ^= step
-                u, v, arc = edges[step.bit_length() - 1]
-                arcs += arc
-                against += arc and u != here
-                here = v if u == here else u
-            factor = 0 if arcs % 2 else -2 * factor * (-1) ** (arcs // 2 + against)
-        if factor:
-            terms[k ^ (k >> 1)] = [factor * c for c in mu(everyone ^ covered)]
-    return terms
+
+    def __init__(self, n: int, tree_edges: Iterable[Edge], cotree: Sequence[Edge]) -> None:
+        tree_edges = tuple(tree_edges)
+        m = self.m = len(cotree)
+        g = Graph.of(n, [*tree_edges, *cotree])
+        # edge bit m-1-j is cotree edge j, bit m+i is tree edge i
+        edges = [*reversed(cotree), *tree_edges]
+        star = [0] * n
+        for bit, (u, v) in enumerate(edges):
+            star[u] |= 1 << bit
+            star[v] |= 1 << bit
+        # root the tree at 0: the path to the root of each vertex, as an edge
+        # mask, and the endpoint of each tree edge away from the root
+        tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for bit, (u, v) in enumerate(tree_edges, start=m):
+            tree_adj[u].append((v, bit))
+            tree_adj[v].append((u, bit))
+        up = [0] * n
+        child: dict[int, int] = {}
+        frontier = [0] if n else []
+        reached = set(frontier)
+        for u in frontier:
+            for v, bit in tree_adj[u]:
+                if v not in reached:
+                    reached.add(v)
+                    up[v] = up[u] | 1 << bit
+                    child[bit] = v
+                    frontier.append(v)
+        spanning = len(reached) == n and len(tree_edges) == max(n - 1, 0)
+        if not spanning or len(g.edges) != len(tree_edges) + m:
+            raise ValueError("tree_edges must be a spanning tree and cotree the other edges")
+        fundamental = [1 << bit | up[u] ^ up[v] for bit, (u, v) in enumerate(edges[:m])]
+
+        # the gain of the single arc u -> v: cotree edge j adds 1 to g_j; a
+        # tree edge p -> c (c below p) adds 1 to each F_j through it that
+        # starts below c and -1 to each that ends below c
+        columns: dict[tuple[int, int], Gain] = {}
+        for bit, (u, v) in enumerate(edges):
+            if bit < m:
+                parity, carry = 1 << bit, 0
+            else:
+                parity = carry = 0
+                for j, (_, end) in enumerate(edges[:m]):
+                    if fundamental[j] >> bit & 1:
+                        parity |= 1 << j
+                        if up[end] >> bit & 1:
+                            carry |= 1 << j
+                if child[bit] == u:  # listed as c -> p
+                    carry ^= parity
+            columns[(u, v)] = (parity, carry)
+            columns[(v, u)] = (parity, carry ^ parity)
+        self._columns = columns
+
+        # Walk the 2^m cotree sets in Gray-code order, so that the element
+        # changes by one fundamental cycle per step.  It is an even subgraph,
+        # so it is 2-regular exactly when no vertex has degree 4 or more;
+        # only the vertices of the flipped cycle change degree, and the
+        # shortest cycles take the Gray code's most frequent flips.
+        touched = [[(v, at) for v, at in enumerate(star) if f & at] for f in fundamental]
+        order = sorted(range(m), key=lambda bit: len(touched[bit]))
+        heavy = [False] * n
+        crowded = 0
+        # per 2-regular element: its key S, its vertex mask and one integer
+        # per cycle, forward crossings | backward crossings << m
+        keys, covers, cycle_sets = [0], [0], [()]
+        element = key = 0
+        for k in range(1, 1 << m):
+            bit = order[(k & -k).bit_length() - 1]
+            element ^= fundamental[bit]
+            key ^= 1 << bit
+            for v, at in touched[bit]:
+                now = (element & at).bit_count() > 2
+                crowded += now - heavy[v]
+                heavy[v] = now
+            if crowded:
+                continue
+            cycles = []
+            covered, rest = 0, element
+            while rest:
+                first = rest & -rest
+                rest ^= first
+                start, here = edges[first.bit_length() - 1]
+                crossings = first
+                covered |= 1 << start
+                while here != start:
+                    covered |= 1 << here
+                    step = rest & star[here]
+                    rest ^= step
+                    u, v = edges[step.bit_length() - 1]
+                    if step >> m == 0:
+                        crossings |= step if u == here else step << m
+                    here = v if u == here else u
+                cycles.append(crossings)
+            keys.append(key)
+            covers.append(covered)
+            cycle_sets.append(tuple(cycles))
+
+        # |c_S| is at most 2^c(D) |mu(G - V(D))|_1, and |mu(H)|_1 counts the
+        # matchings of H, which are matchings of G: no partial sum of a fold
+        # exceeds bound in any coefficient
+        self._mu = induced_matching_polynomials(g)
+        self._everyone = (1 << n) - 1
+        bound = sum(map(abs, self._mu(self._everyone))) * sum(1 << len(cycles) for cycles in cycle_sets)
+        width = self._width = bound.bit_length() + 1
+        self._terms = (keys, covers, cycle_sets)
+        self._packed_mu: dict[int, int] = {}
+        digit = (1 << width) - 1
+        self._shifts = range(0, width * (n + 1), width)
+        self._half = digit >> 1
+        self._bias = sum(self._half << shift for shift in self._shifts)
+
+    def gain(self, arcs: Iterable[tuple[int, int]]) -> Gain:
+        """The gain of the mixed graph with the given arcs, other edges
+        undirected: the Z4 sum of the gains of its single arcs."""
+        parity = carry = 0
+        for arc in arcs:
+            p, c = self._columns[arc]
+            carry ^= c ^ (parity & p)
+            parity ^= p
+        return parity, carry
+
+    def fold(self, parity: int) -> dict[int, int]:
+        """The nonzero c_S(parity), packed, keyed by S."""
+        backward = parity << self.m
+        out = {}
+        for key, covered, cycles in zip(*self._terms):
+            factor = 1
+            for crossings in cycles:
+                turn = (crossings & parity).bit_count() - (crossings & backward).bit_count()
+                if turn & 1:
+                    break
+                factor *= 2 if turn & 2 else -2
+            else:
+                out[key] = factor * self._packed_term(covered)
+        return out
+
+    def _packed_term(self, covered: int) -> int:
+        """mu(G - V(D)) for the vertex mask V(D), packed; each mask is
+        packed once, when a fold first needs it."""
+        packed = self._packed_mu.get(covered)
+        if packed is None:
+            packed = 0
+            for c in reversed(self._mu(self._everyone ^ covered)):
+                packed = (packed << self._width) + c
+            self._packed_mu[covered] = packed
+        return packed
+
+    def coset(self, parity: int) -> list[int]:
+        """Packed phi(parity + 2b) at index b, for every b."""
+        table = [0] * (1 << self.m)
+        for key, packed in self.fold(parity).items():
+            table[key] = packed
+        # Walsh-Hadamard transform in constant geometry: pairing i with
+        # i + 2^(m-1) and writing the sum and difference to 2i and 2i + 1
+        # rotates the index bits, so m passes treat every bit once and end
+        # in order.
+        middle = len(table) >> 1
+        for _ in range(self.m):
+            low, high = table[:middle], table[middle:]
+            table[0::2] = map(operator.add, low, high)
+            table[1::2] = map(operator.sub, low, high)
+        return table
+
+    def value(self, gain: Gain) -> int:
+        """Packed phi(gain), summed straight from the fold."""
+        parity, carry = gain
+        return sum(-c if (key & carry).bit_count() & 1 else c for key, c in self.fold(parity).items())
+
+    def sweep(self, arcs: Sequence[tuple[int, int]], signed: Sequence[Edge], half: bool = False) -> list[int]:
+        """Packed charpolys of the mixed graphs with the given arcs, edge k
+        of signed directed u -> v for s_k = +1 and v -> u for -1, and the
+        other edges undirected, over `sign_vectors(len(signed))` in order,
+        or over its first half (`converse_halves`).
+
+        Reversing edge k adds twice its column, which flips the carry by
+        the column's parity; every vector lies in the coset of the all-+1
+        gain.  The parities of the columns of signed edges are independent
+        whenever those edges are the cotree of some spanning tree, and then
+        the sweep visits each element of the coset once.
+        """
+        parity, carry = self.gain([*arcs, *signed])
+        flips = [self._columns[e][0] for e in signed]
+        for p in flips:
+            carry ^= p  # every sign -1
+        indices = [carry]
+        for p in reversed(flips[1:] if half else flips):
+            indices += [b ^ p for b in indices]
+        coset = self.coset(parity)
+        return [coset[b] for b in indices]
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        """The ascending coefficients of a packed charpoly of this table."""
+        packed += self._bias
+        digit, half = (self._half << 1) | 1, self._half
+        return tuple([((packed >> shift) & digit) - half for shift in self._shifts])
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +562,14 @@ class RankOneWitness:
     a_j = e_{u_j} + i e_{v_j} for sign +1 or b_j = e_{u_j} - i e_{v_j} for
     sign -1, the sum J_T + sum_j w_j w_j^* equals D - H exactly, where D is
     the degree diagonal.  Additionally Delta*I - D + J_T must be positive
-    semidefinite, certified by nonnegative leading principal minors.
+    semidefinite, certified by weak diagonal dominance: every row's
+    dominance margin (`_dominance_margins`) is nonnegative.
     """
 
     holds: bool
     first_mismatch: tuple[int, int] | None
     psd_ok: bool
-    leading_minors: tuple[int, ...]
+    dominance_margins: tuple[int, ...]
     max_degree: int
 
     @property
@@ -439,30 +577,15 @@ class RankOneWitness:
         return self.holds and self.psd_ok
 
 
-def _int_det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def _dominance_margins(rows: list[list[int]]) -> tuple[int, ...]:
+    """a_vv - sum_{u != v} |a_vu| for each row v of a symmetric matrix.
+
+    When every margin is nonnegative, so is the diagonal, and every
+    Gershgorin disc lies in [0, inf): the matrix is positive semidefinite.
+    """
+    return tuple(
+        row[v] - sum(abs(a) for u, a in enumerate(row) if u != v) for v, row in enumerate(rows)
+    )
 
 
 def rank_one_witness(g: Graph, t: SpanningTree, s: SignVector) -> RankOneWitness:
@@ -503,15 +626,12 @@ def rank_one_witness(g: Graph, t: SpanningTree, s: SignVector) -> RankOneWitness
         m[v][v] += 1
         m[u][v] -= 1
         m[v][u] -= 1
-    minors = tuple(
-        _int_det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)
-    )
-    psd_ok = all(val >= 0 for val in minors)
+    margins = _dominance_margins(m)
     return RankOneWitness(
         holds=mismatch is None,
         first_mismatch=mismatch,
-        psd_ok=psd_ok,
-        leading_minors=minors,
+        psd_ok=all(margin >= 0 for margin in margins),
+        dominance_margins=margins,
         max_degree=delta,
     )
 

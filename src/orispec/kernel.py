@@ -8,8 +8,8 @@ validate the flat shape once per call; the recurrence trusts it.
 The kernel serves single matrices (`hermitian.charpoly`) and the brute
 sum over the completions of a sign prefix
 (`orientation.conditional_sum_charpoly`), the reference for the conditional
-sums; sign sweeps and the greedy descent take their charpolys from the
-cycle-expansion table instead.
+sums; sign sweeps, every tier of `explore` and the greedy descent take
+their charpolys from the gain table (`hermitian.GainTable`) instead.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ which keeps every quantity an integer polynomial: the full sum equals
 children, and the leaves are honest characteristic polynomials.
 
 Production computes every conditional sum through one route, a prefix sum
-of the cycle-expansion table that also serves the sign sweeps
-(`hermitian.cycle_expansion`, see `conditional_sum_fast`); no matrix is
+of the fold of the gain table that also serves the sign sweeps
+(`hermitian.GainTable`, see `conditional_sum_fast`); no matrix is
 formed.  The brute enumeration of completions, `conditional_sum_charpoly`,
 is kept as the reference the tests compare against, and the expectation
 is checked by an independent expansion over matchings
@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from . import kernel
 from .errors import ComputationDefect, GuardLimit
 from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, converse_halves, cotree_edges
-from .hermitian import charpoly_of_mixed, cycle_expansion, sign_sweep_charpolys
+from .hermitian import GainTable, charpoly_of_mixed, sign_sweep_charpolys
 from .matching import induced_matching_polynomials, matching_radius
 from .polynomials import (
     AlgebraicRoot,
@@ -111,9 +111,16 @@ def _matchings(edges: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
         yield (head,) + m
 
 
-def _prefix_sum(terms: dict[int, list[int]], m: int, prefix: tuple[int, ...]) -> IntPoly:
-    """The conditional sum at a sign prefix, from the table c_S of
-    `cycle_expansion` (keys: bit m-1-j for cotree edge j).
+def _partial_terms(table: GainTable) -> dict[int, int]:
+    """The packed c_S of the partial orientations over the table's own tree:
+    every cotree edge directed forwards gives every fundamental cycle gain i,
+    so their coset has parity 1...1."""
+    return table.fold((1 << table.m) - 1)
+
+
+def _prefix_sum(table: GainTable, terms: dict[int, int], prefix: tuple[int, ...]) -> IntPoly:
+    """The conditional sum at a sign prefix, from the packed c_S of
+    `_partial_terms` (keys: bit m-1-j for cotree edge j).
 
     phi(H_s) = sum_S c_S prod_{j in S} s_j, and summing over the free signs
     cancels every S that holds a free edge, so with k edges resolved
@@ -122,23 +129,21 @@ def _prefix_sum(terms: dict[int, list[int]], m: int, prefix: tuple[int, ...]) ->
 
     where minus is the set of resolved edges signed -1.
     """
-    k = len(prefix)
+    m, k = table.m, len(prefix)
     free = (1 << (m - k)) - 1
     minus = 0
     for s in prefix:
         minus = 2 * minus + (s == -1)
     minus <<= m - k
-    total = [0] * len(terms[0])
-    for mask, coeffs in terms.items():
+    total = 0
+    for mask, c in terms.items():
         if mask & free:
             continue
         if (mask & minus).bit_count() & 1:
-            for i, c in enumerate(coeffs):
-                total[i] -= c
+            total -= c
         else:
-            for i, c in enumerate(coeffs):
-                total[i] += c
-    return IntPoly(total) * (1 << (m - k))
+            total += c
+    return IntPoly(table.unpack(total)) * (1 << (m - k))
 
 
 def conditional_sum_fast(
@@ -156,7 +161,8 @@ def conditional_sum_fast(
     m = len(co)
     _check_sum_guard(m, guard, _TABLE_WALK)
     p = _check_prefix(prefix, m)
-    return _prefix_sum(cycle_expansion(g.n, t.tree_edges, co, False), m, p)
+    table = GainTable(g.n, t.tree_edges, co)
+    return _prefix_sum(table, _partial_terms(table), p)
 
 
 def expected_charpoly(g: Graph, t: SpanningTree, guard: bool = True) -> IntPoly:
@@ -230,7 +236,7 @@ def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> Orienta
     """Descend the sign-assignment tree, always toward the child whose
     largest root is smaller (ties resolved to +1), and certify the result.
 
-    Conditional sums are prefix sums of one cycle-expansion table built for
+    Conditional sums are prefix sums of one gain table built for
     this call (`_prefix_sum`).  Under guards m <= CONDITIONAL_SUM_GUARD_M.
     """
     g.require_connected()
@@ -238,12 +244,13 @@ def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> Orienta
     m = len(co)
     _check_sum_guard(m, guard, _TABLE_WALK)
 
-    terms = cycle_expansion(g.n, t.tree_edges, co, False)
+    table = GainTable(g.n, t.tree_edges, co)
+    terms = _partial_terms(table)
     prefix: list[int] = []
-    current = _prefix_sum(terms, m, ())
+    current = _prefix_sum(table, terms, ())
     levels: list[LevelChoice] = []
     for k in range(m):
-        plus = _prefix_sum(terms, m, (*prefix, 1))
+        plus = _prefix_sum(table, terms, (*prefix, 1))
         minus = current - plus  # each node is the sum of its two children
         root_plus = isolate_largest_root(plus)
         root_minus = isolate_largest_root(minus)

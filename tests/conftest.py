@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from orispec import Graph, cli, explore, generate_corpus, hermitian, kernel, orientation, tree_from_edges
+from orispec import Graph, cli, generate_corpus, hermitian, kernel, orientation, tree_from_edges
 
 # Worked example 1: K4 minus one edge plus nothing -- the 4-vertex graph
 # with edges {01, 12, 23, 03, 13}; its two named spanning trees.
@@ -79,6 +81,34 @@ def sweep_charpolys(monkeypatch):
             degrees.append(len(poly) - 1)
             yield poly
 
-    for module in (cli, explore, orientation):
+    for module in (cli, orientation):
         monkeypatch.setattr(module, "sign_sweep_charpolys", recording)
     return degrees
+
+
+@pytest.fixture
+def gain_tables(monkeypatch):
+    """Every `hermitian.GainTable` built (its cotree size m), every coset it
+    transforms (its parity) and every sweep read from it (whether it has
+    fixed arcs, and its length), in call order."""
+    record = SimpleNamespace(built=[], cosets=[], sweeps=[])
+    table = hermitian.GainTable
+    init, coset, sweep = table.__init__, table.coset, table.sweep
+
+    def counting_init(self, n, tree_edges, cotree):
+        init(self, n, tree_edges, cotree)
+        record.built.append(self.m)
+
+    def counting_coset(self, parity):
+        record.cosets.append(parity)
+        return coset(self, parity)
+
+    def counting_sweep(self, arcs, signed, half=False):
+        out = sweep(self, arcs, signed, half)
+        record.sweeps.append((bool(arcs), len(out)))
+        return out
+
+    monkeypatch.setattr(table, "__init__", counting_init)
+    monkeypatch.setattr(table, "coset", counting_coset)
+    monkeypatch.setattr(table, "sweep", counting_sweep)
+    return record

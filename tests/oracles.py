@@ -13,6 +13,7 @@ from fractions import Fraction
 from orispec import kernel
 from orispec.explore import GuoMoharReport, _radius
 from orispec.graphs import (
+    Graph,
     MixedGraph,
     SignVector,
     bfs_spanning_tree,
@@ -22,6 +23,7 @@ from orispec.graphs import (
     sign_vectors,
 )
 from orispec.hermitian import charpoly_of_mixed
+from orispec.matching import induced_matching_polynomials
 from orispec.orientation import AuditReport, conditional_sum_charpoly
 from orispec.polynomials import (
     AlgebraicRoot,
@@ -441,6 +443,91 @@ def sign_sweep_charpolys_by_kernel(n, tree_edges, cotree, sign_seq, tree_arcs=Fa
         yield tuple(kernel.charpoly_flat(re, im, n))
 
 
+def cycle_expansion_per_tree(n, tree_edges, cotree, tree_arcs=False):
+    """The nonzero c_S of phi(H_s) = sum_S c_S prod_{j in S} s_j over one
+    (tree, cotree) pair, as ascending coefficients keyed by the mask of S
+    (bit m-1-j for cotree edge j), built for that tree alone.
+
+    The sets S are walked in Gray-code order, so that the cycle-space element
+    E of S changes by one fundamental cycle per step.  E is an even
+    subgraph, so it is 2-regular exactly when it has as many edges as it
+    touches vertices, counted over all n vertices; then D is E's cycles.
+    Each cycle is walked once to count its arcs a and the arcs it crosses
+    against their direction b: the entries multiply to prod s_j i^a (-1)^b,
+    whose real part is 0 for odd a and (-1)^(a/2 + b) prod s_j for even a.
+    """
+    tree_edges = tuple(tree_edges)
+    m = len(cotree)
+    g = Graph.of(n, [*tree_edges, *cotree])
+    # edge bit m-1-j is cotree edge j, bit m+i is tree edge i: (tail, head, arc)
+    edges = [(u, v, True) for (u, v) in reversed(cotree)]
+    edges += [(u, v, tree_arcs) for (u, v) in tree_edges]
+    star = [0] * n
+    for bit, (u, v, _) in enumerate(edges):
+        star[u] |= 1 << bit
+        star[v] |= 1 << bit
+    tree_adj = [[] for _ in range(n)]
+    for bit, (u, v) in enumerate(tree_edges, start=m):
+        tree_adj[u].append((v, bit))
+        tree_adj[v].append((u, bit))
+    up = [0] * n
+    frontier = [0] if n else []
+    reached = set(frontier)
+    for u in frontier:
+        for v, bit in tree_adj[u]:
+            if v not in reached:
+                reached.add(v)
+                up[v] = up[u] | 1 << bit
+                frontier.append(v)
+    assert len(reached) == n and len(g.edges) == len(tree_edges) + m
+    fundamental = [1 << bit | up[u] ^ up[v] for bit, (u, v, _) in enumerate(edges[:m])]
+    mu = induced_matching_polynomials(g)
+    everyone = (1 << n) - 1
+    terms = {0: list(mu(everyone))}
+    element = 0
+    for k in range(1, 1 << m):
+        flip = (k & -k).bit_length() - 1
+        element ^= fundamental[flip]
+        if element.bit_count() != sum(1 for at in star if element & at):
+            continue
+        factor, covered, rest = 1, 0, element
+        while rest and factor:
+            first = rest & -rest
+            rest ^= first
+            start, here, arcs = edges[first.bit_length() - 1]
+            against = 0
+            covered |= 1 << start
+            while here != start:
+                covered |= 1 << here
+                step = rest & star[here]
+                rest ^= step
+                u, v, arc = edges[step.bit_length() - 1]
+                arcs += arc
+                against += arc and u != here
+                here = v if u == here else u
+            factor = 0 if arcs % 2 else -2 * factor * (-1) ** (arcs // 2 + against)
+        if factor:
+            terms[k ^ (k >> 1)] = [factor * c for c in mu(everyone ^ covered)]
+    return terms
+
+
+def sign_sweep_by_tree_table(n, tree_edges, cotree, sign_seq, tree_arcs=False):
+    """`sign_sweep_charpolys` from the table of `cycle_expansion_per_tree`,
+    summed term by term for each sign vector (no transform)."""
+    m = len(cotree)
+    terms = cycle_expansion_per_tree(n, tree_edges, cotree, tree_arcs)
+    for signs in sign_seq:
+        minus = 0
+        for s in signs:
+            minus = 2 * minus + (s == -1)
+        total = [0] * (n + 1)
+        for mask, coeffs in terms.items():
+            sign = -1 if (mask & minus).bit_count() & 1 else 1
+            for i, c in enumerate(coeffs):
+                total[i] += sign * c
+        yield tuple(total)
+
+
 def audit_interlacing_family_unreduced(g, t) -> AuditReport:
     """The interlacing-family audit over all 2^m leaves, each node isolated
     and each internal node checked on its own, in (level, index) order."""
@@ -528,6 +615,22 @@ def min_rho_partial_unreduced(g):
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
     root, (t, sv) = radius_min_unpruned(candidates, {})
     return root, t, sv, candidates
+
+
+def min_rho_all_mixed_by_kernel(g):
+    """The minimum spectral radius over all 3^|E| mixed graphs on g, one
+    kernel charpoly per state in `itertools.product` order (undirected,
+    forwards, backwards per edge); each distinct charpoly keeps its first
+    state's mixed graph as witness.  Returns (root, witness)."""
+    edges = g.edge_list
+    seen = {}
+    for states in itertools.product((0, 1, 2), repeat=len(edges)):
+        directions = {e: None if st == 0 else (e if st == 1 else (e[1], e[0])) for e, st in zip(edges, states)}
+        d = MixedGraph.of(g, directions)
+        poly = charpoly_of_mixed(d)
+        if poly not in seen:
+            seen[poly] = d
+    return radius_min_unpruned(list(seen.items()), {})
 
 
 def guo_mohar_sweep_unreduced(g) -> GuoMoharReport:

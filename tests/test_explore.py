@@ -31,9 +31,12 @@ from orispec.graphs import (
     cotree_edges,
     encode_graph6,
     enumerate_spanning_trees,
+    converse_halves,
+    norm_edge,
+    parse_graph6,
     sign_vectors,
 )
-from orispec.hermitian import charpoly_of_mixed, hermitian_adjacency, spectral_radius, spectral_radius_of_charpoly
+from orispec.hermitian import GainTable, charpoly_of_mixed, hermitian_adjacency, spectral_radius, spectral_radius_of_charpoly
 from orispec.polynomials import AlgebraicRoot, IntPoly, Order, compare_roots, isolate_largest_root
 
 
@@ -239,6 +242,17 @@ class TestMinRhoPartial:
         with pytest.raises(GuardLimit):
             min_rho_partial(g)
 
+    def test_one_sweep_per_coset(self, corpus5, gain_tables):
+        # K4 minus an edge: 8 trees in 3 orbits, whose parities in the BFS
+        # tree's basis take 2 values, so 2 * 2^1 charpolys; over corpus <= 5
+        # the coset skip leaves 69 of the 105 orbit trees
+        min_rho_partial(parse_graph6("C}"))
+        assert gain_tables.sweeps == [(False, 2)] * 2
+        gain_tables.sweeps.clear()
+        for g in corpus5:
+            min_rho_partial(g)
+        assert len(gain_tables.sweeps) == 69
+
     @pytest.fixture
     def compared(self, monkeypatch):
         """The candidate lists min_rho_partial hands to `_radius_min`."""
@@ -284,10 +298,13 @@ class TestMinRhoPartial:
                 d_neg = build_mixed(g, t, SignVector(co, negated))
                 assert charpoly_of_mixed(d) == charpoly_of_mixed(d_neg)
 
-    def test_one_charpoly_per_tree_orbit_and_converse_pair(self, kernel_calls, sweep_charpolys):
-        # K5: 125 trees in 3 orbits, m = 6, so 3 * 2^5 charpolys instead of 125 * 2^6
+    def test_one_charpoly_per_tree_orbit_and_converse_pair(self, kernel_calls, gain_tables):
+        # K5: 125 trees in 3 orbits, whose cosets differ, m = 6, so one
+        # table and 3 * 2^5 charpolys instead of 125 * 2^6
         min_rho_partial(complete_graph(5))
-        assert len(sweep_charpolys) == 3 * 2 ** 5
+        assert gain_tables.built == [6]
+        assert gain_tables.sweeps == [(False, 2**5)] * 3
+        assert len(set(gain_tables.cosets)) == len(gain_tables.cosets) == 3
         assert kernel_calls == []
 
 
@@ -297,10 +314,94 @@ class TestMinRhoAllMixed:
         assert compare_roots(root, isolate_largest_root(IntPoly([-2, 0, 1]))) is Order.EQ
         assert witness.graph == c4
 
+    @staticmethod
+    def assert_matches_kernel_loop(g, guard=True):
+        root, witness = min_rho_all_mixed(g, guard=guard)
+        ref_root, ref_witness = oracles.min_rho_all_mixed_by_kernel(g)
+        assert root.to_json() == ref_root.to_json(), encode_graph6(g)
+        assert witness == ref_witness, encode_graph6(g)
+
+    def test_matches_kernel_loop(self, corpus5, kernel_calls):
+        for g in corpus5:
+            if g.n <= 4:
+                kernel_calls.clear()
+                min_rho_all_mixed(g)
+                assert kernel_calls == []
+                self.assert_matches_kernel_loop(g)
+
+    def test_matches_kernel_loop_n5_unguarded(self, corpus5):
+        # the n = 5 graphs with at most 6 edges: 3^6 states at most
+        sparse = [g for g in corpus5 if g.n == 5 and len(g.edges) <= 6]
+        assert len(sparse) == 13
+        for g in sparse:
+            self.assert_matches_kernel_loop(g, guard=False)
+
     def test_guard(self, corpus5):
         big = next(g for g in corpus5 if g.n == 5)
         with pytest.raises(GuardLimit):
             min_rho_all_mixed(big)
+
+
+class TestGainTable:
+    """One table over the BFS tree serves every tier: against the per-tree
+    tables it replaced and against the kernel."""
+
+    @staticmethod
+    def assert_cosets_match_per_tree_tables(g):
+        # the partial search's loop, every tree checked: a visited tree's
+        # converse half equals its own table's, and a skipped tree (orbit
+        # or coset) brings no charpoly the visited trees have not shown
+        _, _, table = explore._bfs_table(g)
+        auts = automorphisms(g)
+        covered, cosets, shown = set(), set(), set()
+        for t in enumerate_spanning_trees(g):
+            co = cotree_edges(g, t)
+            want = list(oracles.sign_sweep_by_tree_table(g.n, t.tree_edges, co, converse_halves(len(co))))
+            parity = table.gain(co)[0]
+            if t.tree_edges in covered or parity in cosets:
+                assert set(want) <= shown, (encode_graph6(g), sorted(t.tree_edges))
+                continue
+            covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
+            cosets.add(parity)
+            got = [table.unpack(p) for p in table.sweep((), co, half=True)]
+            assert got == want, (encode_graph6(g), sorted(t.tree_edges))
+            shown.update(got)
+
+    def test_cosets_match_per_tree_tables(self, corpus5):
+        for g in corpus5:
+            self.assert_cosets_match_per_tree_tables(g)
+
+    def test_cosets_match_per_tree_tables_n6(self, corpus6):
+        for g in small_n6(corpus6):
+            self.assert_cosets_match_per_tree_tables(g)
+
+    def test_every_tree_sweep_matches_its_own_table(self, corpus5):
+        # partial and complete sweeps over any tree T from the table over T0
+        for g in corpus5:
+            _, _, table = explore._bfs_table(g)
+            for t in enumerate_spanning_trees(g):
+                co = cotree_edges(g, t)
+                arcs = sorted(t.tree_edges)
+                for fixed, tree_arcs in (((), False), (arcs, True)):
+                    got = [table.unpack(p) for p in table.sweep(fixed, co)]
+                    want = oracles.sign_sweep_by_tree_table(g.n, t.tree_edges, co, sign_vectors(len(co)), tree_arcs)
+                    assert got == list(want), (encode_graph6(g), sorted(t.tree_edges), tree_arcs)
+
+    def test_random_mixed_graphs_match_the_kernel(self, corpus6, kernel_calls):
+        # each edge undirected or either arc, over a random spanning tree T0
+        rng = random.Random(97)
+        graphs = [g for g in corpus6 if g.n >= 3]
+        for _ in range(400):
+            g = rng.choice(graphs)
+            t = rng.choice(enumerate_spanning_trees(g))
+            table = GainTable(g.n, t.tree_edges, cotree_edges(g, t))
+            directions = {e: rng.choice((None, e, (e[1], e[0]))) for e in g.edge_list}
+            d = MixedGraph.of(g, directions)
+            kernel_calls.clear()
+            gain = table.gain(d.arcs())
+            assert table.unpack(table.value(gain)) == table.unpack(table.coset(gain[0])[gain[1]])
+            assert kernel_calls == []
+            assert table.unpack(table.value(gain)) == charpoly_of_mixed(d).coeffs, (encode_graph6(g), d.arcs())
 
 
 SQRT2 = IntPoly((-2, 0, 1))
@@ -550,28 +651,23 @@ class TestRecordSharing:
         for g in corpus5:
             assert explore_record(g) == separate_record(g), encode_graph6(g)
 
-    def test_one_complete_sweep_per_record(self, corpus5, monkeypatch, kernel_calls, sweep_charpolys):
-        sweeps = []
-        sweep = explore.sign_sweep_charpolys
-
-        def recording_sweep(*args, **kwargs):
-            sweeps.append(kwargs.get("tree_arcs", False))
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(explore, "sign_sweep_charpolys", recording_sweep)
+    def test_one_gain_table_per_record(self, corpus5, kernel_calls, gain_tables):
+        # the public searches build a table each and sweep the complete
+        # orientations twice; the record builds one table and sweeps them
+        # once, and neither calls the kernel
         for g in corpus5[-6:]:
             m = len(cotree_edges(g, bfs_spanning_tree(g, 0)))
-            sweeps.clear()
-            kernel_calls.clear()
-            sweep_charpolys.clear()
+            gain_tables.built.clear()
+            gain_tables.sweeps.clear()
             min_rho_complete(g)
             min_rho_partial(g)
             guo_mohar_sweep(g)
-            separate = len(kernel_calls) + len(sweep_charpolys)
-            assert sweeps.count(True) == 2
-            sweeps.clear()
-            kernel_calls.clear()
-            sweep_charpolys.clear()
+            assert gain_tables.built == [m] * 3
+            assert gain_tables.sweeps.count((True, 2**m)) == 2
+            assert kernel_calls == []
+            gain_tables.built.clear()
+            gain_tables.sweeps.clear()
             explore_record(g)
-            assert sweeps.count(True) == 1
-            assert len(kernel_calls) + len(sweep_charpolys) == separate - 2**m
+            assert gain_tables.built == [m]
+            assert gain_tables.sweeps.count((True, 2**m)) == 1
+            assert kernel_calls == []

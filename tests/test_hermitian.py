@@ -484,7 +484,21 @@ class TestRankOneIdentity:
         assert w.holds and w.psd_ok and w.ok
         assert w.first_mismatch is None
         assert w.max_degree == 2
-        assert all(m >= 0 for m in w.leading_minors)
+        # Delta*I - D + J_T: the path's ends have degree 1 in the tree
+        assert w.dominance_margins == (0, 0, 0, 0)
+
+    def test_psd_certificate_rejects_a_negative_diagonal(self):
+        # diag(0, -1) has nonnegative leading principal minors (0 and 0) but
+        # the eigenvalue -1; weak diagonal dominance rejects it
+        assert hermitian._dominance_margins([[0, 0], [0, -1]]) == (0, -1)
+        assert hermitian._dominance_margins([[1, -2], [-2, 1]]) == (-1, -1)
+        assert hermitian._dominance_margins([[2, -1], [-1, 1]]) == (1, 0)
+
+    def test_psd_certificate_accepts_every_tree_of_corpus5(self, corpus5):
+        for g in corpus5:
+            for t in enumerate_spanning_trees(g):
+                w = rank_one_witness(g, t, SignVector.for_tree(g, t, [1] * len(cotree_edges(g, t))))
+                assert w.psd_ok and w.ok, (encode_graph6(g), sorted(t.tree_edges))
 
     def test_random_corpus_triples(self, corpus5):
         rng = random.Random(43)

@@ -15,10 +15,11 @@ from orispec.graphs import (
     sign_vectors,
     tree_from_edges,
 )
-from orispec.hermitian import charpoly_of_mixed, cycle_expansion, sign_sweep_charpolys
+from orispec.hermitian import GainTable, charpoly_of_mixed, sign_sweep_charpolys
 from orispec.matching import matching_polynomial
 from orispec.orientation import (
     _family_levels,
+    _partial_terms,
     _prefix_sum,
     audit_interlacing_family,
     conditional_sum_charpoly,
@@ -109,11 +110,12 @@ class TestConditionalSums:
             t = bfs_spanning_tree(g, 0)
             co = cotree_edges(g, t)
             m = len(co)
-            terms = cycle_expansion(g.n, t.tree_edges, co, False)
+            table = GainTable(g.n, t.tree_edges, co)
+            terms = _partial_terms(table)
             stack = [()]
             while stack:
                 prefix = stack.pop()
-                got = _prefix_sum(terms, m, prefix)
+                got = _prefix_sum(table, terms, prefix)
                 assert got == conditional_sum_charpoly(g, t, prefix), (g.edges, prefix)
                 if len(prefix) < m:
                     stack += [(*prefix, -1), (*prefix, 1)]
