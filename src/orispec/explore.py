@@ -31,7 +31,7 @@ from .graphs import (
     sign_vectors,
 )
 from .hermitian import GainTable, spectral_radius_of_charpoly
-from .polynomials import PRINT_WIDTH, AlgebraicRoot, IntPoly, Order, compare_roots
+from .polynomials import PRINT_WIDTH, AlgebraicRoot, Gcds, IntPoly, Order, compare_roots
 
 CORPUS_GUARD_N = 7
 MIN_COMPLETE_GUARD_M = 20
@@ -261,12 +261,14 @@ def _root_beyond(p: IntPoly, h: Fraction) -> bool:
 
 
 def _radius_min(
-    candidates: "list[tuple[IntPoly, object]]", radii: dict[IntPoly, AlgebraicRoot]
+    candidates: "list[tuple[IntPoly, object]]", radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds | None
 ) -> tuple[AlgebraicRoot, object]:
     """Exact minimum of spectral radii over (charpoly, witness) pairs.
 
     Candidates must already be deduplicated by polynomial and listed in
     witness-preference order: on exact ties the earliest witness wins.
+    radii and gcds are the memos of the record (or the public search);
+    gcds=None compares without a gcd memo, to the same result.
 
     A candidate p is discarded before isolation when `_root_beyond(p, h)`
     holds for h = best.hi + eps, eps = `PRINT_WIDTH`, the width `to_json`
@@ -290,7 +292,7 @@ def _radius_min(
         if best_root is not None and _root_beyond(poly, best_root.hi + PRINT_WIDTH):
             continue
         root = _radius(poly, radii)
-        if best_root is None or compare_roots(root, best_root) is Order.LT:
+        if best_root is None or compare_roots(root, best_root, gcds=gcds) is Order.LT:
             best_root, best_witness = root, witness
     assert best_root is not None
     return best_root, best_witness
@@ -312,20 +314,23 @@ def _complete_sweep(t: SpanningTree, co: tuple[Edge, ...], table: GainTable) -> 
 
 
 def _min_rho_complete(
-    g: Graph, co: tuple[Edge, ...], sweep: list[int], table: GainTable, radii: dict[IntPoly, AlgebraicRoot]
+    g: Graph,
+    co: tuple[Edge, ...],
+    sweep: list[int],
+    table: GainTable,
+    radii: dict[IntPoly, AlgebraicRoot],
+    gcds: Gcds,
 ) -> tuple[AlgebraicRoot, SignVector]:
-    edge_order = g.edge_list
-    tree_positions = {e: idx for idx, e in enumerate(edge_order)}
-    seen: dict[int, SignVector] = {}
+    seen: dict[int, tuple[int, ...]] = {}  # the cotree signs of each first occurrence
     for signs, packed in zip(sign_vectors(len(co)), sweep):
-        if packed not in seen:
-            full = [1] * len(edge_order)
-            for j, s in enumerate(signs):
-                full[tree_positions[co[j]]] = s
-            seen[packed] = SignVector(edge_order, tuple(full))
-    candidates = [(IntPoly(table.unpack(p)), sv) for p, sv in seen.items()]
-    root, witness = _radius_min(candidates, radii)
-    return root, witness  # type: ignore[return-value]
+        seen.setdefault(packed, signs)
+    candidates = [(IntPoly(table.unpack(p)), signs) for p, signs in seen.items()]
+    root, signs = _radius_min(candidates, radii, gcds)
+    edge_order = g.edge_list
+    full = [1] * len(edge_order)
+    for e, s in zip(co, signs):  # type: ignore[call-overload]
+        full[edge_order.index(e)] = s
+    return root, SignVector(edge_order, tuple(full))
 
 
 def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignVector]:
@@ -342,12 +347,12 @@ def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignV
 
 
 def _min_rho_partial(
-    g: Graph, guard: bool, table: GainTable, radii: dict[IntPoly, AlgebraicRoot]
+    g: Graph, guard: bool, table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
 ) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
     auts = automorphisms(g)
     covered: set[frozenset[Edge]] = set()  # trees of the orbits visited so far
     cosets: set[int] = set()  # parities of the cosets visited so far
-    seen: dict[int, tuple[SpanningTree, SignVector]] = {}
+    seen: dict[int, tuple[SpanningTree, tuple[int, ...]]] = {}  # first (tree, signs)
     for t in enumerate_spanning_trees(g, guard=guard):
         if t.tree_edges in covered:
             continue
@@ -359,11 +364,11 @@ def _min_rho_partial(
         cosets.add(parity)
         for signs, packed in zip(converse_halves(len(co)), table.sweep((), co, half=True)):
             if packed not in seen:
-                seen[packed] = (t, SignVector(co, signs))
-    candidates = [(IntPoly(table.unpack(p)), tw) for p, tw in seen.items()]
-    root, witness = _radius_min(candidates, radii)
-    t, sv = witness  # type: ignore[misc]
-    return root, t, sv
+                seen[packed] = (t, signs)
+    candidates = [(IntPoly(table.unpack(p)), ts) for p, ts in seen.items()]
+    root, witness = _radius_min(candidates, radii, gcds)
+    t, signs = witness  # type: ignore[misc]
+    return root, t, SignVector(cotree_edges(g, t), signs)
 
 
 def min_rho_partial(
@@ -391,7 +396,7 @@ def min_rho_partial(
     g.require_connected()
     if guard:
         _partial_guard(g.n)
-    return _min_rho_partial(g, guard, _bfs_table(g)[2], {})
+    return _min_rho_partial(g, guard, _bfs_table(g)[2], {}, {})
 
 
 def _all_mixed_guard(n: int) -> None:
@@ -403,7 +408,7 @@ def _all_mixed_guard(n: int) -> None:
 
 
 def _min_rho_all_mixed(
-    g: Graph, table: GainTable, radii: dict[IntPoly, AlgebraicRoot]
+    g: Graph, table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
 ) -> tuple[AlgebraicRoot, MixedGraph]:
     edges = g.edge_list
     cosets: dict[int, list[int]] = {}
@@ -415,11 +420,9 @@ def _min_rho_all_mixed(
         if coset is None:
             coset = cosets[parity] = table.coset(parity)
         seen.setdefault(coset[carry], arcs)
-    candidates = [
-        (IntPoly(table.unpack(p)), MixedGraph.of(g, {norm_edge(*a): a for a in arcs})) for p, arcs in seen.items()
-    ]
-    root, witness = _radius_min(candidates, radii)
-    return root, witness  # type: ignore[return-value]
+    candidates = [(IntPoly(table.unpack(p)), arcs) for p, arcs in seen.items()]
+    root, arcs = _radius_min(candidates, radii, gcds)
+    return root, MixedGraph.of(g, {norm_edge(*a): a for a in arcs})  # type: ignore[union-attr]
 
 
 def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, MixedGraph]:
@@ -430,7 +433,7 @@ def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, Mixe
     g.require_connected()
     if guard:
         _all_mixed_guard(g.n)
-    return _min_rho_all_mixed(g, _bfs_table(g)[2], {})
+    return _min_rho_all_mixed(g, _bfs_table(g)[2], {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +453,9 @@ class GuoMoharReport:
         return not self.violations
 
 
-def _guo_mohar(complete: list[int], table: GainTable, radii: dict[IntPoly, AlgebraicRoot]) -> GuoMoharReport:
+def _guo_mohar(
+    complete: list[int], table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
+) -> GuoMoharReport:
     # rho(G) has every gain 1 (g = 0); then the partial orientations over the
     # table's tree (its coset with parity 1...1) and the reduced complete
     # orientations of the given sweep
@@ -459,7 +464,7 @@ def _guo_mohar(complete: list[int], table: GainTable, radii: dict[IntPoly, Algeb
     packed.update(complete)
     violations = []
     for poly in sorted(map(table.unpack, packed)):
-        if compare_roots(_radius(IntPoly(poly), radii), rho_g) is Order.GT:
+        if compare_roots(_radius(IntPoly(poly), radii), rho_g, gcds=gcds) is Order.GT:
             violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
     return GuoMoharReport(checked=len(packed), violations=tuple(violations))
 
@@ -476,7 +481,7 @@ def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     if guard:
         _sweep_guard(len(g.edges) - g.n + 1)
     t, co, table = _bfs_table(g)
-    return _guo_mohar(_complete_sweep(t, co, table), table, {})
+    return _guo_mohar(_complete_sweep(t, co, table), table, {}, {})
 
 
 @dataclass(frozen=True)
@@ -539,11 +544,12 @@ def _conjecture_report(
     guard: bool,
     table: GainTable,
     radii: dict[IntPoly, AlgebraicRoot],
+    gcds: Gcds,
 ) -> ConjectureReport:
     c_root, c_witness = complete
     if guard:
         _partial_guard(g.n)
-    p_root, p_tree, p_witness = _min_rho_partial(g, guard, table, radii)
+    p_root, p_tree, p_witness = _min_rho_partial(g, guard, table, radii, gcds)
     if include_all_mixed is None:
         include_all_mixed = g.n <= ALL_MIXED_GUARD_N
     all_root = None
@@ -551,8 +557,8 @@ def _conjecture_report(
     if include_all_mixed:
         if guard:
             _all_mixed_guard(g.n)
-        all_root, _ = _min_rho_all_mixed(g, table, radii)
-        all_cmp = compare_roots(all_root, c_root)
+        all_root, _ = _min_rho_all_mixed(g, table, radii, gcds)
+        all_cmp = compare_roots(all_root, c_root, gcds=gcds)
     return ConjectureReport(
         graph=g,
         complete_root=c_root,
@@ -560,7 +566,7 @@ def _conjecture_report(
         partial_root=p_root,
         partial_tree=p_tree,
         partial_witness=p_witness,
-        complete_vs_partial=compare_roots(c_root, p_root),
+        complete_vs_partial=compare_roots(c_root, p_root, gcds=gcds),
         all_root=all_root,
         all_vs_complete=all_cmp,
     )
@@ -568,16 +574,17 @@ def _conjecture_report(
 
 def _complete_tier(
     g: Graph, guard: bool
-) -> tuple[GainTable, list[int], tuple[AlgebraicRoot, SignVector], dict[IntPoly, AlgebraicRoot]]:
+) -> tuple[GainTable, list[int], tuple[AlgebraicRoot, SignVector], dict[IntPoly, AlgebraicRoot], Gcds]:
     """The gain table of g, its complete-orientation sweep, the minimum
-    over that sweep and the radius memo it started."""
+    over that sweep and the radius and gcd memos it started."""
     g.require_connected()
     if guard:
         _complete_guard(len(g.edges) - g.n + 1)
     t, co, table = _bfs_table(g)
     sweep = _complete_sweep(t, co, table)
     radii: dict[IntPoly, AlgebraicRoot] = {}
-    return table, sweep, _min_rho_complete(g, co, sweep, table, radii), radii
+    gcds: Gcds = {}
+    return table, sweep, _min_rho_complete(g, co, sweep, table, radii, gcds), radii, gcds
 
 
 def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> ConjectureReport:
@@ -586,8 +593,8 @@ def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bo
     include_all_mixed defaults to running the 3^|E| sweep only when the
     guard allows it (n <= 4).
     """
-    table, _, complete, radii = _complete_tier(g, guard)
-    return _conjecture_report(g, complete, include_all_mixed, guard, table, radii)
+    table, _, complete, radii, gcds = _complete_tier(g, guard)
+    return _conjecture_report(g, complete, include_all_mixed, guard, table, radii, gcds)
 
 
 def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> dict:
@@ -596,15 +603,16 @@ def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool 
 
     Every search of the record reads its charpolys from one gain table over
     the BFS tree at 0: `min_rho_complete` and `guo_mohar_sweep` share its
-    complete-orientation sweep, and every search shares one radius memo, so
-    each distinct charpoly is isolated once per record.  Guards are checked
-    in the order the public searches check them.
+    complete-orientation sweep, and every search shares one radius memo and
+    one gcd memo, so each distinct charpoly is isolated once per record and
+    the gcd of each distinct pair is computed once.  Guards are checked in
+    the order the public searches check them.
     """
-    table, sweep, complete, radii = _complete_tier(g, guard)
-    report = _conjecture_report(g, complete, include_all_mixed, guard, table, radii)
+    table, sweep, complete, radii, gcds = _complete_tier(g, guard)
+    report = _conjecture_report(g, complete, include_all_mixed, guard, table, radii, gcds)
     if guard:
         _sweep_guard(table.m)
-    gm = _guo_mohar(sweep, table, radii)
+    gm = _guo_mohar(sweep, table, radii, gcds)
     data = report.to_json()
     data["guo_mohar"] = {
         "checked": gm.checked,

@@ -32,6 +32,7 @@ from .hermitian import GainTable, charpoly_of_mixed, sign_sweep_charpolys
 from .matching import induced_matching_polynomials, matching_radius
 from .polynomials import (
     AlgebraicRoot,
+    Gcds,
     IntPoly,
     Order,
     compare_roots,
@@ -319,14 +320,18 @@ def _family_levels(g: Graph, t: SpanningTree, co: tuple[Edge, ...]) -> list[list
 
 
 def _node_defect(
-    left: list[AlgebraicRoot], right: list[AlgebraicRoot], parent: list[AlgebraicRoot]
+    left: list[AlgebraicRoot],
+    right: list[AlgebraicRoot],
+    parent: list[AlgebraicRoot],
+    gcds: Gcds,
 ) -> str | None:
     """What is wrong at an internal node, given the sorted roots of its two
-    children and its own, or None."""
-    if not roots_admit_common_interlacer(left, right):
+    children and its own, or None; gcds is the audit's gcd memo."""
+    if not roots_admit_common_interlacer(left, right, gcds=gcds):
         return "children admit no common interlacer"
-    child_min_top = left[-1] if compare_roots(left[-1], right[-1]) is not Order.GT else right[-1]
-    if compare_roots(child_min_top, parent[-1]) is Order.GT:
+    top_order = compare_roots(left[-1], right[-1], gcds=gcds)
+    child_min_top = left[-1] if top_order is not Order.GT else right[-1]
+    if compare_roots(child_min_top, parent[-1], gcds=gcds) is Order.GT:
         return "both children exceed the parent's largest root"
     return None
 
@@ -340,8 +345,10 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
     once per distinct polynomial: the leaves come from one sweep over the
     converse halves (`_family_levels`), each distinct node polynomial is
     isolated once, and each distinct pair of children is checked once (the
-    parent is their sum).  Exact answers do not depend on how far a shared
-    root was refined, and the report prints no interval.
+    parent is their sum).  The comparisons share one gcd memo, so the gcd of
+    each distinct pair of polynomials is computed once per audit.  Exact
+    answers do not depend on how far a shared root was refined, and the
+    report prints no interval.
     """
     g.require_connected()
     co = cotree_edges(g, t)
@@ -374,12 +381,13 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
                 violations.append(f"level {k} node {name(k, i)}: sum is not real-rooted")
     if not violations:
         defects: dict[tuple[IntPoly, IntPoly], str | None] = {}
+        gcds: Gcds = {}
         for k in range(m):
             below = levels[k + 1]
             for i, poly in enumerate(levels[k]):
                 pair = (below[2 * i], below[2 * i + 1])
                 if pair not in defects:
-                    defects[pair] = _node_defect(roots[pair[0]], roots[pair[1]], roots[poly])
+                    defects[pair] = _node_defect(roots[pair[0]], roots[pair[1]], roots[poly], gcds)
                 if defects[pair] is not None:
                     violations.append(f"level {k} node {name(k, i)}: {defects[pair]}")
     return AuditReport(nodes_checked=nodes, violations=tuple(violations))

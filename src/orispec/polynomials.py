@@ -9,9 +9,12 @@ defining polynomial decides every further step.  Floating point appears only
 in display helpers such as ``roots_numeric``.
 
 A real algebraic number is carried as a square-free integer polynomial plus
-an isolating interval with rational endpoints.  Comparisons refine intervals
-by bisection; equality is decided exactly through a gcd computation, so two
-numbers are never declared equal or distinct on numeric evidence alone.
+an isolating interval whose two endpoints are integers over one shared
+positive denominator; isolation and bisection only ever halve, so that
+denominator is a power of two and every step stays in integers.  Comparisons
+refine intervals by bisection; equality is decided exactly through a gcd
+computation, so two numbers are never declared equal or distinct on numeric
+evidence alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -166,14 +169,17 @@ class IntPoly:
         return acc
 
     def sign_at(self, x: Fraction) -> int:
-        """Sign of p(x) at a rational point, computed without fractions.
+        """Sign of p(x) at a rational point."""
+        return self.sign_at_ratio(x.numerator, x.denominator)
+
+    def sign_at_ratio(self, num: int, den: int) -> int:
+        """Sign of p(num / den) for den > 0, computed without fractions.
 
         Uses the homogeneous form sum c_k * num^k * den^(d-k); the sign is
-        unchanged because den > 0.
+        unchanged because den > 0, and num / den need not be in lowest terms.
         """
         if not self.coeffs:
             return 0
-        num, den = x.numerator, x.denominator
         acc = self.coeffs[-1]
         dp = 1
         for c in reversed(self.coeffs[:-1]):
@@ -270,6 +276,10 @@ class IntPoly:
         return list(self.coeffs)
 
 
+# gcd memo of `AlgebraicRoot.compare`, keyed by unordered pairs of polynomials
+Gcds = dict[frozenset[IntPoly], IntPoly]
+
+
 # ---------------------------------------------------------------------------
 # polynomial gcd machinery (primitive pseudo-remainder sequences)
 # ---------------------------------------------------------------------------
@@ -352,27 +362,29 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _divexact_poly(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact division a / b over the rationals, result coerced to IntPoly."""
+    """Exact division a / b in integers; raises ValueError when the quotient
+    is not an integer polynomial or a remainder is left.
+
+    For a primitive b that divides a, the quotient is integral (Gauss's
+    lemma), so every step's division by lc(b) is exact.
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in a.coeffs]
+    rem = list(a.coeffs)
     db = b.degree
-    lead = Fraction(b.leading)
-    out: list[Fraction] = [Fraction(0)] * max(a.degree - db + 1, 0)
+    lead = b.leading
+    out = [0] * max(a.degree - db + 1, 0)
     for k in range(a.degree, db - 1, -1):
-        q = rem[k] / lead
+        q, r = divmod(rem[k], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
         out[k - db] = q
         if q:
-            for i, c in enumerate(b.coeffs):
-                rem[i + k - db] -= q * c
+            for i, c in enumerate(b.coeffs, k - db):
+                rem[i] -= q * c
     if any(rem):
         raise ValueError("inexact polynomial division")
-    ints = []
-    for q in out:
-        if q.denominator != 1:
-            raise ValueError("quotient is not an integer polynomial")
-        ints.append(q.numerator)
-    return IntPoly(ints)
+    return IntPoly(out)
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -456,13 +468,17 @@ def _sign_variations(signs: Iterable[int]) -> int:
 
 
 def variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
-    """Sign variations of a Sturm chain at a rational point.
+    """Sign variations of a Sturm chain at a rational point."""
+    return variations_at_ratio(chain, x.numerator, x.denominator)
+
+
+def variations_at_ratio(chain: Sequence[IntPoly], num: int, den: int) -> int:
+    """Sign variations of a Sturm chain at num / den, den > 0.
 
     One table T_k = num^k * den^(D-k), D = deg chain[0], signs every member:
     for a member p of degree d, sum c_k T_k = den^(D-d) * den^d * p(x), and
     den > 0.
     """
-    num, den = x.numerator, x.denominator
     table = [1] * len(chain[0].coeffs)
     acc = 1
     for k in range(1, len(table)):
@@ -523,45 +539,58 @@ class AlgebraicRoot:
     """A real algebraic number: square-free defining polynomial plus an
     isolating interval.
 
+    The interval is (a/d, b/d) for integers a <= b over one shared
+    denominator d > 0, kept unreduced.  Isolation starts from integer ends
+    and bisection only halves, so every interval they make has a
+    power-of-two d and a bisection step is one add and two shifts; signs are
+    homogeneous integer evaluations, and two intervals are ordered by
+    cross-multiplied integers.  ``lo``, ``hi``, ``width`` and ``midpoint``
+    read the interval as Fractions.
+
     For a non-degenerate root the value lies strictly inside (lo, hi) and
     neither endpoint is a root of the polynomial; lo == hi marks an exact
     rational value.  ``refine`` narrows the interval in place by bisection:
     the one root in the interval is simple, so the polynomial changes sign
     across it and a sign at the midpoint picks the half that keeps it.
-    The constructor therefore rejects a non-degenerate interval whose ends
-    do not differ in sign.  Narrowing is deterministic, so duplicated
-    refinement across threads is harmless.  Comparisons refine in place
-    too, and a printed interval depends on every refinement its root went
-    through, so a memo of roots hands out a ``copy()`` per lookup and keeps
-    its own object unrefined.
+    The constructor therefore rejects lo > hi and a non-degenerate interval
+    whose ends do not differ in sign.  Narrowing is deterministic, so
+    duplicated refinement across threads is harmless.  Comparisons refine in
+    place too, and a printed interval depends on every refinement its root
+    went through, so a memo of roots hands out a ``copy()`` per lookup and
+    keeps its own object unrefined.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_slo")
+    __slots__ = ("poly", "_a", "_b", "_d", "_slo")
 
     def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction) -> None:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval ({lo}, {hi}) has lo > hi")
+        d = lcm(lo.denominator, hi.denominator)
         self.poly = poly
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self._a = lo.numerator * (d // lo.denominator)
+        self._b = hi.numerator * (d // hi.denominator)
+        self._d = d
         self._slo = 0  # sign of poly at lo, 0 until a bisection step takes it
-        if self.lo != self.hi:
-            self._slo = poly.sign_at(self.lo)
-            if self._slo * poly.sign_at(self.hi) >= 0:
+        if lo != hi:
+            self._slo = poly.sign_at_ratio(self._a, d)
+            if self._slo * poly.sign_at_ratio(self._b, d) >= 0:
                 raise ValueError(
-                    f"{poly} does not change sign between {self.lo} and {self.hi}, "
+                    f"{poly} does not change sign between {lo} and {hi}, "
                     "so the interval isolates no simple root"
                 )
 
     @classmethod
-    def _isolated(cls, poly: IntPoly, lo: Fraction, hi: Fraction, slo: int = 0) -> "AlgebraicRoot":
-        """A root in an interval that a root count or a bisection certified,
-        built without the constructor's sign check."""
+    def _isolated(cls, poly: IntPoly, a: int, b: int, d: int, slo: int = 0) -> "AlgebraicRoot":
+        """The root in (a/d, b/d) that a root count or a bisection certified,
+        built without the constructor's checks."""
         root = cls.__new__(cls)
-        root.poly, root.lo, root.hi, root._slo = poly, lo, hi, slo
+        root.poly, root._a, root._b, root._d, root._slo = poly, a, b, d, slo
         return root
 
     def copy(self) -> "AlgebraicRoot":
         """An independent root in the same interval state."""
-        return AlgebraicRoot._isolated(self.poly, self.lo, self.hi, self._slo)
+        return AlgebraicRoot._isolated(self.poly, self._a, self._b, self._d, self._slo)
 
     @classmethod
     def exact(cls, poly: IntPoly, value: Fraction) -> "AlgebraicRoot":
@@ -577,16 +606,24 @@ class AlgebraicRoot:
     # -- interval state ----------------------------------------------------
 
     @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        return self._a == self._b
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._b - self._a, self._d)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self._a + self._b, 2 * self._d)
 
     def exact_value(self) -> Fraction:
         if not self.is_exact:
@@ -594,26 +631,29 @@ class AlgebraicRoot:
         return self.lo
 
     def _refine_step(self) -> None:
-        if self.is_exact:
+        a, b, d = self._a, self._b, self._d
+        if a == b:
             return
-        mid = (self.lo + self.hi) / 2
-        sign = self.poly.sign_at(mid)
+        mid = a + b
+        self._d = d << 1
+        sign = self.poly.sign_at_ratio(mid, self._d)
         if sign == 0:
-            self.lo = self.hi = mid
+            self._a = self._b = mid
             return
         if not self._slo:
-            self._slo = self.poly.sign_at(self.lo)
+            self._slo = self.poly.sign_at_ratio(a, d)
         if sign == self._slo:
-            self.lo = mid
+            self._a, self._b = mid, b << 1
         else:
-            self.hi = mid
+            self._a, self._b = a << 1, mid
 
     def refine(self, eps) -> tuple[Fraction, Fraction]:
         """Narrow the isolating interval until its width is below eps."""
         limit = Fraction(eps)
         if limit <= 0:
             raise ValueError("eps must be positive")
-        while not self.is_exact and self.width >= limit:
+        num, den = limit.numerator, limit.denominator
+        while self._a != self._b and (self._b - self._a) * den >= num * self._d:
             self._refine_step()
         return (self.lo, self.hi)
 
@@ -626,66 +666,85 @@ class AlgebraicRoot:
 
     def negated(self) -> "AlgebraicRoot":
         poly = self.poly.reflected().primitive()
-        return AlgebraicRoot._isolated(poly, -self.hi, -self.lo)
+        return AlgebraicRoot._isolated(poly, -self._b, -self._a, self._d)
 
     # -- exact comparisons ---------------------------------------------------
 
     def equals_rational(self, value) -> bool:
         value = Fraction(value)
-        if self.is_exact:
-            return self.lo == value
-        return self.poly.evaluate(value) == 0 and self.lo < value < self.hi
+        return self._equals_ratio(value.numerator, value.denominator)
+
+    def _equals_ratio(self, num: int, den: int) -> bool:
+        """True when num / den (den > 0) is this root."""
+        x = num * self._d
+        if self._a == self._b:
+            return self._a * den == x
+        return self._a * den < x < self._b * den and self.poly.sign_at_ratio(num, den) == 0
 
     def compare_rational(self, value) -> Order:
         value = Fraction(value)
-        if self.is_exact:
-            diff = self.lo - value
-            return Order.EQ if diff == 0 else (Order.LT if diff < 0 else Order.GT)
-        if self.equals_rational(value):
-            return Order.EQ
-        while self.lo < value < self.hi:
-            self._refine_step()
-        if self.is_exact:
-            return Order.LT if self.lo < value else Order.GT
-        if value <= self.lo:
-            return Order.GT
-        return Order.LT
+        return self._compare_ratio(value.numerator, value.denominator)
 
-    def compare(self, other: "AlgebraicRoot") -> Order:
+    def _compare_ratio(self, num: int, den: int) -> Order:
+        """Order of this root against num / den (den > 0): bisect while the
+        value lies strictly inside the interval."""
+        if self._equals_ratio(num, den):
+            return Order.EQ
+        while self._a * den < num * self._d < self._b * den:
+            self._refine_step()
+        return Order.LT if self._b * den <= num * self._d else Order.GT
+
+    def compare(self, other: "AlgebraicRoot", *, gcds: Gcds | None = None) -> Order:
+        """Exact order of self against other, refining both in place.
+
+        gcds, when given, memoises the gcd of each unordered pair of
+        defining polynomials (keyed by their frozenset); the owner of a
+        batch of comparisons passes one dict to all of them.
+        """
         if self is other:
             return Order.EQ
-        if other.is_exact:
-            return self.compare_rational(other.lo)
-        if self.is_exact:
-            flipped = other.compare_rational(self.lo)
+        if other._a == other._b:
+            return self._compare_ratio(other._a, other._d)
+        if self._a == self._b:
+            flipped = other._compare_ratio(self._a, self._d)
             if flipped is Order.EQ:
                 return Order.EQ
             return Order.LT if flipped is Order.GT else Order.GT
-        if self.poly == other.poly and self.lo == other.lo and self.hi == other.hi:
+        # both intervals over the denominator d1 * d2
+        d1, d2 = self._d, other._d
+        lo1, hi1, lo2, hi2 = self._a * d2, self._b * d2, other._a * d1, other._b * d1
+        if self.poly == other.poly and lo1 == lo2 and hi1 == hi2:
             return Order.EQ
-        if self.hi <= other.lo:
+        if hi1 <= lo2:
             return Order.LT
-        if other.hi <= self.lo:
+        if hi2 <= lo1:
             return Order.GT
         # overlapping intervals: decide equality once, exactly, through the
         # gcd g.  It divides both square-free polynomials, so it has at most
         # one root in (a, b), a simple one, and none at a or b: a sign change
         # of g is that root.
-        g = poly_gcd(self.poly, other.poly)
+        if gcds is None:
+            g = poly_gcd(self.poly, other.poly)
+        else:
+            key = frozenset((self.poly, other.poly))
+            g = gcds.get(key)
+            if g is None:
+                g = gcds[key] = poly_gcd(self.poly, other.poly)
         if g.degree >= 1:
-            a = max(self.lo, other.lo)
-            b = min(self.hi, other.hi)
-            if a < b and g.sign_at(a) != g.sign_at(b):
+            a, b = max(lo1, lo2), min(hi1, hi2)
+            if a < b and g.sign_at_ratio(a, d1 * d2) != g.sign_at_ratio(b, d1 * d2):
                 return Order.EQ
         # distinct values: bisect until the intervals separate
         while True:
-            wider = self if self.width >= other.width else other
+            wider = self if hi1 - lo1 >= hi2 - lo2 else other
             wider._refine_step()
-            if self.is_exact or other.is_exact:
-                return self.compare(other)
-            if self.hi <= other.lo:
+            if self._a == self._b or other._a == other._b:
+                return self.compare(other, gcds=gcds)
+            d1, d2 = self._d, other._d
+            lo1, hi1, lo2, hi2 = self._a * d2, self._b * d2, other._a * d1, other._b * d1
+            if hi1 <= lo2:
                 return Order.LT
-            if other.hi <= self.lo:
+            if hi2 <= lo1:
                 return Order.GT
 
     # -- presentation --------------------------------------------------------
@@ -713,12 +772,35 @@ class AlgebraicRoot:
 # ---------------------------------------------------------------------------
 
 
+def _root_window(
+    q: IntPoly, chain: tuple[IntPoly, ...], a: int, b: int, d: int
+) -> tuple[int, int, int, int, int]:
+    """A window that isolates the root (a + b) / 2d of q, the midpoint of
+    (a/d, b/d): (left, its variations, right, its variations, s), both ends
+    over d << s at distance (b - a) / (d << s) from the root, for the first
+    s = 2, 3, ... at which neither end is a root and the window holds no
+    other one.  The window stays strictly inside (a/d, b/d)."""
+    w = b - a
+    m = (a + b) << 1
+    s = 2
+    while True:
+        e = d << s
+        left, right = m - w, m + w
+        if q.sign_at_ratio(left, e) and q.sign_at_ratio(right, e):
+            vl, vr = variations_at_ratio(chain, left, e), variations_at_ratio(chain, right, e)
+            if vl - vr == 1:
+                return left, vl, right, vr, s
+        m <<= 1
+        s += 1
+
+
 def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[AlgebraicRoot]:
     """All real roots of a square-free q, ascending, as isolating intervals.
 
     The walk bisects the Cauchy interval (-B, B), and no root lies outside
     it, so the counts at its ends are those at -inf and +inf.  No root lies
     beyond q's root radius R either, so a midpoint beyond R needs no count.
+    Each interval (a/d, b/d) of the walk carries its own power-of-two d.
     """
     if q.degree == 1:
         c0, c1 = q.coeffs
@@ -727,37 +809,31 @@ def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[Algebrai
     radius = q.root_radius()
     out: list[AlgebraicRoot] = []
 
-    def walk(a: Fraction, va: int, b: Fraction, vb: int) -> None:
+    def walk(a: int, va: int, b: int, vb: int, d: int) -> None:
         count = va - vb
         if count == 0:
             return
         if count == 1:
-            out.append(AlgebraicRoot._isolated(q, a, b))
+            out.append(AlgebraicRoot._isolated(q, a, b, d))
             return
-        mid = (a + b) / 2
-        if mid > radius:
+        mid, d2 = a + b, d << 1
+        limit = radius * d2
+        if mid > limit:
             vm = vb
-        elif mid < -radius:
+        elif mid < -limit:
             vm = va
-        elif q.sign_at(mid) == 0:
-            delta = (b - a) / 4
-            while True:
-                left, right = mid - delta, mid + delta
-                if q.sign_at(left) != 0 and q.sign_at(right) != 0:
-                    vl, vr = variations_at(chain, left), variations_at(chain, right)
-                    if vl - vr == 1:
-                        break
-                delta /= 2
-            walk(a, va, left, vl)
-            out.append(AlgebraicRoot.exact(q, mid))
-            walk(right, vr, b, vb)
+        elif q.sign_at_ratio(mid, d2) == 0:
+            left, vl, right, vr, s = _root_window(q, chain, a, b, d)
+            walk(a << s, va, left, vl, d << s)
+            out.append(AlgebraicRoot._isolated(q, mid, mid, d2))
+            walk(right, vr, b << s, vb, d << s)
             return
         else:
-            vm = variations_at(chain, mid)
-        walk(a, va, mid, vm)
-        walk(mid, vm, b, vb)
+            vm = variations_at_ratio(chain, mid, d2)
+        walk(a << 1, va, mid, vm, d2)
+        walk(mid, vm, b << 1, vb, d2)
 
-    walk(Fraction(-bound), variations_neg_inf(chain), Fraction(bound), variations_pos_inf(chain))
+    walk(-bound, variations_neg_inf(chain), bound, variations_pos_inf(chain), 1)
     return out
 
 
@@ -850,44 +926,34 @@ def _largest_root(q: IntPoly, chain: tuple[IntPoly, ...] | None) -> AlgebraicRoo
         return AlgebraicRoot.exact(q, Fraction(-c0, c1))
     bound = cauchy_root_bound(q)
     radius = q.root_radius()
-    lo, hi = Fraction(-bound), Fraction(bound)
+    lo, hi, d = -bound, bound, 1
     va, vb = variations_neg_inf(chain), variations_pos_inf(chain)
     count = va - vb
     if count == 0:
         raise ValueError("polynomial has no real roots")
     while count > 1:
-        mid = (lo + hi) / 2
-        if mid > radius:
+        mid, d2 = lo + hi, d << 1
+        limit = radius * d2
+        if mid > limit:
             vm = vb
-        elif mid < -radius:
+        elif mid < -limit:
             vm = va
-        elif q.sign_at(mid) == 0:
-            # mid is itself a root; shrink a window that isolates it
-            delta = (hi - mid) / 2
-            while True:
-                left, right = mid - delta, mid + delta
-                if (
-                    right < hi
-                    and q.sign_at(left) != 0
-                    and q.sign_at(right) != 0
-                    and variations_at(chain, left) - variations_at(chain, right) == 1
-                ):
-                    break
-                delta /= 2
-            vr = variations_at(chain, right)
+        elif q.sign_at_ratio(mid, d2) == 0:
+            # mid is itself a root; continue above a window that isolates it
+            _, _, right, vr, s = _root_window(q, chain, lo, hi, d)
             above = vr - vb
             if above == 0:
-                return AlgebraicRoot.exact(q, mid)
-            lo, va, count = right, vr, above
+                return AlgebraicRoot._isolated(q, mid, mid, d2)
+            lo, hi, d, va, count = right, hi << s, d << s, vr, above
             continue
         else:
-            vm = variations_at(chain, mid)
+            vm = variations_at_ratio(chain, mid, d2)
         above = vm - vb
         if above >= 1:
-            lo, va, count = mid, vm, above
+            lo, hi, d, va, count = mid, hi << 1, d2, vm, above
         else:
-            hi, vb, count = mid, vm, va - vm
-    return AlgebraicRoot._isolated(q, lo, hi)
+            lo, hi, d, vb, count = lo << 1, mid, d2, vm, va - vm
+    return AlgebraicRoot._isolated(q, lo, hi, d)
 
 
 def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:
@@ -916,9 +982,10 @@ def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
 # ---------------------------------------------------------------------------
 
 
-def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> Order:
-    """Exact three-way comparison of two algebraic numbers."""
-    return a.compare(b)
+def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot, *, gcds: Gcds | None = None) -> Order:
+    """Exact three-way comparison of two algebraic numbers; gcds is the
+    optional gcd memo of `AlgebraicRoot.compare`."""
+    return a.compare(b, gcds=gcds)
 
 
 def refine(a: AlgebraicRoot, eps) -> tuple[Fraction, Fraction]:
@@ -947,8 +1014,8 @@ def roots_numeric(p: IntPoly, eps=Fraction(1, 10**9)) -> list[float]:
     return out
 
 
-def _leq(a: AlgebraicRoot, b: AlgebraicRoot) -> bool:
-    return a.compare(b) is not Order.GT
+def _leq(a: AlgebraicRoot, b: AlgebraicRoot, gcds: Gcds | None = None) -> bool:
+    return a.compare(b, gcds=gcds) is not Order.GT
 
 
 def interlaces(g: IntPoly, f: IntPoly) -> bool:
@@ -973,15 +1040,16 @@ def interlaces(g: IntPoly, f: IntPoly) -> bool:
 
 
 def roots_admit_common_interlacer(
-    bs: Sequence[AlgebraicRoot], cs: Sequence[AlgebraicRoot]
+    bs: Sequence[AlgebraicRoot], cs: Sequence[AlgebraicRoot], *, gcds: Gcds | None = None
 ) -> bool:
     """Criterion on two sorted root lists of equal length n: a degree n-1
     polynomial interlacing both exists iff max(b_i, c_i) <= min(b_{i+1},
-    c_{i+1}) for every i, which reduces to the two cross inequalities."""
+    c_{i+1}) for every i, which reduces to the two cross inequalities.
+    gcds is the optional gcd memo of `AlgebraicRoot.compare`."""
     if len(bs) != len(cs):
         raise ValueError("root lists must have equal length")
     for i in range(len(bs) - 1):
-        if not (_leq(bs[i], cs[i + 1]) and _leq(cs[i], bs[i + 1])):
+        if not (_leq(bs[i], cs[i + 1], gcds) and _leq(cs[i], bs[i + 1], gcds)):
             return False
     return True
 

@@ -353,6 +353,85 @@ def poly_gcd_by_prs(a: IntPoly, b: IntPoly) -> IntPoly:
     return f
 
 
+class FractionRoot:
+    """Bisection with `Fraction` endpoints: the reference for the interval
+    states of `AlgebraicRoot`, which keeps its endpoints as integers over one
+    denominator.
+
+    The same rules, in rational arithmetic: a step keeps the half whose ends
+    differ in sign, a rational value is compared by bisecting while it lies
+    inside, and overlapping intervals are equal when the gcd (by the plain
+    pseudo-remainder sequence) changes sign across their intersection.
+    """
+
+    __slots__ = ("poly", "lo", "hi")
+
+    def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction) -> None:
+        self.poly, self.lo, self.hi = poly, Fraction(lo), Fraction(hi)
+
+    @classmethod
+    def of(cls, root: AlgebraicRoot) -> "FractionRoot":
+        return cls(root.poly, root.lo, root.hi)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
+
+    def _refine_step(self) -> None:
+        if self.is_exact:
+            return
+        mid = (self.lo + self.hi) / 2
+        sign = self.poly.sign_at(mid)
+        if sign == 0:
+            self.lo = self.hi = mid
+        elif sign == self.poly.sign_at(self.lo):
+            self.lo = mid
+        else:
+            self.hi = mid
+
+    def refine(self, eps) -> tuple[Fraction, Fraction]:
+        while not self.is_exact and self.hi - self.lo >= eps:
+            self._refine_step()
+        return (self.lo, self.hi)
+
+    def compare_rational(self, value) -> Order:
+        value = Fraction(value)
+        if self.is_exact:
+            return Order.EQ if self.lo == value else (Order.LT if self.lo < value else Order.GT)
+        if self.lo < value < self.hi and self.poly.evaluate(value) == 0:
+            return Order.EQ
+        while self.lo < value < self.hi:
+            self._refine_step()
+        return Order.LT if self.hi <= value else Order.GT
+
+    def compare(self, other: "FractionRoot") -> Order:
+        if self is other:
+            return Order.EQ
+        if other.is_exact:
+            return self.compare_rational(other.lo)
+        if self.is_exact:
+            return {Order.LT: Order.GT, Order.EQ: Order.EQ, Order.GT: Order.LT}[other.compare_rational(self.lo)]
+        if self.poly == other.poly and (self.lo, self.hi) == (other.lo, other.hi):
+            return Order.EQ
+        if self.hi <= other.lo:
+            return Order.LT
+        if other.hi <= self.lo:
+            return Order.GT
+        g = poly_gcd_by_prs(self.poly, other.poly)
+        a, b = max(self.lo, other.lo), min(self.hi, other.hi)
+        if g.degree >= 1 and a < b and g.sign_at(a) != g.sign_at(b):
+            return Order.EQ
+        while True:
+            wider = self if self.hi - self.lo >= other.hi - other.lo else other
+            wider._refine_step()
+            if self.is_exact or other.is_exact:
+                return self.compare(other)
+            if self.hi <= other.lo:
+                return Order.LT
+            if other.hi <= self.lo:
+                return Order.GT
+
+
 class SturmRoot(AlgebraicRoot):
     """An algebraic root that decides every step by Sturm counts.
 
@@ -374,12 +453,18 @@ class SturmRoot(AlgebraicRoot):
     def of(cls, root: AlgebraicRoot) -> "SturmRoot":
         return cls(root.poly, root.lo, root.hi)
 
+    def _keep(self, lo: Fraction, hi: Fraction) -> None:
+        """Write the half (lo, hi) of a bisection step as integers over
+        twice the denominator."""
+        d = 2 * self._d
+        self._a, self._b, self._d = int(lo * d), int(hi * d), d
+
     def _refine_step(self) -> None:
         if self.is_exact:
             return
         mid = (self.lo + self.hi) / 2
         if self.poly.sign_at(mid) == 0:
-            self.lo = self.hi = mid
+            self._keep(mid, mid)
             return
         if self._chain is None:
             self._chain = sturm_chain(self.poly)
@@ -387,9 +472,10 @@ class SturmRoot(AlgebraicRoot):
             self._vlo = variations_at(self._chain, self.lo)
         vm = variations_at(self._chain, mid)
         if self._vlo - vm == 1:
-            self.hi = mid
+            self._keep(self.lo, mid)
         else:
-            self.lo, self._vlo = mid, vm
+            self._keep(mid, self.hi)
+            self._vlo = vm
 
     def compare(self, other: "SturmRoot") -> Order:
         if self is other:
@@ -577,14 +663,14 @@ def audit_interlacing_family_unreduced(g, t) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def radius_min_unpruned(candidates, radii):
+def radius_min_unpruned(candidates, radii, gcds):
     """`explore._radius_min` without its sign-test pruning: every candidate
     is isolated and compared against the best so far."""
     best_root = None
     best_witness = None
     for poly, witness in candidates:
         root = _radius(poly, radii)
-        if best_root is None or compare_roots(root, best_root) is Order.LT:
+        if best_root is None or compare_roots(root, best_root, gcds=gcds) is Order.LT:
             best_root, best_witness = root, witness
     assert best_root is not None
     return best_root, best_witness
@@ -593,8 +679,9 @@ def radius_min_unpruned(candidates, radii):
 def min_rho_partial_unreduced(g):
     """One charpoly per (spanning tree, sign vector) pair; each distinct
     charpoly keeps its first witness in enumeration order (trees as listed,
-    then signs ascending), and the minimum is taken over them in that order.
-    Returns (root, tree, sign vector, candidate list compared)."""
+    then signs ascending), and the minimum is taken over them in that order,
+    without a gcd memo.  Returns (root, tree, sign vector, candidate list
+    compared); each candidate's witness is its (tree, signs)."""
     n = g.n
     seen = {}
     for t in enumerate_spanning_trees(g):
@@ -611,10 +698,10 @@ def min_rho_partial_unreduced(g):
                 im[v * n + u] = -s
             poly = tuple(kernel.charpoly_flat(re, im, n))
             if poly not in seen:
-                seen[poly] = (t, SignVector(co, signs))
+                seen[poly] = (t, signs)
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
-    root, (t, sv) = radius_min_unpruned(candidates, {})
-    return root, t, sv, candidates
+    root, (t, signs) = radius_min_unpruned(candidates, {}, None)
+    return root, t, SignVector(cotree_edges(g, t), signs), candidates
 
 
 def min_rho_all_mixed_by_kernel(g):
@@ -630,7 +717,7 @@ def min_rho_all_mixed_by_kernel(g):
         poly = charpoly_of_mixed(d)
         if poly not in seen:
             seen[poly] = d
-    return radius_min_unpruned(list(seen.items()), {})
+    return radius_min_unpruned(list(seen.items()), {}, None)
 
 
 def guo_mohar_sweep_unreduced(g) -> GuoMoharReport:

@@ -259,9 +259,9 @@ class TestMinRhoPartial:
         calls = []
         radius_min = explore._radius_min
 
-        def recording(candidates, radii):
+        def recording(candidates, radii, gcds):
             calls.append(candidates)
-            return radius_min(candidates, radii)
+            return radius_min(candidates, radii, gcds)
 
         monkeypatch.setattr(explore, "_radius_min", recording)
         return calls
@@ -419,9 +419,9 @@ class TestRadiusMinPruning:
         """Pruned and unpruned minimum agree; returns the polys isolated by
         the pruned one."""
         isolated.clear()
-        root, witness = explore._radius_min(candidates, {})
+        root, witness = explore._radius_min(candidates, {}, {})
         pruned_isolations = list(isolated)
-        ref_root, ref_witness = oracles.radius_min_unpruned(candidates, {})
+        ref_root, ref_witness = oracles.radius_min_unpruned(candidates, {}, {})
         assert witness == ref_witness
         assert root.to_json() == ref_root.to_json()
         return pruned_isolations
@@ -474,9 +474,9 @@ class TestRadiusMinPruning:
         c = c * IntPoly((3, 0, 1))  # moves c's bisection grid off best's, so they overlap
         candidates = [(SQRT2, "sqrt2"), (NEAR_SQRT2, "near"), (c, "c")]
         assert self.run(candidates, isolated) == [SQRT2, NEAR_SQRT2, c]
-        unpruned = oracles.radius_min_unpruned(candidates, {})[0].to_json()
+        unpruned = oracles.radius_min_unpruned(candidates, {}, {})[0].to_json()
         monkeypatch.setattr(explore, "PRINT_WIDTH", 0)
-        assert explore._radius_min(candidates, {})[0].to_json() != unpruned
+        assert explore._radius_min(candidates, {}, {})[0].to_json() != unpruned
 
     def test_prune_margin_is_the_printed_width(self):
         assert AlgebraicRoot.to_json.__defaults__ == (polynomials.PRINT_WIDTH,)
@@ -512,9 +512,9 @@ class TestRadiusMinPruning:
         candidates = []
         radius_min = explore._radius_min
 
-        def recording(cands, radii):
+        def recording(cands, radii, gcds):
             candidates.extend(poly for poly, _ in cands)
-            return radius_min(cands, radii)
+            return radius_min(cands, radii, gcds)
 
         monkeypatch.setattr(explore, "_radius_min", recording)
         explore_record(complete_graph(5))
@@ -643,9 +643,45 @@ class TestRecordSharing:
         # the same memo must still print the interval of a fresh isolation
         sqrt2, close = IntPoly((-2, 0, 1)), IntPoly((-665857, 470832))
         radii = {}
-        explore._radius_min([(close, "close"), (sqrt2, "sqrt2")], radii)
-        root, _ = explore._radius_min([(sqrt2, "sqrt2")], radii)
+        explore._radius_min([(close, "close"), (sqrt2, "sqrt2")], radii, {})
+        root, _ = explore._radius_min([(sqrt2, "sqrt2")], radii, {})
         assert root.to_json() == spectral_radius_of_charpoly(sqrt2).to_json()
+
+    def test_gcd_memo_changes_no_winner(self, corpus5, monkeypatch):
+        # every candidate list a record hands to `_radius_min` has the same
+        # winner and printed interval with the record's gcd memo and without
+        # one, and so does every record
+        lists = []
+        radius_min = explore._radius_min
+
+        def recording(candidates, radii, gcds):
+            lists.append(candidates)
+            return radius_min(candidates, radii, gcds)
+
+        monkeypatch.setattr(explore, "_radius_min", recording)
+        records = [explore_record(g) for g in corpus5]
+        assert len(lists) == 2 * len(corpus5) + sum(g.n <= 4 for g in corpus5)
+        for candidates in lists:
+            memo_root, memo_witness = radius_min(candidates, {}, {})
+            root, witness = radius_min(candidates, {}, None)
+            assert memo_witness == witness and memo_root.to_json() == root.to_json()
+        compare = AlgebraicRoot.compare
+        monkeypatch.setattr(AlgebraicRoot, "compare", lambda self, other, gcds=None: compare(self, other))
+        assert [explore_record(g) for g in corpus5] == records
+
+    def test_one_sign_vector_per_witness(self, monkeypatch):
+        # only the winners of the complete and partial searches become
+        # validated sign vectors, not every first occurrence of a charpoly
+        built = []
+        post_init = SignVector.__post_init__
+
+        def counting(self):
+            built.append(self.signs)
+            post_init(self)
+
+        monkeypatch.setattr(SignVector, "__post_init__", counting)
+        record = explore_record(complete_graph(5))
+        assert built == [tuple(record["min_complete"]["signs"]), tuple(record["min_partial"]["signs"])]
 
     def test_record_matches_separate_searches(self, corpus5):
         for g in corpus5:

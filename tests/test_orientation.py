@@ -3,7 +3,7 @@ import random
 import oracles
 import pytest
 
-from orispec import cli, orientation
+from orispec import cli, orientation, polynomials
 from orispec.errors import GuardLimit
 from orispec.graphs import (
     Graph,
@@ -29,6 +29,7 @@ from orispec.orientation import (
     verify_bound,
 )
 from orispec.polynomials import (
+    AlgebraicRoot,
     IntPoly,
     Order,
     compare_roots,
@@ -299,7 +300,7 @@ class TestAuditReductions:
 
     @pytest.mark.parametrize("rule", ["always", "left_top_above_right_top"])
     def test_forced_interlacer_violations_match(self, corpus5, monkeypatch, rule):
-        def reject(left, right):
+        def reject(left, right, gcds=None):
             if rule == "always":
                 return False
             return compare_roots(left[-1], right[-1]) is not Order.GT
@@ -325,6 +326,54 @@ class TestAuditReductions:
             assert report == oracles.audit_interlacing_family_unreduced(g, t)
             seen += len(report.violations)
         assert seen > 20
+
+    @pytest.mark.parametrize("graph", ["ladder", "petersen"])
+    def test_one_gcd_per_distinct_pair(self, monkeypatch, graph):
+        # the audit's comparisons share one gcd memo: each distinct unordered
+        # pair of polynomials has its gcd computed once per audit (on
+        # Petersen some pairs recur across nodes), and dropping the memo
+        # repeats gcds but changes no report
+        g = grid(2, 8) if graph == "ladder" else petersen()
+        t = bfs_spanning_tree(g, 0)
+        pairs = []
+        in_defect = []
+        poly_gcd, node_defect, compare = polynomials.poly_gcd, orientation._node_defect, AlgebraicRoot.compare
+
+        def counting_gcd(a, b):
+            if in_defect:
+                pairs.append(frozenset((a, b)))
+            return poly_gcd(a, b)
+
+        def defect(*args):
+            in_defect.append(True)
+            try:
+                return node_defect(*args)
+            finally:
+                in_defect.pop()
+
+        monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(orientation, "_node_defect", defect)
+        report = audit_interlacing_family(g, t)
+        assert report.passed
+        assert len(pairs) == len(set(pairs)) > 20
+        pairs.clear()
+        monkeypatch.setattr(AlgebraicRoot, "compare", lambda self, other, gcds=None: compare(self, other))
+        assert audit_interlacing_family(g, t) == report
+        assert len(pairs) > 2 * len(set(pairs))
+
+    @pytest.mark.parametrize("rule", ["criterion", "left_top_above_right_top"])
+    def test_gcd_memo_changes_no_report(self, corpus5, monkeypatch, rule):
+        if rule != "criterion":
+
+            def reject(left, right, gcds=None):
+                return compare_roots(left[-1], right[-1], gcds=gcds) is not Order.GT
+
+            monkeypatch.setattr(orientation, "roots_admit_common_interlacer", reject)
+        reports = [audit_interlacing_family(g, t) for g, t in audit_cases(corpus5)]
+        assert rule == "criterion" or sum(len(r.violations) for r in reports) > 20
+        compare = AlgebraicRoot.compare
+        monkeypatch.setattr(AlgebraicRoot, "compare", lambda self, other, gcds=None: compare(self, other))
+        assert [audit_interlacing_family(g, t) for g, t in audit_cases(corpus5)] == reports
 
     def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, sweep_charpolys):
         # audit-family on the 2x8 ladder at bfs:0 (m = 7): half of the 128

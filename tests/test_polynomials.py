@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import SturmRoot, count_roots_open, poly_gcd_by_prs
+from oracles import FractionRoot, SturmRoot, count_roots_open, poly_gcd_by_prs
 
 from orispec import polynomials
 from orispec.graphs import (
@@ -19,6 +19,8 @@ from orispec.graphs import (
 from orispec.hermitian import sign_sweep_charpolys
 from orispec.orientation import _family_levels
 from orispec.polynomials import (
+    PRINT_WIDTH,
+    _divexact_poly,
     _reflected,
     _sign_variations,
     AlgebraicRoot,
@@ -186,6 +188,28 @@ class TestGcdAndSquarefree:
                 ):
                     images_share_factor += 1
         assert lc_divisible > 20 and images_share_factor > 5
+
+    def test_divexact_poly_divides_in_integers(self):
+        b = poly_of(1, 2) * poly_of(-2, 1)  # primitive, leading coefficient 2
+        q = poly_of(-1, 0, 3)
+        assert _divexact_poly(b * q, b) == q
+        with pytest.raises(ValueError, match="inexact"):
+            _divexact_poly(b * q + IntPoly((1,)), b)  # a remainder is left
+        with pytest.raises(ValueError, match="inexact"):
+            _divexact_poly(poly_of(1, 1), poly_of(2, 2))  # quotient 1/2
+        with pytest.raises(ZeroDivisionError):
+            _divexact_poly(q, IntPoly(()))
+
+    @given(st.lists(small_ints, min_size=2, max_size=5), st.lists(small_ints, min_size=1, max_size=5), small_ints)
+    @settings(max_examples=80, deadline=None)
+    def test_divexact_poly_by_primitive_divisors(self, bs, qs, c):
+        b, q = IntPoly(bs).primitive(), IntPoly(qs)
+        if b.degree < 1:
+            return
+        assert _divexact_poly(b * q, b) == q
+        if c:
+            with pytest.raises(ValueError):
+                _divexact_poly(b * q + IntPoly((c,)), b)
 
     def test_decomposition_of_a_squarefree_polynomial(self, monkeypatch):
         # gcd(f, f') constant: one factor, no quotient taken
@@ -477,6 +501,28 @@ class TestAlgebraicRootExtras:
         assert lo * lo < 2 < hi * hi and hi - lo < Fraction(1, 100)
         assert AlgebraicRoot(p, Fraction(3, 2), Fraction(3, 2)).is_exact
 
+    def test_constructor_rejects_lo_above_hi(self):
+        # a reversed interval would order sqrt(2) above 3/2 by its ends
+        with pytest.raises(ValueError, match="lo > hi"):
+            AlgebraicRoot(poly_of(-2, 0, 1), Fraction(2), Fraction(1))
+        with pytest.raises(ValueError, match="lo > hi"):
+            AlgebraicRoot(poly_of(-1, 1), 1, Fraction(1, 2))
+        r = AlgebraicRoot(poly_of(-2, 0, 1), Fraction(1), Fraction(2))
+        assert r.compare(AlgebraicRoot.of_rational(Fraction(3, 2))) is Order.LT
+
+    def test_interval_is_integers_over_one_denominator(self):
+        r = AlgebraicRoot(poly_of(-2, 0, 1), Fraction(4, 3), Fraction(3, 2))
+        assert (r._a, r._b, r._d) == (8, 9, 6)
+        r.refine(Fraction(1, 20))  # two halvings, unreduced: 33/24 is 11/8
+        assert (r._a, r._b, r._d) == (33, 34, 24)
+        assert (r.lo, r.hi) == (Fraction(11, 8), Fraction(17, 12))
+        assert r.width == Fraction(1, 24) and r.midpoint == Fraction(67, 48)
+        top = isolate_largest_root(poly_of(-2, 0, 1))
+        top.refine(PRINT_WIDTH)
+        assert top._d & (top._d - 1) == 0 and top._d > 2**20
+        assert top.to_json()["interval"] == [str(top.lo), str(top.hi)]
+        assert top.negated().lo == -top.hi
+
     def test_copy_refines_independently(self):
         r = isolate_largest_root(poly_of(-2, 0, 1))
         c = r.copy()
@@ -571,3 +617,93 @@ class TestSignDecisionsAgainstSturmOracle:
         if p.degree < 1:
             return
         self.assert_same_decisions(p * poly_of(-2, 0, 1), seed)
+
+
+def _third_split(root):
+    """The root in one third of its interval, built by the constructor: an
+    interval whose denominator is not a power of two."""
+    if root.is_exact:
+        return root.copy()
+    t = root.lo + root.width / 3
+    sign = root.poly.sign_at(t)
+    if sign == 0:
+        return AlgebraicRoot.exact(root.poly, t)
+    if sign == root.poly.sign_at(root.lo):
+        return AlgebraicRoot(root.poly, t, root.hi)
+    return AlgebraicRoot(root.poly, root.lo, t)
+
+
+ops = st.lists(
+    st.tuples(
+        st.sampled_from(["compare", "compare_memo", "refine", "rational"]),
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=0, max_value=63),
+        st.sampled_from([Fraction(1, 3), Fraction(1, 1000), PRINT_WIDTH, Fraction(1, 3 * 2**30)]),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+class TestIntegerEndpointsAgainstFractionReference:
+    """`AlgebraicRoot` keeps its interval as integers over one denominator;
+    `oracles.FractionRoot` bisects with `Fraction` endpoints.  Every sequence
+    of compare, compare_rational and refine calls must leave both in the
+    same (lo, hi) state with the same answers."""
+
+    @staticmethod
+    def assert_same_states(p, sequence):
+        roots = isolate_real_roots(p)
+        try:
+            roots += isolate_extreme_roots(p)
+        except ValueError:
+            pass
+        roots = list({id(r): r for r in roots}.values())
+        if not roots:
+            return
+        for r in roots:
+            assert r._d & (r._d - 1) == 0  # isolation makes power-of-two denominators
+        roots += [r.negated() for r in roots] + [_third_split(r.copy()) for r in roots]
+        twins = [FractionRoot.of(r) for r in roots]
+        gcds = {}
+        for kind, i, j, eps in sequence:
+            i, j = i % len(roots), j % len(roots)
+            if kind == "refine":
+                assert roots[i].refine(eps) == twins[i].refine(eps)
+            elif kind == "rational":
+                value = twins[j].lo + (twins[j].hi - twins[j].lo) / 3
+                assert roots[i].compare_rational(value) is twins[i].compare_rational(value)
+            else:
+                memo = gcds if kind == "compare_memo" else None
+                assert roots[i].compare(roots[j], gcds=memo) is twins[i].compare(twins[j])
+            assert [(r.lo, r.hi) for r in roots] == [(t.lo, t.hi) for t in twins]
+
+    @given(root_lists, st.lists(st.sampled_from([2, 3, 8]), max_size=2), ops)
+    @settings(max_examples=80, deadline=None)
+    def test_real_rooted(self, roots, squares, sequence):
+        # rational roots collapse to exact values; x^2 - c adds irrational
+        # ones, and repeated roots put equal values in different factors
+        p = IntPoly.from_roots(roots)
+        for c in squares:
+            p = p * poly_of(-c, 0, 1)
+        self.assert_same_states(p * poly_of(-2, 0, 1), sequence)
+
+    @given(st.lists(small_ints, min_size=2, max_size=8), ops)
+    @settings(max_examples=60, deadline=None)
+    def test_random_polynomials(self, coeffs, sequence):
+        p = IntPoly(coeffs)
+        if p.degree < 1:
+            return
+        self.assert_same_states(p * poly_of(-2, 0, 1), sequence)
+
+    def test_ladder_family_node_polynomials(self):
+        g = ladder(8)
+        t = bfs_spanning_tree(g, 0)
+        polys = sorted({p for level in _family_levels(g, t, cotree_edges(g, t)) for p in level}, key=lambda p: p.coeffs)
+        rng = random.Random(5)
+        for p in polys[::10]:
+            sequence = [
+                (rng.choice(["compare", "compare_memo", "refine", "rational"]), rng.randrange(64), rng.randrange(64), PRINT_WIDTH)
+                for _ in range(10)
+            ]
+            self.assert_same_states(p, sequence)
