@@ -12,6 +12,7 @@ any decimal approximation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -550,9 +551,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()` once per process, on the first `main` call rather
+    than at import, so that a wrapper installed over a cmd_* function after
+    import is the one the parser binds.  No argument has a mutable default,
+    so one parser serves every call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.needs_graph and args.graph is None:
         print("error: a graph is required (use -g/--graph)", file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .errors import GuardLimit
@@ -26,9 +25,10 @@ from .graphs import (
     converse_halves,
     cotree_edges,
     encode_graph6,
-    enumerate_spanning_trees,
     norm_edge,
     sign_vectors,
+    spanning_tree_masks,
+    tree_from_mask,
 )
 from .hermitian import GainTable, spectral_radius_of_charpoly
 from .polynomials import PRINT_WIDTH, AlgebraicRoot, Gcds, IntPoly, Order, compare_roots
@@ -245,9 +245,9 @@ def _radius(poly: IntPoly, radii: dict[IntPoly, AlgebraicRoot]) -> AlgebraicRoot
     return root.copy()
 
 
-def _root_beyond(p: IntPoly, h: Fraction) -> bool:
+def _root_beyond(p: IntPoly, num: int, den: int) -> bool:
     """True when p, of degree >= 1, has a real root r with |r| >= h > 0,
-    certified by one sign at h and one at -h.
+    h = num / den with den > 0, certified by one sign at h and one at -h.
 
     A sign at h that differs from p's sign at +inf means an odd number of
     roots above h, and a zero sign is a root at h; likewise at -h against
@@ -255,9 +255,9 @@ def _root_beyond(p: IntPoly, h: Fraction) -> bool:
     certified.
     """
     top = 1 if p.leading > 0 else -1
-    if p.sign_at(h) != top:
+    if p.sign_at_ratio(num, den) != top:
         return True
-    return p.sign_at(-h) != (top if p.degree % 2 == 0 else -top)
+    return p.sign_at_ratio(-num, den) != (top if p.degree % 2 == 0 else -top)
 
 
 def _radius_min(
@@ -270,11 +270,12 @@ def _radius_min(
     radii and gcds are the memos of the record (or the public search);
     gcds=None compares without a gcd memo, to the same result.
 
-    A candidate p is discarded before isolation when `_root_beyond(p, h)`
-    holds for h = best.hi + eps, eps = `PRINT_WIDTH`, the width `to_json`
-    refines to.  Then rho(p) >= h > rho(best): p is not LT, so the winner
-    and its witness do not change, and p never enters the radius memo.  The
-    margin eps keeps every printed interval byte-identical:
+    A candidate p is discarded before isolation when `_root_beyond` holds
+    for p at h = best.hi + eps, eps = `PRINT_WIDTH`, the width `to_json`
+    refines to; h is kept as an integer ratio.  Then rho(p) >= h >
+    rho(best): p is not LT, so the winner and its witness do not change,
+    and p never enters the radius memo.  The margin eps keeps every printed
+    interval byte-identical:
 
     - comparing p with best would refine best only while best is the wider
       of two overlapping intervals; p's interval then reaches below best.hi
@@ -288,12 +289,17 @@ def _radius_min(
     """
     best_root: AlgebraicRoot | None = None
     best_witness: object = None
+    eps_num, eps_den = PRINT_WIDTH.numerator, PRINT_WIDTH.denominator
+    h_num = h_den = 0
     for poly, witness in candidates:
-        if best_root is not None and _root_beyond(poly, best_root.hi + PRINT_WIDTH):
+        if best_root is not None and _root_beyond(poly, h_num, h_den):
             continue
         root = _radius(poly, radii)
         if best_root is None or compare_roots(root, best_root, gcds=gcds) is Order.LT:
             best_root, best_witness = root, witness
+        # the comparison may have narrowed best, so h is formed again
+        b, d = best_root.hi_ratio()
+        h_num, h_den = b * eps_den + d * eps_num, d * eps_den
     assert best_root is not None
     return best_root, best_witness
 
@@ -347,21 +353,40 @@ def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignV
 
 
 def _min_rho_partial(
-    g: Graph, guard: bool, table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
+    g: Graph, table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
 ) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
-    auts = automorphisms(g)
-    covered: set[frozenset[Edge]] = set()  # trees of the orbits visited so far
-    cosets: set[int] = set()  # parities of the cosets visited so far
+    edges = g.edge_list
+    m = len(edges)
+    place = {e: m - 1 - k for k, e in enumerate(edges)}  # the bit of each edge
+    # each automorphism as the image of every edge bit, indexed by bit
+    images: list[list[int]] = []
+    for p in automorphisms(g):
+        image = [0] * m
+        for (u, v), bit in place.items():
+            image[bit] = 1 << place[norm_edge(p[u], p[v])]
+        images.append(image)
+    # the parity of each edge's column, indexed by bit: a tree's coset parity
+    # is the XOR over its cotree, that is the XOR over every edge and then
+    # over the tree, so the XOR over the tree alone tells cosets apart
+    columns = [0] * m
+    for e, bit in place.items():
+        columns[bit] = table.gain((e,))[0]
+    covered: set[int] = set()  # trees of the orbits visited so far
+    cosets: set[int] = set()  # tree parities of the cosets visited so far
     seen: dict[int, tuple[SpanningTree, tuple[int, ...]]] = {}  # first (tree, signs)
-    for t in enumerate_spanning_trees(g, guard=guard):
-        if t.tree_edges in covered:
+    for mask in spanning_tree_masks(g):
+        if mask in covered:
             continue
-        covered.update(frozenset(norm_edge(p[u], p[v]) for (u, v) in t.tree_edges) for p in auts)
-        co = cotree_edges(g, t)
-        parity = table.gain(co)[0]
+        bits = [bit for bit in range(m) if mask >> bit & 1]
+        covered.update(sum([image[bit] for bit in bits]) for image in images)
+        parity = 0
+        for bit in bits:
+            parity ^= columns[bit]
         if parity in cosets:
             continue
         cosets.add(parity)
+        t = tree_from_mask(g, mask)
+        co = cotree_edges(g, t)
         for signs, packed in zip(converse_halves(len(co)), table.sweep((), co, half=True)):
             if packed not in seen:
                 seen[packed] = (t, signs)
@@ -396,7 +421,7 @@ def min_rho_partial(
     g.require_connected()
     if guard:
         _partial_guard(g.n)
-    return _min_rho_partial(g, guard, _bfs_table(g)[2], {}, {})
+    return _min_rho_partial(g, _bfs_table(g)[2], {}, {})
 
 
 def _all_mixed_guard(n: int) -> None:
@@ -549,7 +574,7 @@ def _conjecture_report(
     c_root, c_witness = complete
     if guard:
         _partial_guard(g.n)
-    p_root, p_tree, p_witness = _min_rho_partial(g, guard, table, radii, gcds)
+    p_root, p_tree, p_witness = _min_rho_partial(g, table, radii, gcds)
     if include_all_mixed is None:
         include_all_mixed = g.n <= ALL_MIXED_GUARD_N
     all_root = None

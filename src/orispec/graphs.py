@@ -505,11 +505,92 @@ def cotree_edges(g: Graph, t: SpanningTree) -> tuple[Edge, ...]:
     return tuple(sorted(g.edges - t.tree_edges))
 
 
-def enumerate_spanning_trees(g: Graph, guard: bool = True) -> list[SpanningTree]:
-    """All spanning trees, as a deterministic list.
+def tree_from_mask(g: Graph, mask: int) -> SpanningTree:
+    """The SpanningTree rooted at 0 of an edge mask of g, edge k of
+    `g.edge_list` at bit m-1-k, as `spanning_tree_masks` lists them."""
+    edges = g.edge_list
+    top = len(edges) - 1
+    chosen = [e for k, e in enumerate(edges) if mask >> (top - k) & 1]
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in chosen:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for u in order:
+        for w in nbrs[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return SpanningTree(0, tuple(parent), frozenset(chosen))
 
-    Include/exclude recursion over the sorted edge list with a connectivity
-    prune.  Exhaustive, so guarded to n <= 10 by default.
+
+def spanning_tree_masks(g: Graph) -> list[int]:
+    """Every spanning tree of g as an integer mask over `g.edge_list`, edge
+    k at bit m-1-k, in descending order.
+
+    Include-first recursion over the sorted edges: an edge is included when
+    it joins two components of the edges chosen so far, and excluded when
+    its ends stay connected without it.  The edges not excluded always span
+    g, so that one reachability test is the whole connectivity prune.
+    Components and neighbourhoods are vertex masks.
+    """
+    g.require_connected()
+    n, edges = g.n, g.edge_list
+    m = len(edges)
+    near = [0] * n  # the neighbours of each vertex over the edges not excluded
+    for u, v in edges:
+        near[u] |= 1 << v
+        near[v] |= 1 << u
+    part = [1 << v for v in range(n)]  # the component of each vertex over the chosen edges
+    out: list[int] = []
+
+    def reaches(u: int, v: int) -> bool:
+        seen = frontier = 1 << u
+        while not seen >> v & 1:
+            if not frontier:
+                return False
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= near[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        return True
+
+    def rec(k: int, tree: int, left: int) -> None:
+        # k < m while edges are left to choose: the edges not excluded span
+        if not left:
+            out.append(tree)
+            return
+        u, v = edges[k]
+        together = part[u] >> v & 1
+        if not together:
+            saved = part[:]
+            merged = rest = part[u] | part[v]
+            while rest:
+                low = rest & -rest
+                part[low.bit_length() - 1] = merged
+                rest ^= low
+            rec(k + 1, tree | 1 << (m - 1 - k), left - 1)
+            part[:] = saved
+        near[u] ^= 1 << v
+        near[v] ^= 1 << u
+        if together or reaches(u, v):
+            rec(k + 1, tree, left)
+        near[u] ^= 1 << v
+        near[v] ^= 1 << u
+
+    rec(0, 0, n - 1)
+    return out
+
+
+def enumerate_spanning_trees(g: Graph, guard: bool = True) -> list[SpanningTree]:
+    """All spanning trees, in the order of `spanning_tree_masks`.
+
+    Exhaustive, so guarded to n <= 10 by default.
     """
     g.require_connected()
     if guard and g.n > SPANNING_TREE_GUARD_N:
@@ -517,80 +598,7 @@ def enumerate_spanning_trees(g: Graph, guard: bool = True) -> list[SpanningTree]
             f"spanning-tree enumeration is exhaustive; n={g.n} exceeds "
             f"{SPANNING_TREE_GUARD_N} (pass guard=False to override)"
         )
-    edges = list(g.edge_list)
-    m = len(edges)
-    n = g.n
-    out: list[SpanningTree] = []
-    if n == 1:
-        return [SpanningTree(0, (0,), frozenset())]
-
-    def connected_using(allowed: list[bool], chosen: list[Edge]) -> bool:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for (u, v) in chosen:
-            adj[u].append(v)
-            adj[v].append(u)
-        for k, ok in enumerate(allowed):
-            if ok:
-                u, v = edges[k]
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == n
-
-    comp = list(range(n))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    def rec(idx: int, chosen: list[Edge], allowed: list[bool]) -> None:
-        if len(chosen) == n - 1:
-            out.append(tree_from_edges(g, chosen))
-            return
-        if idx == m:
-            return
-        u, v = edges[idx]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # include edges[idx]
-            comp[ru] = rv
-            chosen.append(edges[idx])
-            rec(idx + 1, chosen, allowed)
-            chosen.pop()
-            # undo union by rebuilding (cheap at desk scale)
-            comp[:] = _rebuild_components(n, chosen)
-        # exclude edges[idx] if the rest can still span
-        allowed[idx] = False
-        if connected_using(allowed, chosen):
-            rec(idx + 1, chosen, allowed)
-        allowed[idx] = True
-
-    def _rebuild_components(n: int, chosen: list[Edge]) -> list[int]:
-        c = list(range(n))
-
-        def f(x: int) -> int:
-            while c[x] != x:
-                c[x] = c[c[x]]
-                x = c[x]
-            return x
-
-        for (a, b) in chosen:
-            ra, rb = f(a), f(b)
-            if ra != rb:
-                c[ra] = rb
-        return c
-
-    rec(0, [], [True] * m)
-    return out
+    return [tree_from_mask(g, mask) for mask in spanning_tree_masks(g)]
 
 
 def tree_parity_bipartition(t: SpanningTree) -> tuple[frozenset[int], frozenset[int]]:

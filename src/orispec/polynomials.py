@@ -613,6 +613,10 @@ class AlgebraicRoot:
     def hi(self) -> Fraction:
         return Fraction(self._b, self._d)
 
+    def hi_ratio(self) -> tuple[int, int]:
+        """hi as an unreduced (numerator, denominator) pair, denominator > 0."""
+        return self._b, self._d
+
     @property
     def is_exact(self) -> bool:
         return self._a == self._b

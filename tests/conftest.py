@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orispec import Graph, cli, generate_corpus, hermitian, kernel, orientation, tree_from_edges
+from orispec import Graph, cli, generate_corpus, graphs, hermitian, kernel, orientation, tree_from_edges
 
 # Worked example 1: K4 minus one edge plus nothing -- the 4-vertex graph
 # with edges {01, 12, 23, 03, 13}; its two named spanning trees.
@@ -112,3 +112,17 @@ def gain_tables(monkeypatch):
     monkeypatch.setattr(table, "coset", counting_coset)
     monkeypatch.setattr(table, "sweep", counting_sweep)
     return record
+
+
+@pytest.fixture
+def spanning_trees_built(monkeypatch):
+    """Every `graphs.SpanningTree` constructed, in construction order."""
+    built = []
+    post_init = graphs.SpanningTree.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(graphs.SpanningTree, "__post_init__", counting)
+    return built

@@ -8,6 +8,7 @@ two is evidence of correctness rather than a tautology.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from orispec import kernel
@@ -16,11 +17,12 @@ from orispec.graphs import (
     Graph,
     MixedGraph,
     SignVector,
+    SpanningTree,
     bfs_spanning_tree,
     build_mixed,
     cotree_edges,
-    enumerate_spanning_trees,
     sign_vectors,
+    tree_from_edges,
 )
 from orispec.hermitian import charpoly_of_mixed
 from orispec.matching import induced_matching_polynomials
@@ -165,6 +167,93 @@ def kirchhoff_tree_count(g) -> int:
     det = bareiss_det(minor)
     assert det[1] == 0
     return det[0]
+
+
+def spanning_tree_edges_by_recursion(g) -> list[tuple]:
+    """The edges of every spanning tree, ascending, by include/exclude
+    recursion over the sorted edge list, pruned by a union-find test for
+    inclusion and a whole-graph BFS for exclusion: the order reference of
+    `graphs.spanning_tree_masks`."""
+    g.require_connected()
+    edges = list(g.edge_list)
+    m = len(edges)
+    n = g.n
+    out: list[tuple] = []
+    if n == 1:
+        return [()]
+
+    def connected_using(allowed: list[bool], chosen: list) -> bool:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for (u, v) in chosen:
+            adj[u].append(v)
+            adj[v].append(u)
+        for k, ok in enumerate(allowed):
+            if ok:
+                u, v = edges[k]
+                adj[u].append(v)
+                adj[v].append(u)
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return len(seen) == n
+
+    comp = list(range(n))
+
+    def find(x: int) -> int:
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    def rec(idx: int, chosen: list, allowed: list[bool]) -> None:
+        if len(chosen) == n - 1:
+            out.append(tuple(chosen))
+            return
+        if idx == m:
+            return
+        u, v = edges[idx]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            # include edges[idx]
+            comp[ru] = rv
+            chosen.append(edges[idx])
+            rec(idx + 1, chosen, allowed)
+            chosen.pop()
+            # undo union by rebuilding
+            comp[:] = _rebuild_components(n, chosen)
+        # exclude edges[idx] if the rest can still span
+        allowed[idx] = False
+        if connected_using(allowed, chosen):
+            rec(idx + 1, chosen, allowed)
+        allowed[idx] = True
+
+    def _rebuild_components(n: int, chosen: list) -> list[int]:
+        c = list(range(n))
+
+        def f(x: int) -> int:
+            while c[x] != x:
+                c[x] = c[c[x]]
+                x = c[x]
+            return x
+
+        for (a, b) in chosen:
+            ra, rb = f(a), f(b)
+            if ra != rb:
+                c[ra] = rb
+        return c
+
+    rec(0, [], [True] * m)
+    return out
+
+
+def spanning_trees_by_recursion(g) -> list[SpanningTree]:
+    """`spanning_tree_edges_by_recursion` as SpanningTrees rooted at 0."""
+    return [tree_from_edges(g, edges) for edges in spanning_tree_edges_by_recursion(g)]
 
 
 def matching_counts_by_combinations(g) -> list[int]:
@@ -684,7 +773,7 @@ def min_rho_partial_unreduced(g):
     compared); each candidate's witness is its (tree, signs)."""
     n = g.n
     seen = {}
-    for t in enumerate_spanning_trees(g):
+    for t in spanning_trees_by_recursion(g):
         co = cotree_edges(g, t)
         re = [0] * (n * n)
         for (u, v) in t.tree_edges:

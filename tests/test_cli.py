@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -339,6 +341,62 @@ class TestPlumbing:
     def test_bad_tree_spec(self, capsys):
         code, _, err = run(capsys, "lemma4", "-g", C4, "--tree", "dfs:0")
         assert code == 1 and "tree spec" in err
+
+
+class TestParserCache:
+    ARGVS = (("matching", "-g", EX1, "--json"), ("explore", "-g", C4, "--json"), ("lemma4", "-g", C4))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """One entry per `build_parser()` call, from an empty parser cache."""
+        calls = []
+        build = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_one_parser_per_process(self, capsys, built):
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert len(built) == len(self.ARGVS)
+        built.clear()
+        cli._parser.cache_clear()
+        assert [run(capsys, *argv) for argv in self.ARGVS] == fresh
+        assert built == [1]
+
+    def test_no_action_has_a_mutable_default(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for p in (parser, *sub.choices.values()):
+            for action in p._actions:
+                assert isinstance(action.default, (type(None), str, int, float)), (p.prog, action.dest)
+            assert set(p._defaults) <= {"func", "needs_graph"}
+
+    def test_traced_pass_binds_the_wrapped_command(self):
+        # perfbench/child.py installs its tracer after import and before the
+        # first `main` call; the cached parser must dispatch to the wrapper
+        request = json.dumps({"items": [["explore", "-g", C4, "--json"]] * 2, "trace": True})
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "child.py"), repr(time.monotonic())],
+            input=request,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        report = json.loads(proc.stdout)
+        first, second = report["items"]
+        assert first["rc"] == second["rc"] == 0 and first["stdout"] == second["stdout"]
+        assert report["trace"]["calls"]["cli.explore"] == 2
+        assert report["trace"]["self_s"]["cli.explore"] > 0
 
 
 @pytest.fixture(scope="module")

@@ -35,6 +35,7 @@ from orispec.graphs import (
     norm_edge,
     parse_graph6,
     sign_vectors,
+    spanning_tree_masks,
 )
 from orispec.hermitian import GainTable, charpoly_of_mixed, hermitian_adjacency, spectral_radius, spectral_radius_of_charpoly
 from orispec.polynomials import AlgebraicRoot, IntPoly, Order, compare_roots, isolate_largest_root
@@ -253,6 +254,23 @@ class TestMinRhoPartial:
             min_rho_partial(g)
         assert len(gain_tables.sweeps) == 69
 
+    @pytest.mark.parametrize(
+        "g6, trees, cosets",
+        [("C}", 8, 2), ("D~{", 125, 3), ("E~~w", 1296, 6)],
+        ids=["k4-minus-edge", "k5", "k6"],
+    )
+    def test_one_tree_object_per_visited_coset(self, g6, trees, cosets, spanning_trees_built, gain_tables):
+        # trees are listed as edge masks: a SpanningTree is built only for
+        # the first tree of each coset, never for a tree of a visited orbit
+        # or coset, and the witness is one of those objects
+        g = parse_graph6(g6)
+        table = explore._bfs_table(g)[2]
+        spanning_trees_built.clear()
+        root, tree, witness = explore._min_rho_partial(g, table, {}, {})
+        assert len(spanning_tree_masks(g)) == trees
+        assert len(spanning_trees_built) == len(gain_tables.sweeps) == len(set(gain_tables.cosets)) == cosets
+        assert any(t is tree for t in spanning_trees_built)
+
     @pytest.fixture
     def compared(self, monkeypatch):
         """The candidate lists min_rho_partial hands to `_radius_min`."""
@@ -448,7 +466,7 @@ class TestRadiusMinPruning:
         # does not apply and the candidate is isolated and compared
         two_above = IntPoly((30, -11, 1))  # roots 5 and 6
         h = self.h_after_sqrt2()
-        assert not explore._root_beyond(two_above, h)
+        assert not explore._root_beyond(two_above, h.numerator, h.denominator)
         assert self.run([(SQRT2, "sqrt2"), (two_above, "two above")], isolated) == [SQRT2, two_above]
 
     def test_root_below_minus_h_only_is_pruned(self, isolated):

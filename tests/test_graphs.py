@@ -10,6 +10,7 @@ from orispec.graphs import (
     Graph,
     MixedGraph,
     SignVector,
+    SpanningTree,
     bfs_spanning_tree,
     build_mixed,
     cotree_edges,
@@ -21,7 +22,9 @@ from orispec.graphs import (
     parse_graph6,
     parse_mixed,
     sign_vectors,
+    spanning_tree_masks,
     tree_from_edges,
+    tree_from_mask,
     tree_parity_bipartition,
 )
 
@@ -183,6 +186,77 @@ class TestSpanningTrees:
                         steps += 1
                         assert steps <= g.n
                     assert steps == t.depth[v]
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
+    return Graph.of(rows * cols, edges + [(v, v + cols) for v in range((rows - 1) * cols)])
+
+
+PETERSEN = Graph.of(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+K7 = Graph.of(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+
+
+def mask_of(g: Graph, edges) -> int:
+    top = len(g.edge_list) - 1
+    return sum(1 << (top - g.edge_list.index(e)) for e in edges)
+
+
+class TestSpanningTreeMasks:
+    """`spanning_tree_masks` against the include/exclude recursion it
+    replaced (tests/oracles.py), tree for tree and in order."""
+
+    @staticmethod
+    def assert_matches_reference(g: Graph, count: int | None = None, trees: bool = True) -> None:
+        reference = oracles.spanning_tree_edges_by_recursion(g)
+        masks = spanning_tree_masks(g)
+        assert masks == [mask_of(g, edges) for edges in reference]
+        assert masks == sorted(set(masks), reverse=True)
+        if count is not None:
+            assert len(masks) == count
+        if trees:
+            listed = enumerate_spanning_trees(g, guard=False)
+            assert listed == [tree_from_edges(g, edges) for edges in reference]
+            assert listed == [tree_from_mask(g, mask) for mask in masks]
+
+    def test_corpus6(self, corpus6):
+        for g in corpus6:
+            self.assert_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "g, count",
+        [(Graph.of(1, []), 1), (PETERSEN, 2000), (grid(3, 4), 2415), (K7, 16807)],
+        ids=["n1", "petersen", "grid3x4", "k7"],
+    )
+    def test_named_graphs(self, g, count):
+        self.assert_matches_reference(g, count)
+
+    def test_grid4x4(self):
+        # masks only: `enumerate_spanning_trees` maps them, as checked above
+        self.assert_matches_reference(grid(4, 4), 100352, trees=False)
+
+    def test_n1_is_the_empty_tree(self):
+        assert spanning_tree_masks(Graph.of(1, [])) == [0]
+        assert enumerate_spanning_trees(Graph.of(1, [])) == [SpanningTree(0, (0,), frozenset())]
+
+    def test_disconnected_and_empty_graphs_are_rejected(self):
+        with pytest.raises(DisconnectedError):
+            spanning_tree_masks(Graph.of(3, [(0, 1)]))
+        with pytest.raises(DisconnectedError):
+            spanning_tree_masks(Graph.of(0, []))
+
+    def test_tree_from_mask_rejects_non_trees(self, ex1):
+        # ex1's edges ascending: 01 03 12 13 23; 01, 03, 13 close a triangle
+        assert ex1.edge_list == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
+        with pytest.raises(ValueError):
+            tree_from_mask(ex1, 0b11010)
+        with pytest.raises(ValueError):
+            tree_from_mask(ex1, 0b11000)
 
 
 class TestParityAndCycles:
