@@ -343,6 +343,7 @@ class GainTable:
         self._shifts = range(0, width * (n + 1), width)
         self._half = digit >> 1
         self._bias = sum(self._half << shift for shift in self._shifts)
+        self._all_odd: list[int] | None = None  # the coset with parity 1...1
 
     def gain(self, arcs: Iterable[tuple[int, int]]) -> Gain:
         """The gain of the mixed graph with the given arcs, other edges
@@ -381,7 +382,16 @@ class GainTable:
         return packed
 
     def coset(self, parity: int) -> list[int]:
-        """Packed phi(parity + 2b) at index b, for every b."""
+        """Packed phi(parity + 2b) at index b, for every b.
+
+        The coset with parity 1...1, which the partial orientations over the
+        table's own tree read, and the complete ones when every fundamental
+        cycle is odd, is kept once transformed and handed out again, so
+        callers must not mutate it.
+        """
+        all_odd = parity == (1 << self.m) - 1
+        if all_odd and self._all_odd is not None:
+            return self._all_odd
         table = [0] * (1 << self.m)
         for key, packed in self.fold(parity).items():
             table[key] = packed
@@ -394,6 +404,8 @@ class GainTable:
             low, high = table[:middle], table[middle:]
             table[0::2] = map(operator.add, low, high)
             table[1::2] = map(operator.sub, low, high)
+        if all_odd:
+            self._all_odd = table
         return table
 
     def value(self, gain: Gain) -> int:
@@ -450,8 +462,11 @@ def spectral_radius_of_charpoly(p: IntPoly) -> AlgebraicRoot:
     spectrum (`isolate_extreme_roots`); comparing the two ends refines
     them by signs of their polynomials alone.  The result is the largest
     root of p, or minus the smallest one, in the interval state left by
-    comparing the two; on a tie (a symmetric spectrum) the largest root
-    wins.
+    comparing the two; on a tie the largest root wins.  A spectrum
+    symmetric about 0, as every mixed graph on a bipartite host has, gives
+    p = x^e f(x^2): its roots are counted on f's chain at half the degree,
+    and the bottom end is a copy of the top one, which ties without a
+    refinement.
     """
     top, bottom_abs = isolate_extreme_roots(p)
     return top if top.compare(bottom_abs) is not Order.LT else bottom_abs

@@ -3,9 +3,10 @@
 Every decision procedure here (root counting, ordering, interlacing checks)
 runs in exact integer or rational arithmetic.  Root counts come from Sturm
 sequences, evaluated at a rational point through one table of powers of its
-numerator and denominator; points beyond an integer bound on every complex
-root's modulus need no count at all.  Once a root is isolated, a sign of its
-defining polynomial decides every further step.  Floating point appears only
+numerator and denominator; a polynomial x^e f(x^2) is counted on the chain
+of f at x^2, at half the degree, and points beyond an integer bound on every
+complex root's modulus need no count at all.  Once a root is isolated, a
+sign of its defining polynomial decides every further step.  Floating point appears only
 in display helpers such as ``roots_numeric``.
 
 A real algebraic number is carried as a square-free integer polynomial plus
@@ -473,7 +474,12 @@ def variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
 
 
 def variations_at_ratio(chain: Sequence[IntPoly], num: int, den: int) -> int:
-    """Sign variations of a Sturm chain at num / den, den > 0.
+    """Sign variations of a Sturm chain at num / den, den > 0."""
+    return _chain_signs(chain, num, den)[1]
+
+
+def _chain_signs(chain: Sequence[IntPoly], num: int, den: int) -> tuple[int, int]:
+    """(sign of chain[0], sign variations of the chain) at num / den, den > 0.
 
     One table T_k = num^k * den^(D-k), D = deg chain[0], signs every member:
     for a member p of degree d, sum c_k T_k = den^(D-d) * den^d * p(x), and
@@ -489,15 +495,17 @@ def variations_at_ratio(chain: Sequence[IntPoly], num: int, den: int) -> int:
         for k in range(len(table) - 2, -1, -1):
             acc *= den
             table[k] *= acc
-    count = last = 0
-    for p in chain:
+    v = sum(map(mul, chain[0].coeffs, table))
+    first = last = (v > 0) - (v < 0)
+    count = 0
+    for p in chain[1:]:
         v = sum(map(mul, p.coeffs, table))
         if v:
             sign = 1 if v > 0 else -1
             if sign == -last:
                 count += 1
             last = sign
-    return count
+    return first, count
 
 
 def variations_pos_inf(chain: Sequence[IntPoly]) -> int:
@@ -776,11 +784,65 @@ class AlgebraicRoot:
 # ---------------------------------------------------------------------------
 
 
-def _root_window(
-    q: IntPoly, chain: tuple[IntPoly, ...], a: int, b: int, d: int
-) -> tuple[int, int, int, int, int]:
+class _RootCount:
+    """Distinct real roots of a square-free q above a point, with the sign
+    of q there, from one evaluation of one Sturm chain.
+
+    A symmetric q, q(-x) = +-q(x), is x^e f(x^2) with e in {0, 1} and
+    f(0) != 0, and carries f's chain, at half the degree.  With
+    R_f(y) = V_f(y) - V_f(+inf), the roots of f above y, q has R_f(x^2)
+    roots above x >= 0 and (2 R_f(0) + e) - R_f(x^2) above x < 0, and the
+    sign of q(x) is sign(x)^e times that of f(x^2).  Every other q carries its own chain, and R(x) =
+    V(x) - V(+inf).  Either count is exact for any q, real-rooted or not,
+    at a point where q is nonzero; a linear q carries no chain.
+    """
+
+    __slots__ = ("q", "chain", "e", "top", "total")
+
+    def __init__(self, q: IntPoly, chain: tuple[IntPoly, ...] | None, e: int | None = None) -> None:
+        self.q, self.chain, self.e = q, chain, e  # e is None: the chain is q's own
+        if chain is None:
+            return
+        self.top = variations_pos_inf(chain)
+        if e is None:
+            self.total = variations_neg_inf(chain) - self.top
+        else:
+            self.total = 2 * (_chain_signs(chain, 0, 1)[1] - self.top) + e
+
+    def at(self, num: int, den: int) -> tuple[int, int]:
+        """(sign of q, distinct real roots of q above x) at x = num / den,
+        den > 0; the count holds where the sign is nonzero."""
+        if self.e is None:
+            sign, v = _chain_signs(self.chain, num, den)
+            return sign, v - self.top
+        sign, v = _chain_signs(self.chain, num * num, den * den)
+        if num < 0:
+            return -sign if self.e else sign, self.total - v + self.top
+        return sign if num or not self.e else 0, v - self.top
+
+    def reflected(self) -> "_RootCount":
+        """The count of q(-x) made primitive: self for a symmetric q, which
+        is its own reflection, else over the chain `_reflected` reads off."""
+        if self.e is not None:
+            return self
+        return _RootCount(*_reflected(self.q, self.chain))
+
+
+def _root_count(q: IntPoly) -> _RootCount:
+    """The `_RootCount` of a square-free q: one Sturm chain, f's when q is
+    x^e f(x^2), else q's own; none when q is linear."""
+    if q.degree < 2:
+        return _RootCount(q, None)
+    cs = q.coeffs
+    e = q.degree & 1
+    if any(cs[1 - e :: 2]):
+        return _RootCount(q, sturm_chain(q))
+    return _RootCount(q, sturm_chain(IntPoly(cs[e::2])), e)
+
+
+def _root_window(counts: _RootCount, a: int, b: int, d: int) -> tuple[int, int, int, int, int]:
     """A window that isolates the root (a + b) / 2d of q, the midpoint of
-    (a/d, b/d): (left, its variations, right, its variations, s), both ends
+    (a/d, b/d): (left, roots above it, right, roots above it, s), both ends
     over d << s at distance (b - a) / (d << s) from the root, for the first
     s = 2, 3, ... at which neither end is a root and the window holds no
     other one.  The window stays strictly inside (a/d, b/d)."""
@@ -790,15 +852,16 @@ def _root_window(
     while True:
         e = d << s
         left, right = m - w, m + w
-        if q.sign_at_ratio(left, e) and q.sign_at_ratio(right, e):
-            vl, vr = variations_at_ratio(chain, left, e), variations_at_ratio(chain, right, e)
-            if vl - vr == 1:
+        sl, vl = counts.at(left, e)
+        if sl:
+            sr, vr = counts.at(right, e)
+            if sr and vl - vr == 1:
                 return left, vl, right, vr, s
         m <<= 1
         s += 1
 
 
-def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[AlgebraicRoot]:
+def _isolate_squarefree(counts: _RootCount) -> list[AlgebraicRoot]:
     """All real roots of a square-free q, ascending, as isolating intervals.
 
     The walk bisects the Cauchy interval (-B, B), and no root lies outside
@@ -806,6 +869,7 @@ def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[Algebrai
     beyond q's root radius R either, so a midpoint beyond R needs no count.
     Each interval (a/d, b/d) of the walk carries its own power-of-two d.
     """
+    q = counts.q
     if q.degree == 1:
         c0, c1 = q.coeffs
         return [AlgebraicRoot.exact(q, Fraction(-c0, c1))]
@@ -826,18 +890,18 @@ def _isolate_squarefree(q: IntPoly, chain: tuple[IntPoly, ...]) -> list[Algebrai
             vm = vb
         elif mid < -limit:
             vm = va
-        elif q.sign_at_ratio(mid, d2) == 0:
-            left, vl, right, vr, s = _root_window(q, chain, a, b, d)
-            walk(a << s, va, left, vl, d << s)
-            out.append(AlgebraicRoot._isolated(q, mid, mid, d2))
-            walk(right, vr, b << s, vb, d << s)
-            return
         else:
-            vm = variations_at_ratio(chain, mid, d2)
+            sign, vm = counts.at(mid, d2)
+            if sign == 0:
+                left, vl, right, vr, s = _root_window(counts, a, b, d)
+                walk(a << s, va, left, vl, d << s)
+                out.append(AlgebraicRoot._isolated(q, mid, mid, d2))
+                walk(right, vr, b << s, vb, d << s)
+                return
         walk(a << 1, va, mid, vm, d2)
         walk(mid, vm, b << 1, vb, d2)
 
-    walk(-bound, variations_neg_inf(chain), bound, variations_pos_inf(chain), 1)
+    walk(-bound, counts.total, bound, 0, 1)
     return out
 
 
@@ -854,8 +918,7 @@ def isolate_real_roots(p: IntPoly) -> list[AlgebraicRoot]:
     for factor, mult in squarefree_decomposition(p):
         if factor.degree < 1:
             continue
-        chain = sturm_chain(factor)
-        for root in _isolate_squarefree(factor, chain):
+        for root in _isolate_squarefree(_root_count(factor)):
             groups.append((root, mult))
     # square-free factors are pairwise coprime, so roots from different
     # factors are distinct and exact comparison is a pure ordering question
@@ -890,14 +953,14 @@ def is_real_rooted(p: IntPoly) -> bool:
     return total == p.degree
 
 
-def _squarefree_with_chain(p: IntPoly) -> tuple[IntPoly, tuple[IntPoly, ...] | None]:
-    """Square-free part of p and its Sturm chain (None when it is linear)."""
+def _squarefree_count(p: IntPoly) -> _RootCount:
+    """The `_RootCount` of the square-free part of p."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     q = squarefree_part(p)
     if q.degree < 1:
         raise ValueError("polynomial has no roots")
-    return q, (sturm_chain(q) if q.degree > 1 else None)
+    return _root_count(q)
 
 
 def _reflected(
@@ -920,18 +983,21 @@ def _reflected(
     )
 
 
-def _largest_root(q: IntPoly, chain: tuple[IntPoly, ...] | None) -> AlgebraicRoot:
+def _largest_root(counts: _RootCount) -> AlgebraicRoot:
     """Isolating interval (or exact value) of the largest real root of the
-    square-free q, by bisection of the Cauchy interval on q's Sturm chain.
-    As in `_isolate_squarefree`, the ends of the Cauchy interval take the
-    counts at infinity, and a midpoint beyond q's root radius needs none."""
+    square-free q of counts, by bisection of the Cauchy interval on the
+    counts of roots above each midpoint: from f's chain at half the degree
+    when q is x^e f(x^2), else from q's own.  As in `_isolate_squarefree`,
+    the ends of the Cauchy interval take the counts at infinity, and a
+    midpoint beyond q's root radius needs none."""
+    q = counts.q
     if q.degree == 1:
         c0, c1 = q.coeffs
         return AlgebraicRoot.exact(q, Fraction(-c0, c1))
     bound = cauchy_root_bound(q)
     radius = q.root_radius()
     lo, hi, d = -bound, bound, 1
-    va, vb = variations_neg_inf(chain), variations_pos_inf(chain)
+    va, vb = counts.total, 0
     count = va - vb
     if count == 0:
         raise ValueError("polynomial has no real roots")
@@ -942,16 +1008,16 @@ def _largest_root(q: IntPoly, chain: tuple[IntPoly, ...] | None) -> AlgebraicRoo
             vm = vb
         elif mid < -limit:
             vm = va
-        elif q.sign_at_ratio(mid, d2) == 0:
-            # mid is itself a root; continue above a window that isolates it
-            _, _, right, vr, s = _root_window(q, chain, lo, hi, d)
-            above = vr - vb
-            if above == 0:
-                return AlgebraicRoot._isolated(q, mid, mid, d2)
-            lo, hi, d, va, count = right, hi << s, d << s, vr, above
-            continue
         else:
-            vm = variations_at_ratio(chain, mid, d2)
+            sign, vm = counts.at(mid, d2)
+            if sign == 0:
+                # mid is itself a root; continue above a window that isolates it
+                _, _, right, vr, s = _root_window(counts, lo, hi, d)
+                above = vr - vb
+                if above == 0:
+                    return AlgebraicRoot._isolated(q, mid, mid, d2)
+                lo, hi, d, va, count = right, hi << s, d << s, vr, above
+                continue
         above = vm - vb
         if above >= 1:
             lo, hi, d, va, count = mid, hi << 1, d2, vm, above
@@ -962,23 +1028,28 @@ def _largest_root(q: IntPoly, chain: tuple[IntPoly, ...] | None) -> AlgebraicRoo
 
 def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:
     """Isolating interval (or exact value) of the largest real root of p."""
-    return _largest_root(*_squarefree_with_chain(p))
+    return _largest_root(_squarefree_count(p))
 
 
 def isolate_smallest_root(p: IntPoly) -> AlgebraicRoot:
     """The smallest real root of p: minus the largest root of p(-x)."""
-    return _largest_root(*_reflected(*_squarefree_with_chain(p))).negated()
+    return _largest_root(_squarefree_count(p).reflected()).negated()
 
 
 def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     """(largest root of p, largest root of p(-x)) from one square-free part
-    and one Sturm chain: the second bisection runs on the reflected chain.
+    q and one Sturm chain.
 
     The second root is minus the smallest root of p; its poly is the
     square-free part of p(-x), as `isolate_smallest_root(p).negated()` gives.
+    When q(-x) = +-q(x), q(-x) made primitive is q itself, so the second
+    root is a `copy()` of the first; otherwise a second bisection runs on
+    the reflected chain.
     """
-    q, chain = _squarefree_with_chain(p)
-    return _largest_root(q, chain), _largest_root(*_reflected(q, chain))
+    counts = _squarefree_count(p)
+    top = _largest_root(counts)
+    mirror = counts.reflected()
+    return top, top.copy() if mirror is counts else _largest_root(mirror)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ two is evidence of correctness rather than a tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -32,12 +33,19 @@ from orispec.polynomials import (
     IntPoly,
     Order,
     _pseudo_rem,
+    _reflected,
+    cauchy_root_bound,
     compare_roots,
     isolate_largest_root,
     isolate_real_roots,
     roots_admit_common_interlacer,
+    squarefree_decomposition,
+    squarefree_part,
     sturm_chain,
     variations_at,
+    variations_at_ratio,
+    variations_neg_inf,
+    variations_pos_inf,
 )
 from orispec.switching import switching_equivalent
 
@@ -412,6 +420,134 @@ def spectral_radius_two_isolations(p):
     top = isolate_largest_root(p)
     bottom_abs = isolate_largest_root(p.reflected()).negated().negated()
     return top if top.compare(bottom_abs) is not Order.LT else bottom_abs
+
+
+# ---------------------------------------------------------------------------
+# root isolation at full degree: the Sturm chain of q itself
+# ---------------------------------------------------------------------------
+
+
+def _full_root_window(q, chain, a: int, b: int, d: int):
+    """`polynomials._root_window` with a sign of q and variations of q's
+    own chain in place of the half-degree counts."""
+    w = b - a
+    m = (a + b) << 1
+    s = 2
+    while True:
+        e = d << s
+        left, right = m - w, m + w
+        if q.sign_at_ratio(left, e) and q.sign_at_ratio(right, e):
+            vl, vr = variations_at_ratio(chain, left, e), variations_at_ratio(chain, right, e)
+            if vl - vr == 1:
+                return left, vl, right, vr, s
+        m <<= 1
+        s += 1
+
+
+def _full_isolate_squarefree(q, chain) -> list[AlgebraicRoot]:
+    if q.degree == 1:
+        c0, c1 = q.coeffs
+        return [AlgebraicRoot.exact(q, Fraction(-c0, c1))]
+    bound = cauchy_root_bound(q)
+    radius = q.root_radius()
+    out: list[AlgebraicRoot] = []
+
+    def walk(a, va, b, vb, d):
+        count = va - vb
+        if count == 0:
+            return
+        if count == 1:
+            out.append(AlgebraicRoot._isolated(q, a, b, d))
+            return
+        mid, d2 = a + b, d << 1
+        limit = radius * d2
+        if mid > limit:
+            vm = vb
+        elif mid < -limit:
+            vm = va
+        elif q.sign_at_ratio(mid, d2) == 0:
+            left, vl, right, vr, s = _full_root_window(q, chain, a, b, d)
+            walk(a << s, va, left, vl, d << s)
+            out.append(AlgebraicRoot._isolated(q, mid, mid, d2))
+            walk(right, vr, b << s, vb, d << s)
+            return
+        else:
+            vm = variations_at_ratio(chain, mid, d2)
+        walk(a << 1, va, mid, vm, d2)
+        walk(mid, vm, b << 1, vb, d2)
+
+    walk(-bound, variations_neg_inf(chain), bound, variations_pos_inf(chain), 1)
+    return out
+
+
+def _full_largest_root(q, chain) -> AlgebraicRoot:
+    if q.degree == 1:
+        c0, c1 = q.coeffs
+        return AlgebraicRoot.exact(q, Fraction(-c0, c1))
+    bound = cauchy_root_bound(q)
+    radius = q.root_radius()
+    lo, hi, d = -bound, bound, 1
+    va, vb = variations_neg_inf(chain), variations_pos_inf(chain)
+    count = va - vb
+    if count == 0:
+        raise ValueError("polynomial has no real roots")
+    while count > 1:
+        mid, d2 = lo + hi, d << 1
+        limit = radius * d2
+        if mid > limit:
+            vm = vb
+        elif mid < -limit:
+            vm = va
+        elif q.sign_at_ratio(mid, d2) == 0:
+            _, _, right, vr, s = _full_root_window(q, chain, lo, hi, d)
+            above = vr - vb
+            if above == 0:
+                return AlgebraicRoot._isolated(q, mid, mid, d2)
+            lo, hi, d, va, count = right, hi << s, d << s, vr, above
+            continue
+        else:
+            vm = variations_at_ratio(chain, mid, d2)
+        above = vm - vb
+        if above >= 1:
+            lo, hi, d, va, count = mid, hi << 1, d2, vm, above
+        else:
+            lo, hi, d, vb, count = lo << 1, mid, d2, vm, va - vm
+    return AlgebraicRoot._isolated(q, lo, hi, d)
+
+
+def _full_squarefree_with_chain(p):
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    q = squarefree_part(p)
+    if q.degree < 1:
+        raise ValueError("polynomial has no roots")
+    return q, (sturm_chain(q) if q.degree > 1 else None)
+
+
+def largest_root_full_degree(p) -> AlgebraicRoot:
+    """`isolate_largest_root` by bisection on the Sturm chain of the
+    square-free part q itself, whatever its symmetry."""
+    return _full_largest_root(*_full_squarefree_with_chain(p))
+
+
+def extreme_roots_full_degree(p) -> tuple[AlgebraicRoot, AlgebraicRoot]:
+    """`isolate_extreme_roots` at full degree: the second bisection always
+    runs, on the reflected chain, symmetric q included."""
+    q, chain = _full_squarefree_with_chain(p)
+    return _full_largest_root(q, chain), _full_largest_root(*_reflected(q, chain))
+
+
+def real_roots_full_degree(p) -> list[AlgebraicRoot]:
+    """`isolate_real_roots` with each square-free factor isolated on its
+    own Sturm chain, merged by the same sort."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    groups = []
+    for factor, mult in squarefree_decomposition(p):
+        if factor.degree >= 1:
+            groups += [(root, mult) for root in _full_isolate_squarefree(factor, sturm_chain(factor))]
+    groups.sort(key=functools.cmp_to_key(lambda x, y: -1 if x[0].compare(y[0]) is Order.LT else 1))
+    return [root for root, mult in groups for _ in range(mult)]
 
 
 # ---------------------------------------------------------------------------

@@ -401,15 +401,15 @@ class TestParserCache:
 
 @pytest.fixture(scope="module")
 def benchmark_items():
-    """The benchmark's explore and family items by label, from
-    perfbench/workloads.py (which does not import orispec)."""
+    """The benchmark's items by label, from perfbench/workloads.py (which
+    does not import orispec)."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses resolves the module's string annotations through sys.modules
     sys.modules[spec.name] = workloads
     try:
         spec.loader.exec_module(workloads)
-        return {item.label: item for name in ("explore", "family") for item in workloads.universe(name)}
+        return {item.label: item for name in workloads.WORKLOADS for item in workloads.universe(name)}
     finally:
         del sys.modules[spec.name]
 
@@ -423,6 +423,10 @@ class TestBenchmarkReference:
             "explore:max-n5",
             "audit-family:grid2x8:bfs0",
             "audit-family:petersen:T0",
+            # bipartite hosts: charpolys of odd (3x5, e = 1) and even (4x4) degree
+            "find-orientation:grid3x5:bfs0",
+            "find-orientation:grid4x4:bfs0",
+            "verify-expectation:grid3x5:bfs0",
         ],
     )
     def test_stdout_matches_reference_digest(self, capsys, benchmark_items, label):

@@ -705,6 +705,29 @@ class TestRecordSharing:
         for g in corpus5:
             assert explore_record(g) == separate_record(g), encode_graph6(g)
 
+    def test_all_odd_coset_transformed_once_per_record(self, corpus5, monkeypatch):
+        # the partial orientations over the BFS tree, the bound sweep, the
+        # all-mixed tier and, when every fundamental cycle is odd, the
+        # complete orientations read the coset with parity 1...1
+        folds = []
+        fold = GainTable.fold
+
+        def recording(self, parity):
+            folds.append(parity == (1 << self.m) - 1)
+            return fold(self, parity)
+
+        monkeypatch.setattr(GainTable, "fold", recording)
+        for g in corpus5:
+            if len(g.edges) < g.n:
+                continue  # a tree's only parity, 0, is also folded by `value`
+            folds.clear()
+            explore_record(g)
+            assert folds.count(True) == 1, encode_graph6(g)
+        _, _, table = explore._bfs_table(complete_graph(5))
+        top = (1 << table.m) - 1
+        assert table.coset(top) is table.coset(top)
+        assert table.coset(0) is not table.coset(0)
+
     def test_one_gain_table_per_record(self, corpus5, kernel_calls, gain_tables):
         # the public searches build a table each and sweep the complete
         # orientations twice; the record builds one table and sweeps them

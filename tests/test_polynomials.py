@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import FractionRoot, SturmRoot, count_roots_open, poly_gcd_by_prs
 
 from orispec import polynomials
@@ -42,10 +44,34 @@ from orispec.polynomials import (
     squarefree_part,
     sturm_chain,
     variations_at,
+    variations_at_ratio,
+    variations_pos_inf,
 )
 
 small_ints = st.integers(min_value=-9, max_value=9)
 root_lists = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6)
+
+# factors q with q(-x) = +-q(x): non-real pairs, real pairs and a root at 0
+SYMMETRIC_FACTORS = (
+    IntPoly((1, 0, 1)),
+    IntPoly((1, 0, 0, 0, 1)),
+    IntPoly((-2, 0, 1)),
+    IntPoly((-1, 0, 1)),
+    IntPoly((0, 1)),
+)
+
+
+@st.composite
+def symmetric_polys(draw):
+    """x^e f(x^2), e in {0, 1, 2}, times up to three symmetric factors, so
+    that roots repeat, 0 is a root and some roots are not real."""
+    coeffs = [0] * draw(st.integers(min_value=0, max_value=2))
+    for c in draw(st.lists(small_ints, min_size=1, max_size=5)):
+        coeffs += [c, 0]
+    p = IntPoly(coeffs)
+    for factor in draw(st.lists(st.sampled_from(SYMMETRIC_FACTORS), max_size=3)):
+        p = p * factor
+    return p
 
 
 def poly_of(*coeffs):
@@ -301,6 +327,52 @@ class TestSturm:
         assert chain == sturm_chain(reflected)
 
 
+class TestRootCounts:
+    """A symmetric square-free q = x^e f(x^2) counts its roots on f's chain
+    at half the degree; every other q on its own chain.  Both give q's sign
+    and, where it is nonzero, the roots above the point that q's own chain
+    counts."""
+
+    @staticmethod
+    def assert_counts_match_own_chain(p, num, den):
+        if p.is_zero or p.degree < 1:
+            return
+        q = squarefree_part(p)
+        if q.degree < 2:
+            return
+        count = polynomials._root_count(q)
+        chain = sturm_chain(q)
+        symmetric = not any(q.coeffs[1 - q.degree % 2 :: 2])
+        assert (count.e is not None) == symmetric
+        assert count.chain[0].degree == (q.degree // 2 if symmetric else q.degree)
+        assert count.total == count_real_roots(chain)
+        sign, above = count.at(num, den)
+        assert sign == q.sign_at_ratio(num, den)
+        if sign:
+            assert above == variations_at_ratio(chain, num, den) - variations_pos_inf(chain)
+
+    @given(symmetric_polys(), st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=16))
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_polys(self, p, num, den):
+        self.assert_counts_match_own_chain(p, num, den)
+
+    @given(
+        st.lists(small_ints, min_size=2, max_size=9),
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_polys(self, coeffs, num, den):
+        self.assert_counts_match_own_chain(IntPoly(coeffs), num, den)
+
+    def test_root_at_zero_and_non_real_pairs(self):
+        # x (x^2 + 1)(x^2 - 2): e = 1, roots -sqrt(2), 0, sqrt(2)
+        q = IntPoly((0, 1)) * poly_of(1, 0, 1) * poly_of(-2, 0, 1)
+        count = polynomials._root_count(q)
+        assert count.e == 1 and count.chain[0] == poly_of(-2, -1, 1) and count.total == 3
+        assert [count.at(num, 2) for num in (-4, -1, 0, 1, 4)] == [(-1, 3), (1, 2), (0, 1), (-1, 1), (1, 0)]
+
+
 class TestRealRootedness:
     def test_simple_cases(self):
         assert is_real_rooted(poly_of(-1, 0, 1))
@@ -531,6 +603,79 @@ class TestAlgebraicRootExtras:
         c.refine(Fraction(1, 10**6))
         assert (r.lo, r.hi) == before
         assert r.lo <= c.lo < c.hi <= r.hi
+
+
+class TestHalfDegreeIsolationAgainstFullDegree:
+    """The walks read a symmetric q's counts off f's chain, and its bottom
+    end is a copy of its top; `oracles` keeps the walks on q's own chain
+    with a second bisection on the reflected one.  Both give the same polys
+    and (a, b, d) states, before and after refining to the printed width."""
+
+    @staticmethod
+    def assert_matches_full_degree(p):
+        for isolate, oracle in (
+            (isolate_largest_root, oracles.largest_root_full_degree),
+            (isolate_extreme_roots, oracles.extreme_roots_full_degree),
+            (isolate_real_roots, oracles.real_roots_full_degree),
+        ):
+            try:
+                want = oracle(p)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    isolate(p)
+                continue
+            got = isolate(p)
+            got, want = [
+                [roots] if isinstance(roots, AlgebraicRoot) else list(roots) for roots in (got, want)
+            ]
+            assert states(got) == states(want), (isolate.__name__, p)
+            for r in got + want:
+                r.refine(PRINT_WIDTH)
+            assert states(got) == states(want), (isolate.__name__, p)
+
+    @given(symmetric_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_polys(self, p):
+        self.assert_matches_full_degree(p)
+
+    @given(st.lists(small_ints, min_size=2, max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_any_polys(self, coeffs):
+        self.assert_matches_full_degree(IntPoly(coeffs))
+
+    def test_dyadic_roots_at_window_ends(self):
+        # +-r, +-s with a root at a bisection midpoint and another at an end
+        # of the window that isolates it, e.g. (16x^2 - 1)(4x^2 - 1)
+        dyadic = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), Fraction(1), Fraction(2)]
+        for r, s in itertools.combinations(dyadic, 2):
+            p = poly_of(-r.numerator**2, 0, r.denominator**2) * poly_of(-s.numerator**2, 0, s.denominator**2)
+            self.assert_matches_full_degree(p)
+            self.assert_matches_full_degree(p * poly_of(0, 1))
+
+    def test_grid_charpolys(self):
+        # the bipartite ladders' sign sweeps: even (2 x 4) and odd (2 x 4
+        # less a corner, 7 vertices) degree
+        for cols, n in ((4, 8), (4, 7)):
+            g = ladder(cols)
+            if n < g.n:
+                g = Graph.of(n, [e for e in g.edges if max(e) < n])
+            t = bfs_spanning_tree(g, 0)
+            co = cotree_edges(g, t)
+            polys = {IntPoly(c) for c in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)))}
+            assert all(p.degree == n and not any(p.coeffs[1 - n % 2 :: 2]) for p in polys)
+            for p in polys:
+                self.assert_matches_full_degree(p)
+
+    def test_symmetric_bottom_is_a_copy_of_the_top(self):
+        for p in (poly_of(1, 0, -3, 0, 1), poly_of(0, -3, 0, 1), poly_of(-3, 0, 1) * poly_of(1, 0, 1)):
+            top, bottom = isolate_extreme_roots(p)
+            assert bottom is not top and states([bottom]) == states([top])
+            bottom.refine(PRINT_WIDTH)
+            assert (top.lo, top.hi) != (bottom.lo, bottom.hi)
+
+
+def states(roots):
+    return [(r.poly, r._a, r._b, r._d) for r in roots]
 
 
 def ladder(cols):
