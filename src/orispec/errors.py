@@ -17,6 +17,17 @@ class GuardLimit(OrispecError, ValueError):
     """Input exceeds the desk-scale size guard of an exhaustive operation."""
 
 
+def check_guard(work: str, name: str, value: int, limit: int, guard: bool = True) -> None:
+    """Refuse an exhaustive operation whose size exceeds its guard.
+
+    The one place a size guard raises: ``<work>; <name>=<value> exceeds
+    <limit> (pass guard=False to override)``.  Callers pass their guard
+    constant at call time, and guard=False lifts the check.
+    """
+    if guard and value > limit:
+        raise GuardLimit(f"{work}; {name}={value} exceeds {limit} (pass guard=False to override)")
+
+
 class ComputationDefect(OrispecError, RuntimeError):
     """A mathematically guaranteed property failed to hold.
 

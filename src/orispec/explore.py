@@ -5,18 +5,23 @@ extending each smaller graph with one new vertex (every connected graph has
 a non-cut vertex, so this reaches everything) and deduplicating on a
 canonical form: the lexicographically smallest placement bitstring over all
 vertex orderings, found by branch and bound.
+
+On each graph, `_Search` runs the minimum-rho searches over complete,
+partial and all mixed orientations and the rho(mixed) <= rho(G) bound sweep
+from one gain table over the BFS tree at 0.  Every public entry checks its
+guards (`_check_guards`) before it builds that object, so a refused input
+costs no search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
-from .errors import GuardLimit
+from .errors import GuardLimit, check_guard
 from .graphs import (
-    Edge,
     Graph,
     MixedGraph,
     SignVector,
@@ -147,7 +152,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _corpus_level(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one per isomorphism class,
     canonically labeled, in canonical-key order."""
@@ -171,11 +176,7 @@ def generate_corpus(max_n: int, guard: bool = True) -> list[Graph]:
     """All connected graphs with 1 <= n <= max_n, up to isomorphism."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if guard and max_n > CORPUS_GUARD_N:
-        raise GuardLimit(
-            f"corpus generation is exhaustive; max_n={max_n} exceeds "
-            f"{CORPUS_GUARD_N} (pass guard=False to override)"
-        )
+    check_guard("corpus generation is exhaustive", "max_n", max_n, CORPUS_GUARD_N, guard)
     out: list[Graph] = []
     for n in range(1, max_n + 1):
         out.extend(_corpus_level(n))
@@ -187,53 +188,39 @@ def generate_corpus(max_n: int, guard: bool = True) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-def _complete_guard(m: int) -> None:
-    if m > MIN_COMPLETE_GUARD_M:
-        raise GuardLimit(
-            f"complete-orientation search enumerates 2^m cases; m={m} exceeds "
-            f"{MIN_COMPLETE_GUARD_M} (pass guard=False to override)"
-        )
+def _check_guards(
+    g: Graph, guard: bool, *, complete=False, partial=False, all_mixed: bool | None = False, sweep=False
+) -> None:
+    """Check that g is connected and then, unless guard is False, the guard
+    of each named search, in the order a record runs them: complete, partial,
+    all-mixed, bound sweep.
 
-
-def _partial_guard(n: int) -> None:
-    if n > MIN_PARTIAL_GUARD_N:
-        raise GuardLimit(
-            f"partial-orientation search is exhaustive over trees; n={n} "
-            f"exceeds {MIN_PARTIAL_GUARD_N} (pass guard=False to override)"
-        )
-
-
-def _sweep_guard(m: int) -> None:
-    if m > GUO_MOHAR_GUARD_M:
-        raise GuardLimit(
-            f"bound sweep enumerates 2^m orientations; m={m} exceeds "
-            f"{GUO_MOHAR_GUARD_M} (pass guard=False to override)"
-        )
-
-
-def _check_record_guards(g: Graph, guard: bool) -> None:
-    """Raise the first guard `explore_record(g, guard=guard)` would hit,
-    without its work; with guard=False only connectivity is checked.
-
-    Every search of a record uses the same cotree size m = |E| - n + 1.
+    Every search on g has cotree size m = |E| - n + 1, so the first refusal
+    comes before any work.  all_mixed=None means the all-mixed tier runs
+    only where its guard admits it, so it checks nothing.
     """
     g.require_connected()
     if not guard:
         return
     m = len(g.edges) - g.n + 1
-    _complete_guard(m)
-    _partial_guard(g.n)
-    _sweep_guard(m)
+    if complete:
+        check_guard("complete-orientation search enumerates 2^m cases", "m", m, MIN_COMPLETE_GUARD_M)
+    if partial:
+        check_guard("partial-orientation search is exhaustive over trees", "n", g.n, MIN_PARTIAL_GUARD_N)
+    if all_mixed:
+        check_guard("all-mixed search enumerates 3^|E| states", "n", g.n, ALL_MIXED_GUARD_N)
+    if sweep:
+        check_guard("bound sweep enumerates 2^m orientations", "m", m, GUO_MOHAR_GUARD_M)
 
 
 # ---------------------------------------------------------------------------
-# minimum spectral radius searches
+# exact minima over candidate charpolys
 # ---------------------------------------------------------------------------
 
 
 def _radius(poly: IntPoly, radii: dict[IntPoly, AlgebraicRoot]) -> AlgebraicRoot:
-    """Spectral radius of a charpoly through radii, a memo that lives for one
-    record (or one public search).
+    """Spectral radius of a charpoly through radii, the memo of one
+    `_Search`.
 
     The memo keeps the root as `spectral_radius_of_charpoly` returns it and
     hands out a fresh copy per lookup: comparisons refine roots in place, and
@@ -267,8 +254,8 @@ def _radius_min(
 
     Candidates must already be deduplicated by polynomial and listed in
     witness-preference order: on exact ties the earliest witness wins.
-    radii and gcds are the memos of the record (or the public search);
-    gcds=None compares without a gcd memo, to the same result.
+    radii and gcds are the memos of one `_Search`; gcds=None compares
+    without a gcd memo, to the same result.
 
     A candidate p is discarded before isolation when `_root_beyond` holds
     for p at h = best.hi + eps, eps = `PRINT_WIDTH`, the width `to_json`
@@ -304,165 +291,8 @@ def _radius_min(
     return best_root, best_witness
 
 
-def _bfs_table(g: Graph) -> tuple[SpanningTree, tuple[Edge, ...], GainTable]:
-    """The BFS tree at 0, its cotree and the gain table over it: every
-    search of a record reads its charpolys from this one table."""
-    t = bfs_spanning_tree(g, 0)
-    co = cotree_edges(g, t)
-    return t, co, GainTable(g.n, t.tree_edges, co)
-
-
-def _complete_sweep(t: SpanningTree, co: tuple[Edge, ...], table: GainTable) -> list[int]:
-    """Packed charpolys of every reduced complete orientation over t, the
-    table's tree: tree arcs from smaller to larger endpoint, signs
-    ascending."""
-    return table.sweep(sorted(t.tree_edges), co)
-
-
-def _min_rho_complete(
-    g: Graph,
-    co: tuple[Edge, ...],
-    sweep: list[int],
-    table: GainTable,
-    radii: dict[IntPoly, AlgebraicRoot],
-    gcds: Gcds,
-) -> tuple[AlgebraicRoot, SignVector]:
-    seen: dict[int, tuple[int, ...]] = {}  # the cotree signs of each first occurrence
-    for signs, packed in zip(sign_vectors(len(co)), sweep):
-        seen.setdefault(packed, signs)
-    candidates = [(IntPoly(table.unpack(p)), signs) for p, signs in seen.items()]
-    root, signs = _radius_min(candidates, radii, gcds)
-    edge_order = g.edge_list
-    full = [1] * len(edge_order)
-    for e, s in zip(co, signs):  # type: ignore[call-overload]
-        full[edge_order.index(e)] = s
-    return root, SignVector(edge_order, tuple(full))
-
-
-def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignVector]:
-    """Minimum spectral radius over all complete orientations of g.
-
-    Diagonal switching with entries +-1 can force every tree arc to point
-    from its smaller endpoint to its larger one without changing the
-    spectrum, so only the 2^m cotree sign choices are enumerated (this
-    reduction is validated against the unreduced search in the tests).
-    Returns the radius and a full-edge sign vector witness (+1 on every
-    tree edge); ties resolve to the lexicographically smallest witness.
-    """
-    return _complete_tier(g, guard)[2]
-
-
-def _min_rho_partial(
-    g: Graph, table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
-) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
-    edges = g.edge_list
-    m = len(edges)
-    place = {e: m - 1 - k for k, e in enumerate(edges)}  # the bit of each edge
-    # each automorphism as the image of every edge bit, indexed by bit
-    images: list[list[int]] = []
-    for p in automorphisms(g):
-        image = [0] * m
-        for (u, v), bit in place.items():
-            image[bit] = 1 << place[norm_edge(p[u], p[v])]
-        images.append(image)
-    # the parity of each edge's column, indexed by bit: a tree's coset parity
-    # is the XOR over its cotree, that is the XOR over every edge and then
-    # over the tree, so the XOR over the tree alone tells cosets apart
-    columns = [0] * m
-    for e, bit in place.items():
-        columns[bit] = table.gain((e,))[0]
-    covered: set[int] = set()  # trees of the orbits visited so far
-    cosets: set[int] = set()  # tree parities of the cosets visited so far
-    seen: dict[int, tuple[SpanningTree, tuple[int, ...]]] = {}  # first (tree, signs)
-    for mask in spanning_tree_masks(g):
-        if mask in covered:
-            continue
-        bits = [bit for bit in range(m) if mask >> bit & 1]
-        covered.update(sum([image[bit] for bit in bits]) for image in images)
-        parity = 0
-        for bit in bits:
-            parity ^= columns[bit]
-        if parity in cosets:
-            continue
-        cosets.add(parity)
-        t = tree_from_mask(g, mask)
-        co = cotree_edges(g, t)
-        for signs, packed in zip(converse_halves(len(co)), table.sweep((), co, half=True)):
-            if packed not in seen:
-                seen[packed] = (t, signs)
-    candidates = [(IntPoly(table.unpack(p)), ts) for p, ts in seen.items()]
-    root, witness = _radius_min(candidates, radii, gcds)
-    t, signs = witness  # type: ignore[misc]
-    return root, t, SignVector(cotree_edges(g, t), signs)
-
-
-def min_rho_partial(
-    g: Graph, guard: bool = True
-) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
-    """Minimum spectral radius over every spanning tree and every partial
-    orientation; exact, with a deterministic first-found witness on ties
-    (trees in enumeration order, then signs ascending).
-
-    Three exact reductions skip pairs that cannot hold a first witness.  An
-    automorphism p of g carries (T, s) to (p(T), s') with a
-    permutation-similar Hermitian matrix (s' permutes s and negates the
-    edges whose endpoints p swaps), so a tree has the charpolys of the first
-    tree of its Aut(g) orbit, which comes earlier: only that one is visited.
-    The partial orientations over T are the coset of the gain table (over
-    the BFS tree T0) with parity |F_j - T| mod 2 on fundamental cycle F_j,
-    each element once, because the fundamental bases of T and T0 differ by
-    a unimodular matrix; so a tree whose coset an earlier tree visited
-    brings no new charpoly and is skipped.  And s, -s give complex-conjugate
-    matrices, so a charpoly first shows at a sign vector with s[0] = -1:
-    only those are visited.  The candidates thus reach `_radius_min`
-    exactly as the unreduced search lists them (tests/oracles.py keeps that
-    search as the reference).
-    """
-    g.require_connected()
-    if guard:
-        _partial_guard(g.n)
-    return _min_rho_partial(g, _bfs_table(g)[2], {}, {})
-
-
-def _all_mixed_guard(n: int) -> None:
-    if n > ALL_MIXED_GUARD_N:
-        raise GuardLimit(
-            f"all-mixed search enumerates 3^|E| states; n={n} exceeds "
-            f"{ALL_MIXED_GUARD_N} (pass guard=False to override)"
-        )
-
-
-def _min_rho_all_mixed(
-    g: Graph, table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
-) -> tuple[AlgebraicRoot, MixedGraph]:
-    edges = g.edge_list
-    cosets: dict[int, list[int]] = {}
-    seen: dict[int, tuple[Edge, ...]] = {}  # the arcs of each first occurrence
-    for states in itertools.product((0, 1, 2), repeat=len(edges)):
-        arcs = tuple(e if st == 1 else (e[1], e[0]) for e, st in zip(edges, states) if st)
-        parity, carry = table.gain(arcs)
-        coset = cosets.get(parity)
-        if coset is None:
-            coset = cosets[parity] = table.coset(parity)
-        seen.setdefault(coset[carry], arcs)
-    candidates = [(IntPoly(table.unpack(p)), arcs) for p, arcs in seen.items()]
-    root, arcs = _radius_min(candidates, radii, gcds)
-    return root, MixedGraph.of(g, {norm_edge(*a): a for a in arcs})  # type: ignore[union-attr]
-
-
-def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, MixedGraph]:
-    """Minimum spectral radius over every mixed graph on g (3^|E| states),
-    each read from the gain table by its gain; ties resolve to the first
-    state in `itertools.product` order (undirected, forwards, backwards
-    per edge, edges ascending)."""
-    g.require_connected()
-    if guard:
-        _all_mixed_guard(g.n)
-    return _min_rho_all_mixed(g, _bfs_table(g)[2], {}, {})
-
-
 # ---------------------------------------------------------------------------
-# sweeps and reports
+# the searches on one graph
 # ---------------------------------------------------------------------------
 
 
@@ -476,37 +306,6 @@ class GuoMoharReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-def _guo_mohar(
-    complete: list[int], table: GainTable, radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds
-) -> GuoMoharReport:
-    # rho(G) has every gain 1 (g = 0); then the partial orientations over the
-    # table's tree (its coset with parity 1...1) and the reduced complete
-    # orientations of the given sweep
-    rho_g = _radius(IntPoly(table.unpack(table.value((0, 0)))), radii)
-    packed = set(table.coset((1 << table.m) - 1))
-    packed.update(complete)
-    violations = []
-    for poly in sorted(map(table.unpack, packed)):
-        if compare_roots(_radius(IntPoly(poly), radii), rho_g, gcds=gcds) is Order.GT:
-            violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
-    return GuoMoharReport(checked=len(packed), violations=tuple(violations))
-
-
-def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
-    """Compare rho of every sweep-visited mixed graph on g against rho(G).
-
-    Visits all partial orientations of the BFS tree at 0 and all reduced
-    complete orientations, deduplicated by charpoly; every comparison is
-    exact.  Any violation would contradict a published bound, so callers
-    treat a non-empty violation list as a defect.
-    """
-    g.require_connected()
-    if guard:
-        _sweep_guard(len(g.edges) - g.n + 1)
-    t, co, table = _bfs_table(g)
-    return _guo_mohar(_complete_sweep(t, co, table), table, {}, {})
 
 
 @dataclass(frozen=True)
@@ -562,82 +361,229 @@ class ConjectureReport:
         return data
 
 
-def _conjecture_report(
-    g: Graph,
-    complete: tuple[AlgebraicRoot, SignVector],
-    include_all_mixed: bool | None,
-    guard: bool,
-    table: GainTable,
-    radii: dict[IntPoly, AlgebraicRoot],
-    gcds: Gcds,
-) -> ConjectureReport:
-    c_root, c_witness = complete
-    if guard:
-        _partial_guard(g.n)
-    p_root, p_tree, p_witness = _min_rho_partial(g, table, radii, gcds)
-    if include_all_mixed is None:
-        include_all_mixed = g.n <= ALL_MIXED_GUARD_N
-    all_root = None
-    all_cmp = None
-    if include_all_mixed:
-        if guard:
-            _all_mixed_guard(g.n)
-        all_root, _ = _min_rho_all_mixed(g, table, radii, gcds)
-        all_cmp = compare_roots(all_root, c_root, gcds=gcds)
-    return ConjectureReport(
-        graph=g,
-        complete_root=c_root,
-        complete_witness=c_witness,
-        partial_root=p_root,
-        partial_tree=p_tree,
-        partial_witness=p_witness,
-        complete_vs_partial=compare_roots(c_root, p_root, gcds=gcds),
-        all_root=all_root,
-        all_vs_complete=all_cmp,
-    )
+class _Search:
+    """Every minimum-rho search and the bound sweep on one graph, read from
+    one gain table over the BFS tree at 0.
+
+    The searches share the table, its complete-orientation sweep (made on
+    first use), one radius memo and one gcd memo, so each distinct charpoly
+    is isolated once and the gcd of each distinct pair is computed once per
+    object.  Guards are checked by the caller (`_check_guards`) before the
+    object is built.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.tree = bfs_spanning_tree(g, 0)
+        self.cotree = cotree_edges(g, self.tree)
+        self.table = GainTable(g.n, self.tree.tree_edges, self.cotree)
+        self.radii: dict[IntPoly, AlgebraicRoot] = {}
+        self.gcds: Gcds = {}
+
+    @functools.cached_property
+    def sweep(self) -> list[int]:
+        """Packed charpolys of every reduced complete orientation: tree arcs
+        from smaller to larger endpoint, cotree signs ascending."""
+        return self.table.sweep(sorted(self.tree.tree_edges), self.cotree)
+
+    def _min(self, seen: dict[int, object]) -> tuple[AlgebraicRoot, object]:
+        """`_radius_min` over packed charpolys and their first witnesses."""
+        candidates = [(IntPoly(self.table.unpack(p)), witness) for p, witness in seen.items()]
+        return _radius_min(candidates, self.radii, self.gcds)
+
+    def complete(self) -> tuple[AlgebraicRoot, SignVector]:
+        seen: dict[int, object] = {}  # the cotree signs of each first occurrence
+        for signs, packed in zip(sign_vectors(len(self.cotree)), self.sweep):
+            seen.setdefault(packed, signs)
+        root, signs = self._min(seen)
+        edge_order = self.g.edge_list
+        full = [1] * len(edge_order)
+        for e, s in zip(self.cotree, signs):  # type: ignore[call-overload]
+            full[edge_order.index(e)] = s
+        return root, SignVector(edge_order, tuple(full))
+
+    def partial(self) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
+        g, table = self.g, self.table
+        edges = g.edge_list
+        m = len(edges)
+        place = {e: m - 1 - k for k, e in enumerate(edges)}  # the bit of each edge
+        # each automorphism as the image of every edge bit, indexed by bit
+        images: list[list[int]] = []
+        for p in automorphisms(g):
+            image = [0] * m
+            for (u, v), bit in place.items():
+                image[bit] = 1 << place[norm_edge(p[u], p[v])]
+            images.append(image)
+        # the parity of each edge's column, indexed by bit: a tree's coset parity
+        # is the XOR over its cotree, that is the XOR over every edge and then
+        # over the tree, so the XOR over the tree alone tells cosets apart
+        columns = [0] * m
+        for e, bit in place.items():
+            columns[bit] = table.gain((e,))[0]
+        covered: set[int] = set()  # trees of the orbits visited so far
+        cosets: set[int] = set()  # tree parities of the cosets visited so far
+        seen: dict[int, object] = {}  # first (tree, signs)
+        for mask in spanning_tree_masks(g):
+            if mask in covered:
+                continue
+            bits = [bit for bit in range(m) if mask >> bit & 1]
+            covered.update(sum([image[bit] for bit in bits]) for image in images)
+            parity = 0
+            for bit in bits:
+                parity ^= columns[bit]
+            if parity in cosets:
+                continue
+            cosets.add(parity)
+            t = tree_from_mask(g, mask)
+            co = cotree_edges(g, t)
+            for signs, packed in zip(converse_halves(len(co)), table.sweep((), co, half=True)):
+                if packed not in seen:
+                    seen[packed] = (t, signs)
+        root, witness = self._min(seen)
+        t, signs = witness  # type: ignore[misc]
+        return root, t, SignVector(cotree_edges(g, t), signs)
+
+    def all_mixed(self) -> tuple[AlgebraicRoot, MixedGraph]:
+        table = self.table
+        edges = self.g.edge_list
+        cosets: dict[int, list[int]] = {}
+        seen: dict[int, object] = {}  # the arcs of each first occurrence
+        for states in itertools.product((0, 1, 2), repeat=len(edges)):
+            arcs = tuple(e if st == 1 else (e[1], e[0]) for e, st in zip(edges, states) if st)
+            parity, carry = table.gain(arcs)
+            coset = cosets.get(parity)
+            if coset is None:
+                coset = cosets[parity] = table.coset(parity)
+            seen.setdefault(coset[carry], arcs)
+        root, arcs = self._min(seen)
+        return root, MixedGraph.of(self.g, {norm_edge(*a): a for a in arcs})  # type: ignore[union-attr]
+
+    def bound_sweep(self) -> GuoMoharReport:
+        # rho(G) has every gain 1 (g = 0); then the partial orientations over the
+        # table's tree (its coset with parity 1...1) and the reduced complete
+        # orientations
+        table = self.table
+        rho_g = _radius(IntPoly(table.unpack(table.value((0, 0)))), self.radii)
+        packed = set(table.coset((1 << table.m) - 1))
+        packed.update(self.sweep)
+        violations = []
+        for poly in sorted(map(table.unpack, packed)):
+            if compare_roots(_radius(IntPoly(poly), self.radii), rho_g, gcds=self.gcds) is Order.GT:
+                violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
+        return GuoMoharReport(checked=len(packed), violations=tuple(violations))
+
+    def report(self, include_all_mixed: bool | None) -> ConjectureReport:
+        c_root, c_witness = self.complete()
+        p_root, p_tree, p_witness = self.partial()
+        if include_all_mixed is None:
+            include_all_mixed = self.g.n <= ALL_MIXED_GUARD_N
+        all_root = all_cmp = None
+        if include_all_mixed:
+            all_root, _ = self.all_mixed()
+            all_cmp = compare_roots(all_root, c_root, gcds=self.gcds)
+        return ConjectureReport(
+            graph=self.g,
+            complete_root=c_root,
+            complete_witness=c_witness,
+            partial_root=p_root,
+            partial_tree=p_tree,
+            partial_witness=p_witness,
+            complete_vs_partial=compare_roots(c_root, p_root, gcds=self.gcds),
+            all_root=all_root,
+            all_vs_complete=all_cmp,
+        )
 
 
-def _complete_tier(
-    g: Graph, guard: bool
-) -> tuple[GainTable, list[int], tuple[AlgebraicRoot, SignVector], dict[IntPoly, AlgebraicRoot], Gcds]:
-    """The gain table of g, its complete-orientation sweep, the minimum
-    over that sweep and the radius and gcd memos it started."""
-    g.require_connected()
-    if guard:
-        _complete_guard(len(g.edges) - g.n + 1)
-    t, co, table = _bfs_table(g)
-    sweep = _complete_sweep(t, co, table)
-    radii: dict[IntPoly, AlgebraicRoot] = {}
-    gcds: Gcds = {}
-    return table, sweep, _min_rho_complete(g, co, sweep, table, radii, gcds), radii, gcds
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+
+def min_rho_complete(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SignVector]:
+    """Minimum spectral radius over all complete orientations of g.
+
+    Diagonal switching with entries +-1 can force every tree arc to point
+    from its smaller endpoint to its larger one without changing the
+    spectrum, so only the 2^m cotree sign choices are enumerated (this
+    reduction is validated against the unreduced search in the tests).
+    Returns the radius and a full-edge sign vector witness (+1 on every
+    tree edge); ties resolve to the lexicographically smallest witness.
+    """
+    _check_guards(g, guard, complete=True)
+    return _Search(g).complete()
+
+
+def min_rho_partial(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, SpanningTree, SignVector]:
+    """Minimum spectral radius over every spanning tree and every partial
+    orientation; exact, with a deterministic first-found witness on ties
+    (trees in enumeration order, then signs ascending).
+
+    Three exact reductions skip pairs that cannot hold a first witness.  An
+    automorphism p of g carries (T, s) to (p(T), s') with a
+    permutation-similar Hermitian matrix (s' permutes s and negates the
+    edges whose endpoints p swaps), so a tree has the charpolys of the first
+    tree of its Aut(g) orbit, which comes earlier: only that one is visited.
+    The partial orientations over T are the coset of the gain table (over
+    the BFS tree T0) with parity |F_j - T| mod 2 on fundamental cycle F_j,
+    each element once, because the fundamental bases of T and T0 differ by
+    a unimodular matrix; so a tree whose coset an earlier tree visited
+    brings no new charpoly and is skipped.  And s, -s give complex-conjugate
+    matrices, so a charpoly first shows at a sign vector with s[0] = -1:
+    only those are visited.  The candidates thus reach `_radius_min`
+    exactly as the unreduced search lists them (tests/oracles.py keeps that
+    search as the reference).
+    """
+    _check_guards(g, guard, partial=True)
+    return _Search(g).partial()
+
+
+def min_rho_all_mixed(g: Graph, guard: bool = True) -> tuple[AlgebraicRoot, MixedGraph]:
+    """Minimum spectral radius over every mixed graph on g (3^|E| states),
+    each read from the gain table by its gain; ties resolve to the first
+    state in `itertools.product` order (undirected, forwards, backwards
+    per edge, edges ascending)."""
+    _check_guards(g, guard, all_mixed=True)
+    return _Search(g).all_mixed()
+
+
+def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
+    """Compare rho of every sweep-visited mixed graph on g against rho(G).
+
+    Visits all partial orientations of the BFS tree at 0 and all reduced
+    complete orientations, deduplicated by charpoly; every comparison is
+    exact.  Any violation would contradict a published bound, so callers
+    treat a non-empty violation list as a defect.
+    """
+    _check_guards(g, guard, sweep=True)
+    return _Search(g).bound_sweep()
 
 
 def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> ConjectureReport:
     """Assemble the three-tier minimum-rho comparison for one graph.
 
     include_all_mixed defaults to running the 3^|E| sweep only when the
-    guard allows it (n <= 4).
+    guard allows it (n <= 4).  Every guard of the report is checked before
+    any search, and the tiers share one `_Search`.
     """
-    table, _, complete, radii, gcds = _complete_tier(g, guard)
-    return _conjecture_report(g, complete, include_all_mixed, guard, table, radii, gcds)
+    _check_guards(g, guard, complete=True, partial=True, all_mixed=include_all_mixed)
+    return _Search(g).report(include_all_mixed)
 
 
 def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> dict:
     """One JSON-ready record per graph: conjecture tiers plus the exact
     rho(mixed) <= rho(G) sweep.
 
-    Every search of the record reads its charpolys from one gain table over
-    the BFS tree at 0: `min_rho_complete` and `guo_mohar_sweep` share its
-    complete-orientation sweep, and every search shares one radius memo and
-    one gcd memo, so each distinct charpoly is isolated once per record and
-    the gcd of each distinct pair is computed once.  Guards are checked in
-    the order the public searches check them.
+    Every guard of the record is checked before any search, in the order
+    the searches run.  Then one `_Search` serves them all: one gain table
+    over the BFS tree at 0, one complete-orientation sweep that
+    `min_rho_complete` and the bound sweep share, one radius memo and one
+    gcd memo, so each distinct charpoly is isolated once per record and the
+    gcd of each distinct pair is computed once.
     """
-    table, sweep, complete, radii, gcds = _complete_tier(g, guard)
-    report = _conjecture_report(g, complete, include_all_mixed, guard, table, radii, gcds)
-    if guard:
-        _sweep_guard(table.m)
-    gm = _guo_mohar(sweep, table, radii, gcds)
+    _check_guards(g, guard, complete=True, partial=True, all_mixed=include_all_mixed, sweep=True)
+    search = _Search(g)
+    report = search.report(include_all_mixed)
+    gm = search.bound_sweep()
     data = report.to_json()
     data["guo_mohar"] = {
         "checked": gm.checked,
@@ -650,17 +596,18 @@ def explore_records(graphs: list[Graph], guard: bool = True) -> list[dict]:
     """Records for the given graphs, in input order.
 
     Every guard of every graph is checked before the first record is
-    computed, so an inadmissible input fails at once, not after the rest;
-    guard=False lifts the guards of every search.  Honors ORISPEC_THREADS
-    for process-level parallelism; output order and content are independent
-    of the worker count.
+    computed, by the check `explore_record` makes, so an inadmissible input
+    fails at once, not after the rest; guard=False lifts the guards of every
+    search.  Honors ORISPEC_THREADS for process-level parallelism; output
+    order and content are independent of the worker count.
     """
     for g in graphs:
         try:
-            _check_record_guards(g, guard)
+            _check_guards(g, guard, complete=True, partial=True, sweep=True)
         except GuardLimit as exc:
-            raise GuardLimit(f"graph6={encode_graph6(g)}: {exc}") from None
-    record = partial(explore_record, guard=guard)
+            exc.args = (f"graph6={encode_graph6(g)}: {exc}",)
+            raise
+    record = functools.partial(explore_record, guard=guard)
     workers = worker_count()
     if workers > 1 and len(graphs) > 1:
         import multiprocessing
@@ -670,8 +617,3 @@ def explore_records(graphs: list[Graph], guard: bool = True) -> list[dict]:
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             return list(pool.map(record, graphs))
     return [record(g) for g in graphs]
-
-
-def explore_corpus(max_n: int, guard: bool = True) -> list[dict]:
-    """Records for every corpus graph, in corpus order."""
-    return explore_records(generate_corpus(max_n, guard=guard), guard=guard)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DisconnectedError, GuardLimit, ParseError
+from .errors import DisconnectedError, ParseError, check_guard
 
 Edge = tuple[int, int]
 
@@ -593,11 +593,7 @@ def enumerate_spanning_trees(g: Graph, guard: bool = True) -> list[SpanningTree]
     Exhaustive, so guarded to n <= 10 by default.
     """
     g.require_connected()
-    if guard and g.n > SPANNING_TREE_GUARD_N:
-        raise GuardLimit(
-            f"spanning-tree enumeration is exhaustive; n={g.n} exceeds "
-            f"{SPANNING_TREE_GUARD_N} (pass guard=False to override)"
-        )
+    check_guard("spanning-tree enumeration is exhaustive", "n", g.n, SPANNING_TREE_GUARD_N, guard)
     return [tree_from_mask(g, mask) for mask in spanning_tree_masks(g)]
 
 

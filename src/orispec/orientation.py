@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import kernel
-from .errors import ComputationDefect, GuardLimit
+from .errors import ComputationDefect, check_guard
 from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, converse_halves, cotree_edges
 from .hermitian import GainTable, charpoly_of_mixed, sign_sweep_charpolys
 from .matching import induced_matching_polynomials, matching_radius
@@ -57,13 +57,6 @@ def _check_prefix(prefix: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(int(s) for s in raw)
 
 
-def _check_sum_guard(m: int, guard: bool, walk: str) -> None:
-    if guard and m > CONDITIONAL_SUM_GUARD_M:
-        raise GuardLimit(
-            f"{walk}; m={m} exceeds {CONDITIONAL_SUM_GUARD_M} (pass guard=False to override)"
-        )
-
-
 def _base_flat(
     g: Graph, t: SpanningTree, co: tuple[Edge, ...], prefix: tuple[int, ...]
 ) -> tuple[list[int], list[int], tuple[Edge, ...]]:
@@ -91,7 +84,7 @@ def conditional_sum_charpoly(
     """
     co = cotree_edges(g, t)
     m = len(co)
-    _check_sum_guard(m, guard, "conditional sums enumerate 2^(m-k) completions")
+    check_guard("conditional sums enumerate 2^(m-k) completions", "m", m, CONDITIONAL_SUM_GUARD_M, guard)
     p = _check_prefix(prefix, m)
     re, im, free = _base_flat(g, t, co, p)
     tails = [e[0] for e in free]
@@ -160,7 +153,7 @@ def conditional_sum_fast(
     """
     co = cotree_edges(g, t)
     m = len(co)
-    _check_sum_guard(m, guard, _TABLE_WALK)
+    check_guard(_TABLE_WALK, "m", m, CONDITIONAL_SUM_GUARD_M, guard)
     p = _check_prefix(prefix, m)
     table = GainTable(g.n, t.tree_edges, co)
     return _prefix_sum(table, _partial_terms(table), p)
@@ -180,7 +173,9 @@ def expected_charpoly(g: Graph, t: SpanningTree, guard: bool = True) -> IntPoly:
     conditional sums (m <= CONDITIONAL_SUM_GUARD_M).
     """
     co = cotree_edges(g, t)
-    _check_sum_guard(len(co), guard, "the expectation walks the matchings of the m cotree edges")
+    check_guard(
+        "the expectation walks the matchings of the m cotree edges", "m", len(co), CONDITIONAL_SUM_GUARD_M, guard
+    )
     forest_mu = induced_matching_polynomials(Graph.of(g.n, t.tree_edges))
     everyone = (1 << g.n) - 1
     total = IntPoly.zero()
@@ -243,7 +238,7 @@ def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> Orienta
     g.require_connected()
     co = cotree_edges(g, t)
     m = len(co)
-    _check_sum_guard(m, guard, _TABLE_WALK)
+    check_guard(_TABLE_WALK, "m", m, CONDITIONAL_SUM_GUARD_M, guard)
 
     table = GainTable(g.n, t.tree_edges, co)
     terms = _partial_terms(table)
@@ -353,11 +348,7 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
     g.require_connected()
     co = cotree_edges(g, t)
     m = len(co)
-    if guard and m > AUDIT_GUARD_M:
-        raise GuardLimit(
-            f"the audit walks 2^(m+1)-1 prefixes; m={m} exceeds {AUDIT_GUARD_M} "
-            f"(pass guard=False to override)"
-        )
+    check_guard("the audit walks 2^(m+1)-1 prefixes", "m", m, AUDIT_GUARD_M, guard)
     levels = _family_levels(g, t, co)
 
     # sign_vectors yields (-1, ...) before (+1, ...): children of node i at

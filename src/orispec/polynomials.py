@@ -560,9 +560,10 @@ class AlgebraicRoot:
     rational value.  ``refine`` narrows the interval in place by bisection:
     the one root in the interval is simple, so the polynomial changes sign
     across it and a sign at the midpoint picks the half that keeps it.
-    The constructor therefore rejects lo > hi and a non-degenerate interval
-    whose ends do not differ in sign.  Narrowing is deterministic, so
-    duplicated refinement across threads is harmless.  Comparisons refine in
+    The constructor therefore rejects lo > hi, a non-degenerate interval
+    whose ends do not differ in sign, and an exact value that is not a root
+    of the polynomial.  Narrowing is deterministic, so duplicated refinement
+    across threads is harmless.  Comparisons refine in
     place too, and a printed interval depends on every refinement its root
     went through, so a memo of roots hands out a ``copy()`` per lookup and
     keeps its own object unrefined.
@@ -587,6 +588,8 @@ class AlgebraicRoot:
                     f"{poly} does not change sign between {lo} and {hi}, "
                     "so the interval isolates no simple root"
                 )
+        elif poly.sign_at_ratio(self._a, d) != 0:
+            raise ValueError(f"{lo} is not a root of {poly}")
 
     @classmethod
     def _isolated(cls, poly: IntPoly, a: int, b: int, d: int, slo: int = 0) -> "AlgebraicRoot":

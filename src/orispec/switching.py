@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardLimit
+from .errors import check_guard
 from .graphs import (
     Graph,
     MixedGraph,
@@ -151,11 +151,7 @@ def classify_partial_orientations(
     """
     co = cotree_edges(g, t)
     m = len(co)
-    if guard and m > CLASSIFY_GUARD_M:
-        raise GuardLimit(
-            f"classification enumerates 2^m orientations; m={m} exceeds "
-            f"{CLASSIFY_GUARD_M} (pass guard=False to override)"
-        )
+    check_guard("classification enumerates 2^m orientations", "m", m, CLASSIFY_GUARD_M, guard)
     return [
         [SignVector(co, v) for v in sorted({s, tuple(-x for x in s)})] for s in converse_halves(m)
     ]

@@ -12,7 +12,6 @@ from orispec.explore import (
     automorphisms,
     canonical_form,
     conjecture_report,
-    explore_corpus,
     explore_record,
     explore_records,
     generate_corpus,
@@ -264,9 +263,9 @@ class TestMinRhoPartial:
         # the first tree of each coset, never for a tree of a visited orbit
         # or coset, and the witness is one of those objects
         g = parse_graph6(g6)
-        table = explore._bfs_table(g)[2]
+        search = explore._Search(g)
         spanning_trees_built.clear()
-        root, tree, witness = explore._min_rho_partial(g, table, {}, {})
+        root, tree, witness = search.partial()
         assert len(spanning_tree_masks(g)) == trees
         assert len(spanning_trees_built) == len(gain_tables.sweeps) == len(set(gain_tables.cosets)) == cosets
         assert any(t is tree for t in spanning_trees_built)
@@ -369,7 +368,7 @@ class TestGainTable:
         # the partial search's loop, every tree checked: a visited tree's
         # converse half equals its own table's, and a skipped tree (orbit
         # or coset) brings no charpoly the visited trees have not shown
-        _, _, table = explore._bfs_table(g)
+        table = explore._Search(g).table
         auts = automorphisms(g)
         covered, cosets, shown = set(), set(), set()
         for t in enumerate_spanning_trees(g):
@@ -396,7 +395,7 @@ class TestGainTable:
     def test_every_tree_sweep_matches_its_own_table(self, corpus5):
         # partial and complete sweeps over any tree T from the table over T0
         for g in corpus5:
-            _, _, table = explore._bfs_table(g)
+            table = explore._Search(g).table
             for t in enumerate_spanning_trees(g):
                 co = cotree_edges(g, t)
                 arcs = sorted(t.tree_edges)
@@ -601,7 +600,7 @@ class TestExploreRecords:
         assert rec["n"] == 4
 
     def test_corpus_records_in_order(self):
-        recs = explore_corpus(3)
+        recs = explore_records(generate_corpus(3))
         assert [r["n"] for r in recs] == [1, 2, 3, 3]
 
     def test_guards_checked_before_any_record(self, c4, monkeypatch):
@@ -612,11 +611,30 @@ class TestExploreRecords:
         with pytest.raises(GuardLimit, match="pass guard=False to override"):
             explore_records([c4, complete_graph(7)])
 
+    def test_record_refuses_before_any_work(self, gain_tables):
+        # K7 passes both min-rho guards but its bound sweep has m = 15 > 12,
+        # and K5 is above the all-mixed guard: each is refused before a gain
+        # table is built, with the message of the search that refuses it
+        with pytest.raises(GuardLimit) as refused:
+            explore_record(complete_graph(7))
+        assert str(refused.value) == (
+            "bound sweep enumerates 2^m orientations; m=15 exceeds 12 (pass guard=False to override)"
+        )
+        with pytest.raises(GuardLimit) as refused:
+            conjecture_report(complete_graph(5), include_all_mixed=True)
+        assert str(refused.value) == (
+            "all-mixed search enumerates 3^|E| states; n=5 exceeds 4 (pass guard=False to override)"
+        )
+        with pytest.raises(GuardLimit) as refused:
+            explore_records([complete_graph(4), complete_graph(7)])
+        assert str(refused.value).startswith("graph6=F~~~w: bound sweep enumerates 2^m orientations; m=15")
+        assert gain_tables.built == []
+
     def test_parallel_matches_serial(self, monkeypatch):
         monkeypatch.setenv("ORISPEC_THREADS", "1")
-        serial = explore_corpus(4)
+        serial = explore_records(generate_corpus(4))
         monkeypatch.setenv("ORISPEC_THREADS", "2")
-        parallel = explore_corpus(4)
+        parallel = explore_records(generate_corpus(4))
         assert parallel == serial
 
 
@@ -723,7 +741,7 @@ class TestRecordSharing:
             folds.clear()
             explore_record(g)
             assert folds.count(True) == 1, encode_graph6(g)
-        _, _, table = explore._bfs_table(complete_graph(5))
+        table = explore._Search(complete_graph(5)).table
         top = (1 << table.m) - 1
         assert table.coset(top) is table.coset(top)
         assert table.coset(0) is not table.coset(0)

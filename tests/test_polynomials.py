@@ -571,7 +571,19 @@ class TestAlgebraicRootExtras:
         r = AlgebraicRoot(poly_of(-2, 0, 1), Fraction(1), Fraction(2))
         lo, hi = r.refine(Fraction(1, 100))
         assert lo * lo < 2 < hi * hi and hi - lo < Fraction(1, 100)
-        assert AlgebraicRoot(p, Fraction(3, 2), Fraction(3, 2)).is_exact
+
+    def test_constructor_rejects_an_exact_value_that_is_no_root(self):
+        # 3/2 is not a root of (x^2 - 2)^2 or of x^2 - 2, so neither may hold
+        # it as an exact value; 3/2 is a root of (2x - 3)(x^2 - 2)
+        p = poly_of(-2, 0, 1) * poly_of(-2, 0, 1)
+        with pytest.raises(ValueError, match="is not a root"):
+            AlgebraicRoot(p, Fraction(3, 2), Fraction(3, 2))
+        with pytest.raises(ValueError, match="is not a root"):
+            AlgebraicRoot.exact(poly_of(-2, 0, 1), Fraction(3, 2))
+        q = poly_of(-3, 2) * poly_of(-2, 0, 1)
+        r = AlgebraicRoot(q, Fraction(3, 2), Fraction(3, 2))
+        assert r.is_exact and r.compare_rational(Fraction(3, 2)) is Order.EQ
+        assert r.to_json()["interval"] == ["3/2", "3/2"]
 
     def test_constructor_rejects_lo_above_hi(self):
         # a reversed interval would order sqrt(2) above 3/2 by its ends
