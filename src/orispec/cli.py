@@ -32,7 +32,7 @@ from .graphs import (
     parse_mixed,
     tree_from_edges,
 )
-from .hermitian import charpoly_of_mixed, eigenvalues_numeric, hermitian_adjacency, sign_sweep_charpolys
+from .hermitian import GainTable, charpoly_of_mixed, eigenvalues_numeric, hermitian_adjacency
 from .matching import matching_counts, matching_polynomial, matching_radius
 from .orientation import audit_interlacing_family, expected_charpoly, greedy_orientation
 from .polynomials import IntPoly
@@ -344,9 +344,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     results = []
     for t in resolve_trees(args.tree, g, guard):
         classes = classify_partial_orientations(g, t, guard=guard)
-        reps = (members[0].signs for members in classes)
-        polys = sign_sweep_charpolys(g.n, t.tree_edges, cotree_edges(g, t), reps)
-        results.append((t, [(members, IntPoly(p)) for members, p in zip(classes, polys)]))
+        # class i is the converse pair of the i-th converse half
+        co = cotree_edges(g, t)
+        table = GainTable(g.n, t.tree_edges, co)
+        polys = [IntPoly(table.unpack(p)) for p in table.sweep((), co, half=True)]
+        results.append((t, list(zip(classes, polys))))
     if args.json:
         _emit(
             {

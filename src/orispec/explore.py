@@ -598,8 +598,9 @@ def explore_records(graphs: list[Graph], guard: bool = True) -> list[dict]:
     Every guard of every graph is checked before the first record is
     computed, by the check `explore_record` makes, so an inadmissible input
     fails at once, not after the rest; guard=False lifts the guards of every
-    search.  Honors ORISPEC_THREADS for process-level parallelism; output
-    order and content are independent of the worker count.
+    search.  Honors ORISPEC_THREADS for process-level parallelism, with no
+    more worker processes than graphs or cores; output order and content
+    are independent of the worker count.
     """
     for g in graphs:
         try:
@@ -608,8 +609,9 @@ def explore_records(graphs: list[Graph], guard: bool = True) -> list[dict]:
             exc.args = (f"graph6={encode_graph6(g)}: {exc}",)
             raise
     record = functools.partial(explore_record, guard=guard)
-    workers = worker_count()
-    if workers > 1 and len(graphs) > 1:
+    # the pool starts one worker per pending graph up to max_workers
+    workers = min(worker_count(), len(graphs), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

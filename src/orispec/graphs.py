@@ -64,9 +64,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
@@ -165,27 +162,6 @@ class SpanningTree:
                 d += 1
             out[v] = d
         return tuple(out)
-
-    def path_between(self, u: int, v: int) -> list[int]:
-        """Vertex path from u to v inside the tree."""
-        du, dv = self.depth[u], self.depth[v]
-        left, right = u, v
-        up_left: list[int] = [left]
-        up_right: list[int] = [right]
-        while du > dv:
-            left = self.parent[left]
-            up_left.append(left)
-            du -= 1
-        while dv > du:
-            right = self.parent[right]
-            up_right.append(right)
-            dv -= 1
-        while left != right:
-            left = self.parent[left]
-            right = self.parent[right]
-            up_left.append(left)
-            up_right.append(right)
-        return up_left + up_right[-2::-1]
 
 
 @dataclass(frozen=True)
@@ -602,22 +578,6 @@ def tree_parity_bipartition(t: SpanningTree) -> tuple[frozenset[int], frozenset[
     evens = frozenset(v for v in range(t.n) if t.depth[v] % 2 == 0)
     odds = frozenset(v for v in range(t.n) if t.depth[v] % 2 == 1)
     return evens, odds
-
-
-def fundamental_cycle(t: SpanningTree, e: tuple[int, int]) -> list[int]:
-    """Closed vertex walk of the cycle that edge e closes through the tree.
-
-    e must not be a tree edge.  The walk starts and ends at the smaller
-    endpoint of e; its length (number of edges) is the tree distance between
-    the endpoints plus one.
-    """
-    u, v = norm_edge(*e)
-    if norm_edge(u, v) in t.tree_edges:
-        raise ValueError(f"{(u, v)} is a tree edge")
-    if not (0 <= u < t.n and 0 <= v < t.n):
-        raise ValueError("edge endpoints outside vertex range")
-    path = t.path_between(u, v)
-    return path + [u]
 
 
 def build_mixed(g: Graph, t: SpanningTree, s: SignVector) -> MixedGraph:

@@ -21,9 +21,11 @@ alone.  The table is folded once per coset g = pi + 2b (pi fixed, b in
 {0, 1}^m) into c_S(pi), S the cotree support of D, at most one D per S
 because D is the element of the cycle space with those cotree edges; one
 Walsh-Hadamard transform of the fold gives all 2^m charpolys of the coset.
-A sign sweep over one tree is one coset of the table of that tree
-(`sign_sweep_charpolys`), and the conditional sums of the greedy descent
-are prefix sums of its fold.
+Every sign sweep is read from one coset (`GainTable.sweep`): `classify` and
+the interlacing-family audit sweep the converse halves over the table of
+their own tree, and `explore` sweeps every tier over the table of its BFS
+tree.  The conditional sums of the greedy descent are prefix sums of the
+fold of the tree's table.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernel
 from .errors import ComputationDefect
@@ -118,10 +120,6 @@ class HermitianMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def from_pairs(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> "HermitianMatrix":
-        return cls(tuple(tuple(GaussInt(int(a), int(b)) for a, b in row) for row in rows))
-
     def entry(self, u: int, v: int) -> GaussInt:
         return self.entries[u][v]
 
@@ -162,46 +160,6 @@ def charpoly(h: HermitianMatrix) -> IntPoly:
 
 def charpoly_of_mixed(d: MixedGraph) -> IntPoly:
     return charpoly(hermitian_adjacency(d))
-
-
-def sign_sweep_charpolys(
-    n: int,
-    tree_edges: Iterable[Edge],
-    cotree: Sequence[Edge],
-    sign_seq: Iterable[Sequence[int]],
-    tree_arcs: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """det(xI - H_s) coefficients (ascending) for each sign vector s of
-    sign_seq, in input order, over one (tree, cotree) pair on n vertices.
-
-    Tree edges enter undirected, or with tree_arcs as arcs u -> v (i at
-    (u, v)); cotree edge j = (u, v) enters as the arc u -> v when its sign
-    is +1 and as v -> u when it is -1, as in `build_mixed`.
-
-    No matrix is formed: the sweep is one coset of the `GainTable` of the
-    tree itself.  Flipping s_j adds 2 to the gain of fundamental cycle j
-    and nothing to the others, so the coset's base point is the gain with
-    every sign +1, and s sits at the index of its -1 entries.
-    """
-    tree_edges = tuple(tree_edges)
-    m = len(cotree)
-    table = GainTable(n, tree_edges, cotree)
-    parity, carry = table.gain([*(tree_edges if tree_arcs else ()), *cotree])
-    coset = table.coset(parity)
-    unpacked: dict[int, tuple[int, ...]] = {}
-    for signs in sign_seq:
-        if len(signs) != m:
-            raise ValueError(f"sign vector {tuple(signs)} does not have {m} entries")
-        index = 0
-        for s in signs:
-            if s not in (1, -1):
-                raise ValueError(f"sign vector {tuple(signs)} has an entry other than +-1")
-            index = 2 * index + (s == -1)
-        packed = coset[carry ^ index]
-        poly = unpacked.get(packed)
-        if poly is None:
-            poly = unpacked[packed] = table.unpack(packed)
-        yield poly
 
 
 Gain = tuple[int, int]
@@ -424,6 +382,12 @@ class GainTable:
         gain.  The parities of the columns of signed edges are independent
         whenever those edges are the cotree of some spanning tree, and then
         the sweep visits each element of the coset once.
+
+        Callers: `cmd_classify` (one charpoly per converse pair) and the
+        audit's leaves (`orientation._family_levels`) read the converse
+        halves over the table of their own tree; the `explore` searches
+        read the complete orientations and the converse halves of every
+        visited tree over the table of the BFS tree.
         """
         parity, carry = self.gain([*arcs, *signed])
         flips = [self._columns[e][0] for e in signed]

@@ -27,8 +27,8 @@ from typing import Iterator, Sequence
 
 from . import kernel
 from .errors import ComputationDefect, check_guard
-from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, converse_halves, cotree_edges
-from .hermitian import GainTable, charpoly_of_mixed, sign_sweep_charpolys
+from .graphs import Edge, Graph, SignVector, SpanningTree, build_mixed, cotree_edges
+from .hermitian import GainTable, charpoly_of_mixed
 from .matching import induced_matching_polynomials, matching_radius
 from .polynomials import (
     AlgebraicRoot,
@@ -305,7 +305,8 @@ def _family_levels(g: Graph, t: SpanningTree, co: tuple[Edge, ...]) -> list[list
     is the first half reversed.
     """
     m = len(co)
-    half = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(m))]
+    table = GainTable(g.n, t.tree_edges, co)
+    half = [IntPoly(table.unpack(p)) for p in table.sweep((), co, half=True)]
     levels: list[list[IntPoly]] = [[] for _ in range(m + 1)]
     levels[m] = half + half[::-1] if m else half
     for k in range(m - 1, -1, -1):

@@ -2,7 +2,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from orispec import Graph, cli, generate_corpus, graphs, hermitian, kernel, orientation, tree_from_edges
+from orispec import (
+    Graph,
+    IntPoly,
+    bfs_spanning_tree,
+    cotree_edges,
+    enumerate_spanning_trees,
+    generate_corpus,
+    graphs,
+    hermitian,
+    kernel,
+    tree_from_edges,
+)
 
 # Worked example 1: K4 minus one edge plus nothing -- the 4-vertex graph
 # with edges {01, 12, 23, 03, 13}; its two named spanning trees.
@@ -55,6 +66,22 @@ def corpus7():
     return generate_corpus(7)
 
 
+@pytest.fixture(scope="session")
+def corpus5_charpolys(corpus5):
+    """Every distinct charpoly the explore searches meet on corpus5, sorted:
+    partial orientations over every spanning tree (the converse halves) and
+    complete ones over the BFS tree, each from the table of its own tree."""
+    polys = set()
+    for g in corpus5:
+        bfs = bfs_spanning_tree(g, 0)
+        sweeps = [(t, ()) for t in enumerate_spanning_trees(g)] + [(bfs, sorted(bfs.tree_edges))]
+        for t, arcs in sweeps:
+            co = cotree_edges(g, t)
+            table = hermitian.GainTable(g.n, t.tree_edges, co)
+            polys.update(map(table.unpack, table.sweep(arcs, co, half=not arcs)))
+    return [IntPoly(p) for p in sorted(polys)]
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The order n of every `kernel.charpoly_flat` call, in call order."""
@@ -67,23 +94,6 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(kernel, "charpoly_flat", counting)
     return calls
-
-
-@pytest.fixture
-def sweep_charpolys(monkeypatch):
-    """The degree of every charpoly `sign_sweep_charpolys` yields, in yield
-    order, through each module that calls it."""
-    degrees = []
-    sweep = hermitian.sign_sweep_charpolys
-
-    def recording(*args, **kwargs):
-        for poly in sweep(*args, **kwargs):
-            degrees.append(len(poly) - 1)
-            yield poly
-
-    for module in (cli, orientation):
-        monkeypatch.setattr(module, "sign_sweep_charpolys", recording)
-    return degrees
 
 
 @pytest.fixture

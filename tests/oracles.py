@@ -736,8 +736,10 @@ class SturmRoot(AlgebraicRoot):
 
 
 def sign_sweep_charpolys_by_kernel(n, tree_edges, cotree, sign_seq, tree_arcs=False):
-    """`sign_sweep_charpolys` by one kernel charpoly per sign vector: the
-    Hermitian matrix of each partial orientation is built entry by entry."""
+    """The charpolys `GainTable.sweep` reads, by one kernel charpoly per sign
+    vector of sign_seq: tree edges undirected, or with tree_arcs as arcs
+    u -> v, and cotree edge j = (u, v) the arc u -> v for s_j = +1 and
+    v -> u for -1.  The Hermitian matrix of each is built entry by entry."""
     re = [0] * (n * n)
     base_im = [0] * (n * n)
     for (u, v) in tree_edges:
@@ -823,8 +825,9 @@ def cycle_expansion_per_tree(n, tree_edges, cotree, tree_arcs=False):
 
 
 def sign_sweep_by_tree_table(n, tree_edges, cotree, sign_seq, tree_arcs=False):
-    """`sign_sweep_charpolys` from the table of `cycle_expansion_per_tree`,
-    summed term by term for each sign vector (no transform)."""
+    """`sign_sweep_charpolys_by_kernel` from the table of
+    `cycle_expansion_per_tree`, summed term by term for each sign vector (no
+    transform)."""
     m = len(cotree)
     terms = cycle_expansion_per_tree(n, tree_edges, cotree, tree_arcs)
     for signs in sign_seq:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import os
 import random
 
 import pytest
@@ -634,8 +636,35 @@ class TestExploreRecords:
         monkeypatch.setenv("ORISPEC_THREADS", "1")
         serial = explore_records(generate_corpus(4))
         monkeypatch.setenv("ORISPEC_THREADS", "2")
+        # the pool is capped at the core count: open it on one core too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         parallel = explore_records(generate_corpus(4))
         assert parallel == serial
+
+    def test_pool_has_no_more_workers_than_graphs_or_cores(self, monkeypatch):
+        # a process pool starts one worker per pending graph up to its
+        # max_workers; a serial stand-in records what it is asked for
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("ORISPEC_THREADS", "1000000")
+        graphs = generate_corpus(3)[1:]
+        assert len(graphs) == 3
+        assert explore_records(graphs) == [explore_record(g) for g in graphs]
+        assert all(k <= min(3, os.cpu_count() or 1) for k in asked)
 
 
 def separate_record(g):

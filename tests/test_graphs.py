@@ -13,11 +13,9 @@ from orispec.graphs import (
     SpanningTree,
     bfs_spanning_tree,
     build_mixed,
-    cotree_edges,
     encode_graph6,
     enumerate_spanning_trees,
     format_mixed,
-    fundamental_cycle,
     parse_edge_list,
     parse_graph6,
     parse_mixed,
@@ -275,33 +273,6 @@ class TestParityAndCycles:
     def test_parity_single_vertex(self):
         t = bfs_spanning_tree(Graph.of(1, []), 0)
         assert tree_parity_bipartition(t) == (frozenset({0}), frozenset())
-
-    def test_fundamental_cycle_c4(self, c4, c4_path_tree):
-        cycle = fundamental_cycle(c4_path_tree, (0, 3))
-        assert cycle[0] == cycle[-1] == 0
-        assert len(cycle) - 1 == 4
-        assert set(cycle) == {0, 1, 2, 3}
-
-    def test_fundamental_cycle_chord(self, ex1, ex1_path_tree):
-        cycle = fundamental_cycle(ex1_path_tree, (1, 3))
-        assert len(cycle) - 1 == 3
-        assert set(cycle) == {1, 2, 3}
-
-    def test_fundamental_cycle_rejects_tree_edge(self, ex1_path_tree):
-        with pytest.raises(ValueError):
-            fundamental_cycle(ex1_path_tree, (0, 1))
-
-    def test_cycle_parity_matches_bipartition(self):
-        # a cotree edge closes an even cycle iff it joins distinct parity classes
-        rng = random.Random(23)
-        for _ in range(25):
-            g = random_connected_graph(rng, rng.randint(3, 8))
-            t = bfs_spanning_tree(g, 0)
-            evens, _ = tree_parity_bipartition(t)
-            for e in cotree_edges(g, t):
-                cycle_len = len(fundamental_cycle(t, e)) - 1
-                split = (e[0] in evens) != (e[1] in evens)
-                assert (cycle_len % 2 == 0) == split
 
 
 class TestMixedGraphs:

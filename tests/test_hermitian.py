@@ -22,6 +22,7 @@ from orispec.hermitian import (
     G_I,
     G_ONE,
     G_ZERO,
+    GainTable,
     GaussInt,
     HermitianMatrix,
     charpoly,
@@ -31,7 +32,6 @@ from orispec.hermitian import (
     lambda_max,
     lambda_min,
     rank_one_witness,
-    sign_sweep_charpolys,
     spectral_radius,
     spectral_radius_of_charpoly,
     verify_rank_one_identity,
@@ -207,23 +207,41 @@ class TestExactSpectra:
                 assert compare_roots(rho, g_rho) is not Order.GT
 
 
-def sweep_against_kernel(g, t, sign_seq, tree_arcs=False):
-    """(the sweep, the kernel oracle) over one sign sequence of (g, t)."""
+def tree_sweep(g, t, tree_arcs=False, half=False):
+    """Every charpoly the table of t's own tree sweeps over its cotree, in
+    `sign_vectors` order, or over the converse halves."""
     co = cotree_edges(g, t)
-    seq = list(sign_seq)
-    got = list(sign_sweep_charpolys(g.n, t.tree_edges, co, seq, tree_arcs=tree_arcs))
+    table = GainTable(g.n, t.tree_edges, co)
+    arcs = sorted(t.tree_edges) if tree_arcs else ()
+    return [table.unpack(p) for p in table.sweep(arcs, co, half=half)]
+
+
+def sign_index(signs):
+    """The index of a sign vector in `sign_vectors` order."""
+    index = 0
+    for s in signs:
+        index = 2 * index + (s == 1)
+    return index
+
+
+def sweep_against_kernel(g, t, tree_arcs=False, half=False):
+    """(the sweep, the kernel oracle) over every sign vector of (g, t), or
+    over the converse halves."""
+    co = cotree_edges(g, t)
+    seq = (converse_halves if half else sign_vectors)(len(co))
     want = list(oracles.sign_sweep_charpolys_by_kernel(g.n, t.tree_edges, co, seq, tree_arcs=tree_arcs))
-    return got, want
+    return tree_sweep(g, t, tree_arcs, half), want
 
 
 class TestSignSweepByCycleExpansion:
-    """The sweep against one kernel charpoly per sign vector."""
+    """`GainTable.sweep` over the table of the swept tree itself, as classify
+    and the audit read it, against one kernel charpoly per sign vector."""
 
     @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
     def test_every_tree_of_corpus5(self, corpus5, tree_arcs):
         for g in corpus5:
             for t in enumerate_spanning_trees(g):
-                got, want = sweep_against_kernel(g, t, sign_vectors(len(cotree_edges(g, t))), tree_arcs)
+                got, want = sweep_against_kernel(g, t, tree_arcs)
                 assert got == want, (encode_graph6(g), sorted(t.tree_edges))
 
     @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
@@ -231,73 +249,75 @@ class TestSignSweepByCycleExpansion:
         # every 100th of the 2,000 spanning trees, BFS order first
         trees = [bfs_spanning_tree(PETERSEN, 0)] + enumerate_spanning_trees(PETERSEN)[::100]
         for t in trees:
-            got, want = sweep_against_kernel(PETERSEN, t, sign_vectors(6), tree_arcs)
-            assert got == want, sorted(t.tree_edges)
+            got, want = sweep_against_kernel(PETERSEN, t, tree_arcs)
+            assert len(got) == 64 and got == want, sorted(t.tree_edges)
 
     @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
     def test_ladder_at_bfs0(self, tree_arcs):
         g = grid(2, 8)
-        got, want = sweep_against_kernel(g, bfs_spanning_tree(g, 0), sign_vectors(7), tree_arcs)
-        assert got == want
+        got, want = sweep_against_kernel(g, bfs_spanning_tree(g, 0), tree_arcs)
+        assert len(got) == 128 and got == want
 
     @pytest.mark.parametrize("tree_arcs", [False, True], ids=["partial", "complete"])
     def test_first_tree_of_k7(self, tree_arcs):
-        # m = 15: a seeded sample of the 32,768 sign vectors, in sample order
+        # m = 15: a seeded sample of the 32,768 sign vectors, read by index
+        # from the full sweep
         t = enumerate_spanning_trees(K7)[0]
-        assert len(cotree_edges(K7, t)) == 15
+        co = cotree_edges(K7, t)
+        assert len(co) == 15
         rng = random.Random(7)
         sample = [tuple(rng.choice((-1, 1)) for _ in range(15)) for _ in range(600)]
-        got, want = sweep_against_kernel(K7, t, sample, tree_arcs)
+        polys = tree_sweep(K7, t, tree_arcs)
+        got = [polys[sign_index(s)] for s in sample]
+        want = list(oracles.sign_sweep_charpolys_by_kernel(7, t.tree_edges, co, sample, tree_arcs=tree_arcs))
         assert got == want
 
     def test_class_representatives(self, corpus5):
-        # the first member of each switching class, as `classify` passes them
+        # the converse halves are the first members of the switching
+        # classes, in class order, as `classify` reads them
         cases = [(PETERSEN, bfs_spanning_tree(PETERSEN, 0))]
         cases += [(g, bfs_spanning_tree(g, 0)) for g in corpus5]
         for g, t in cases:
-            reps = (members[0].signs for members in classify_partial_orientations(g, t))
-            got, want = sweep_against_kernel(g, t, reps)
+            reps = [members[0].signs for members in classify_partial_orientations(g, t)]
+            assert reps == list(converse_halves(len(cotree_edges(g, t))))
+            got, want = sweep_against_kernel(g, t, half=True)
             assert got == want, encode_graph6(g)
 
     def test_repeats_in_any_order(self, ex1, ex1_path_tree):
         seq = [(1, 1), (-1, 1), (1, 1), (1, -1), (-1, -1), (-1, 1), (1, 1)]
+        co = cotree_edges(ex1, ex1_path_tree)
         for tree_arcs in (False, True):
-            got, want = sweep_against_kernel(ex1, ex1_path_tree, seq, tree_arcs)
+            polys = tree_sweep(ex1, ex1_path_tree, tree_arcs)
+            got = [polys[sign_index(s)] for s in seq]
+            want = list(oracles.sign_sweep_charpolys_by_kernel(4, ex1_path_tree.tree_edges, co, seq, tree_arcs))
             assert got == want and len(got) == len(seq)
 
     def test_no_cotree_edges(self):
         g = Graph.of(4, [(0, 1), (1, 2), (1, 3)])
         t = bfs_spanning_tree(g, 0)
         for tree_arcs in (False, True):
-            got, want = sweep_against_kernel(g, t, [(), ()], tree_arcs)
-            assert got == want == [(0, 0, -3, 0, 1)] * 2
+            for half in (False, True):
+                got, want = sweep_against_kernel(g, t, tree_arcs, half)
+                assert got == want == [(0, 0, -3, 0, 1)]
 
     def test_one_and_no_vertex(self):
         for n, poly in ((1, (0, 1)), (0, (1,))):
-            assert list(sign_sweep_charpolys(n, (), (), [()])) == [poly]
+            table = GainTable(n, (), ())
+            for half in (False, True):
+                assert [table.unpack(p) for p in table.sweep((), (), half=half)] == [poly]
             assert list(oracles.sign_sweep_charpolys_by_kernel(n, (), (), [()])) == [poly]
-
-    def test_empty_sequence(self, ex1, ex1_path_tree):
-        assert sweep_against_kernel(ex1, ex1_path_tree, []) == ([], [])
-
-    def test_rejects_malformed_sign_vectors(self, ex1, ex1_path_tree):
-        co = cotree_edges(ex1, ex1_path_tree)
-        for bad in [(1,), (1, 1, 1), (1, 0), (2, -1)]:
-            with pytest.raises(ValueError):
-                list(sign_sweep_charpolys(4, ex1_path_tree.tree_edges, co, [bad]))
 
     def test_rejects_a_tree_that_does_not_span(self):
         with pytest.raises(ValueError):
-            list(sign_sweep_charpolys(4, [(0, 1), (2, 3)], [(1, 2)], [(1,)]))
+            GainTable(4, [(0, 1), (2, 3)], [(1, 2)])
         with pytest.raises(ValueError):
-            list(sign_sweep_charpolys(3, [(0, 1), (1, 2)], [(0, 1)], [(1,)]))
+            GainTable(3, [(0, 1), (1, 2)], [(0, 1)])
 
     def test_makes_no_kernel_call(self, kernel_calls):
         t = bfs_spanning_tree(PETERSEN, 0)
-        co = cotree_edges(PETERSEN, t)
         for tree_arcs in (False, True):
-            polys = list(sign_sweep_charpolys(10, t.tree_edges, co, sign_vectors(6), tree_arcs=tree_arcs))
-            assert len(polys) == 64
+            assert len(tree_sweep(PETERSEN, t, tree_arcs)) == 64
+            assert len(tree_sweep(PETERSEN, t, tree_arcs, half=True)) == 32
         assert kernel_calls == []
 
     def test_constant_term_is_the_matching_polynomial(self, corpus5):
@@ -308,23 +328,8 @@ class TestSignSweepByCycleExpansion:
         for g in corpus5:
             t = bfs_spanning_tree(g, 0)
             m = len(cotree_edges(g, t))
-            total = IntPoly.zero()
-            for p in sign_sweep_charpolys(g.n, t.tree_edges, cotree_edges(g, t), sign_vectors(m)):
-                total = total + IntPoly(p)
+            total = sum((IntPoly(p) for p in tree_sweep(g, t)), IntPoly.zero())
             assert total == matching_polynomial(g) * IntPoly([1 << m])
-
-
-def sweep_charpolys(g):
-    """Every distinct charpoly the explore searches meet on g: partial
-    orientations over each spanning tree, complete ones over the BFS tree."""
-    polys = set()
-    for t in enumerate_spanning_trees(g):
-        co = cotree_edges(g, t)
-        polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(len(co))))
-    t = bfs_spanning_tree(g, 0)
-    co = cotree_edges(g, t)
-    polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)), tree_arcs=True))
-    return [IntPoly(p) for p in sorted(polys)]
 
 
 def midpoint_root_polys():
@@ -360,10 +365,9 @@ class TestSpectralRadiusOneChain:
         assert (got.poly, got.lo, got.hi) == (ref.poly, ref.lo, ref.hi)
         assert got.to_json() == ref.to_json()
 
-    def test_sweep_charpolys_of_corpus5(self, corpus5):
-        polys = {p for g in corpus5 for p in sweep_charpolys(g)}
-        assert len(polys) > 200
-        for p in sorted(polys, key=lambda p: p.coeffs):
+    def test_sweep_charpolys_of_corpus5(self, corpus5_charpolys):
+        assert len(corpus5_charpolys) > 200
+        for p in corpus5_charpolys:
             self.assert_same_radius(p)
 
     def test_random_polys(self):

@@ -15,7 +15,7 @@ from orispec.graphs import (
     sign_vectors,
     tree_from_edges,
 )
-from orispec.hermitian import GainTable, charpoly_of_mixed, sign_sweep_charpolys
+from orispec.hermitian import GainTable, charpoly_of_mixed
 from orispec.matching import matching_polynomial
 from orispec.orientation import (
     _family_levels,
@@ -284,7 +284,7 @@ class TestAuditReductions:
     def test_levels_match_the_full_sweep(self, corpus5):
         for g, t in audit_cases(corpus5):
             co = cotree_edges(g, t)
-            full = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)))]
+            full = [IntPoly(p) for p in oracles.sign_sweep_by_tree_table(g.n, t.tree_edges, co, sign_vectors(len(co)))]
             levels = _family_levels(g, t, co)
             assert levels[-1] == full
             assert levels[0] == [sum(full, IntPoly.zero())]
@@ -375,13 +375,14 @@ class TestAuditReductions:
         monkeypatch.setattr(AlgebraicRoot, "compare", lambda self, other, gcds=None: compare(self, other))
         assert [audit_interlacing_family(g, t) for g, t in audit_cases(corpus5)] == reports
 
-    def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, sweep_charpolys):
-        # audit-family on the 2x8 ladder at bfs:0 (m = 7): half of the 128
-        # leaves are swept, and each distinct node polynomial is isolated once
+    def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, gain_tables):
+        # audit-family on the 2x8 ladder at bfs:0 (m = 7): one table, one
+        # sweep of half of the 128 leaves, and each distinct node polynomial
+        # isolated once
         g = grid(2, 8)
         t = bfs_spanning_tree(g, 0)
         co = cotree_edges(g, t)
-        leaves = [IntPoly(p) for p in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)))]
+        leaves = [IntPoly(p) for p in oracles.sign_sweep_by_tree_table(g.n, t.tree_edges, co, sign_vectors(len(co)))]
         distinct = set(leaves)
         level = leaves
         while len(level) > 1:
@@ -398,7 +399,8 @@ class TestAuditReductions:
         graph = ";".join(f"{u} {v}" for u, v in sorted(g.edges))
         assert cli.main(["audit-family", "-g", graph, "--tree", "bfs:0", "--json"]) == 0
         assert '"passed": true' in capsys.readouterr().out
-        assert sweep_charpolys == [16] * 64
+        assert gain_tables.built == [7]
+        assert gain_tables.sweeps == [(False, 64)]
         assert kernel_calls == []
         assert len(isolations) == len(set(isolations)) == len(distinct) == 100
 

@@ -10,15 +10,8 @@ import oracles
 from oracles import FractionRoot, SturmRoot, count_roots_open, poly_gcd_by_prs
 
 from orispec import polynomials
-from orispec.graphs import (
-    Graph,
-    bfs_spanning_tree,
-    converse_halves,
-    cotree_edges,
-    enumerate_spanning_trees,
-    sign_vectors,
-)
-from orispec.hermitian import sign_sweep_charpolys
+from orispec.graphs import Graph, bfs_spanning_tree, cotree_edges
+from orispec.hermitian import GainTable
 from orispec.orientation import _family_levels
 from orispec.polynomials import (
     PRINT_WIDTH,
@@ -673,7 +666,8 @@ class TestHalfDegreeIsolationAgainstFullDegree:
                 g = Graph.of(n, [e for e in g.edges if max(e) < n])
             t = bfs_spanning_tree(g, 0)
             co = cotree_edges(g, t)
-            polys = {IntPoly(c) for c in sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)))}
+            table = GainTable(g.n, t.tree_edges, co)
+            polys = {IntPoly(table.unpack(c)) for c in table.sweep((), co)}
             assert all(p.degree == n and not any(p.coeffs[1 - n % 2 :: 2]) for p in polys)
             for p in polys:
                 self.assert_matches_full_degree(p)
@@ -729,20 +723,10 @@ class TestSignDecisionsAgainstSturmOracle:
             assert intervals(roots) == intervals(twins)
         assert [r.to_json() for r in roots] == [t.to_json() for t in twins]
 
-    def test_corpus5_charpolys(self, corpus5):
-        # partial orientations over every spanning tree, complete ones over
-        # the BFS tree
-        polys = set()
-        for g in corpus5:
-            for t in enumerate_spanning_trees(g):
-                co = cotree_edges(g, t)
-                polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, converse_halves(len(co))))
-            t = bfs_spanning_tree(g, 0)
-            co = cotree_edges(g, t)
-            polys.update(sign_sweep_charpolys(g.n, t.tree_edges, co, sign_vectors(len(co)), tree_arcs=True))
-        assert len(polys) > 200
-        for seed, p in enumerate(sorted(polys)):
-            self.assert_same_decisions(IntPoly(p), seed)
+    def test_corpus5_charpolys(self, corpus5_charpolys):
+        assert len(corpus5_charpolys) > 200
+        for seed, p in enumerate(corpus5_charpolys):
+            self.assert_same_decisions(p, seed)
 
     def test_ladder_family_node_polynomials(self):
         g = ladder(8)

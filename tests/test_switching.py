@@ -222,7 +222,7 @@ class TestClassification:
         for g, t in cases:
             assert classify_partial_orientations(g, t) == oracles.classify_by_switching_search(g, t)
 
-    def test_classify_cli_makes_one_charpoly_per_class(self, capsys, monkeypatch, kernel_calls, sweep_charpolys):
+    def test_classify_cli_makes_one_charpoly_per_class(self, capsys, monkeypatch, kernel_calls, gain_tables):
         searches = count_calls(monkeypatch, switching, "switching_equivalent")
         petersen = ";".join(f"{u} {v}" for u, v in PETERSEN_EDGES)
         assert cli.main(["classify", "-g", petersen, "--json"]) == 0
@@ -230,16 +230,18 @@ class TestClassification:
         m = len(result["cotree"])
         assert m == 6 and len(result["classes"]) == 1 << (m - 1)
         assert len(searches) == 0
-        assert len(sweep_charpolys) == 1 << (m - 1)
+        assert gain_tables.built == [m]
+        assert gain_tables.sweeps == [(False, 1 << (m - 1))]
         assert kernel_calls == []
 
-    def test_tree_graph_has_one_class(self, capsys, kernel_calls, sweep_charpolys):
+    def test_tree_graph_has_one_class(self, capsys, kernel_calls, gain_tables):
         assert cli.main(["classify", "-g", "0 1;1 2;1 3", "--json"]) == 0
         (result,) = json.loads(capsys.readouterr().out)["results"]
         assert result["cotree"] == []
         assert [(c["size"], c["members"]) for c in result["classes"]] == [(1, [[]])]
         assert result["classes"][0]["charpoly"]["text"] == "x^4-3x^2"
-        assert sweep_charpolys == [4]
+        assert gain_tables.built == [0]
+        assert gain_tables.sweeps == [(False, 1)]
         assert kernel_calls == []
 
     def test_guard(self):
