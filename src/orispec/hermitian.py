@@ -423,8 +423,10 @@ def spectral_radius_of_charpoly(p: IntPoly) -> AlgebraicRoot:
     """max(|root|) of a real-rooted charpoly, as an exact algebraic number.
 
     One square-free part and one Sturm chain serve both ends of the
-    spectrum (`isolate_extreme_roots`); comparing the two ends refines
-    them by signs of their polynomials alone.  The result is the largest
+    spectrum (`isolate_extreme_roots`): one bisection walk runs down to
+    the top end and, unless the spectrum is symmetric, up to the bottom
+    end.  Comparing the two ends refines them by signs of their
+    polynomials alone.  The result is the largest
     root of p, or minus the smallest one, in the interval state left by
     comparing the two; on a tie the largest root wins.  A spectrum
     symmetric about 0, as every mixed graph on a bipartite host has, gives

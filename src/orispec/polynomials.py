@@ -5,7 +5,10 @@ runs in exact integer or rational arithmetic.  Root counts come from Sturm
 sequences, evaluated at a rational point through one table of powers of its
 numerator and denominator; a polynomial x^e f(x^2) is counted on the chain
 of f at x^2, at half the degree, and points beyond an integer bound on every
-complex root's modulus need no count at all.  Once a root is isolated, a
+complex root's modulus need no count at all.  One lazy bisection walk over
+those counts isolates every root: upward it lists the roots in ascending
+order or stops at the smallest, downward it stops at the largest, both on
+one chain.  Once a root is isolated, a
 sign of its defining polynomial decides every further step.  Floating point appears only
 in display helpers such as ``roots_numeric``.
 
@@ -25,24 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
-
-__all__ = [
-    "Order",
-    "IntPoly",
-    "AlgebraicRoot",
-    "is_real_rooted",
-    "isolate_largest_root",
-    "isolate_smallest_root",
-    "isolate_extreme_roots",
-    "isolate_real_roots",
-    "compare_roots",
-    "refine",
-    "roots_numeric",
-    "interlaces",
-    "common_interlacing",
-    "roots_admit_common_interlacer",
-]
+from typing import Iterable, Iterator, Sequence
 
 
 class Order(str, enum.Enum):
@@ -85,10 +71,6 @@ class IntPoly:
         return cls((c,))
 
     @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, k: int, c: int = 1) -> "IntPoly":
         return cls((0,) * k + (c,))
 
@@ -98,10 +80,6 @@ class IntPoly:
         for r in roots:
             p = p * cls((-r, 1))
         return p
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "IntPoly":
-        return cls(tuple(data))
 
     # -- basic queries -----------------------------------------------------
 
@@ -797,7 +775,8 @@ class _RootCount:
     roots above x >= 0 and (2 R_f(0) + e) - R_f(x^2) above x < 0, and the
     sign of q(x) is sign(x)^e times that of f(x^2).  Every other q carries its own chain, and R(x) =
     V(x) - V(+inf).  Either count is exact for any q, real-rooted or not,
-    at a point where q is nonzero; a linear q carries no chain.
+    at a point where q is nonzero.  ``total`` is q's number of distinct
+    real roots; a linear q carries no chain and has total 1.
     """
 
     __slots__ = ("q", "chain", "e", "top", "total")
@@ -805,6 +784,7 @@ class _RootCount:
     def __init__(self, q: IntPoly, chain: tuple[IntPoly, ...] | None, e: int | None = None) -> None:
         self.q, self.chain, self.e = q, chain, e  # e is None: the chain is q's own
         if chain is None:
+            self.total = 1
             return
         self.top = variations_pos_inf(chain)
         if e is None:
@@ -822,13 +802,6 @@ class _RootCount:
         if num < 0:
             return -sign if self.e else sign, self.total - v + self.top
         return sign if num or not self.e else 0, v - self.top
-
-    def reflected(self) -> "_RootCount":
-        """The count of q(-x) made primitive: self for a symmetric q, which
-        is its own reflection, else over the chain `_reflected` reads off."""
-        if self.e is not None:
-            return self
-        return _RootCount(*_reflected(self.q, self.chain))
 
 
 def _root_count(q: IntPoly) -> _RootCount:
@@ -864,48 +837,49 @@ def _root_window(counts: _RootCount, a: int, b: int, d: int) -> tuple[int, int, 
         s += 1
 
 
-def _isolate_squarefree(counts: _RootCount) -> list[AlgebraicRoot]:
-    """All real roots of a square-free q, ascending, as isolating intervals.
+def _walk(counts: _RootCount, upward: bool) -> Iterator[AlgebraicRoot]:
+    """The real roots of the square-free q of counts as isolating intervals
+    (or exact values), ascending when upward, else descending, found lazily.
 
-    The walk bisects the Cauchy interval (-B, B), and no root lies outside
-    it, so the counts at its ends are those at -inf and +inf.  No root lies
-    beyond q's root radius R either, so a midpoint beyond R needs no count.
-    Each interval (a/d, b/d) of the walk carries its own power-of-two d.
+    A depth-first bisection of the Cauchy interval (-B, B) on the counts of
+    roots above each midpoint.  No root lies outside it, so the counts at
+    its ends are those at -inf and +inf; no root lies beyond q's root radius
+    R either, so a midpoint beyond R needs no count.  Each interval (a/d,
+    b/d) carries its own power-of-two d.  A midpoint that is itself a root
+    is yielded exactly, between the two halves of the window that isolates
+    it.  The walk is mirror-symmetric: q and q(-x) share B, R, midpoints and
+    windows, so the upward walk on q makes, negated, the intervals of the
+    downward walk on q(-x).
     """
     q = counts.q
     if q.degree == 1:
         c0, c1 = q.coeffs
-        return [AlgebraicRoot.exact(q, Fraction(-c0, c1))]
+        yield AlgebraicRoot.exact(q, Fraction(-c0, c1))
+        return
     bound = cauchy_root_bound(q)
     radius = q.root_radius()
-    out: list[AlgebraicRoot] = []
-
-    def walk(a: int, va: int, b: int, vb: int, d: int) -> None:
+    stack = [(-bound, counts.total, bound, 0, 1)]
+    while stack:
+        a, va, b, vb, d = stack.pop()
         count = va - vb
         if count == 0:
-            return
+            continue
         if count == 1:
-            out.append(AlgebraicRoot._isolated(q, a, b, d))
-            return
+            yield AlgebraicRoot._isolated(q, a, b, d)
+            continue
         mid, d2 = a + b, d << 1
         limit = radius * d2
-        if mid > limit:
-            vm = vb
-        elif mid < -limit:
-            vm = va
-        else:
+        if -limit <= mid <= limit:
             sign, vm = counts.at(mid, d2)
-            if sign == 0:
-                left, vl, right, vr, s = _root_window(counts, a, b, d)
-                walk(a << s, va, left, vl, d << s)
-                out.append(AlgebraicRoot._isolated(q, mid, mid, d2))
-                walk(right, vr, b << s, vb, d << s)
-                return
-        walk(a << 1, va, mid, vm, d2)
-        walk(mid, vm, b << 1, vb, d2)
-
-    walk(-bound, counts.total, bound, 0, 1)
-    return out
+        else:
+            sign, vm = 1, (vb if mid > 0 else va)
+        if sign:
+            halves = [(a << 1, va, mid, vm, d2), (mid, vm, b << 1, vb, d2)]
+        else:
+            left, vl, right, vr, s = _root_window(counts, a, b, d)
+            ds = d << s
+            halves = [(a << s, va, left, vl, ds), (mid, 1, mid, 0, d2), (right, vr, b << s, vb, ds)]
+        stack.extend(reversed(halves) if upward else halves)
 
 
 def isolate_real_roots(p: IntPoly) -> list[AlgebraicRoot]:
@@ -919,9 +893,7 @@ def isolate_real_roots(p: IntPoly) -> list[AlgebraicRoot]:
         raise ValueError("zero polynomial")
     groups: list[tuple[AlgebraicRoot, int]] = []
     for factor, mult in squarefree_decomposition(p):
-        if factor.degree < 1:
-            continue
-        for root in _isolate_squarefree(_root_count(factor)):
+        for root in _walk(_root_count(factor), upward=True):
             groups.append((root, mult))
     # square-free factors are pairwise coprime, so roots from different
     # factors are distinct and exact comparison is a pure ordering question
@@ -946,13 +918,9 @@ def is_real_rooted(p: IntPoly) -> bool:
     """True when every complex root of p is real (exact decision)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return True
     total = 0
     for factor, mult in squarefree_decomposition(p):
-        if factor.degree < 1:
-            continue
-        total += mult * count_real_roots(sturm_chain(factor))
+        total += mult * _root_count(factor).total
     return total == p.degree
 
 
@@ -966,93 +934,37 @@ def _squarefree_count(p: IntPoly) -> _RootCount:
     return _root_count(q)
 
 
-def _reflected(
-    q: IntPoly, chain: tuple[IntPoly, ...] | None
-) -> tuple[IntPoly, tuple[IntPoly, ...] | None]:
-    """q(-x) made primitive with positive leading coefficient, and its Sturm
-    chain, read off q's chain without a remainder sequence.
-
-    With sigma = (-1)^deg q, the members sigma * (-1)^k * S_k(-x) start with
-    q(-x) made positive and its derivative, and satisfy the same remainder
-    recurrence with the same positive constants; each S_k has content 1, so
-    they are exactly what `sturm_chain` builds for the reflected polynomial.
-    """
-    sigma = -1 if q.degree % 2 else 1
-    reflected = q.reflected() * sigma
-    if chain is None:
-        return reflected, None
-    return reflected, tuple(
-        s.reflected() * (sigma if k % 2 == 0 else -sigma) for k, s in enumerate(chain)
-    )
-
-
-def _largest_root(counts: _RootCount) -> AlgebraicRoot:
-    """Isolating interval (or exact value) of the largest real root of the
-    square-free q of counts, by bisection of the Cauchy interval on the
-    counts of roots above each midpoint: from f's chain at half the degree
-    when q is x^e f(x^2), else from q's own.  As in `_isolate_squarefree`,
-    the ends of the Cauchy interval take the counts at infinity, and a
-    midpoint beyond q's root radius needs none."""
-    q = counts.q
-    if q.degree == 1:
-        c0, c1 = q.coeffs
-        return AlgebraicRoot.exact(q, Fraction(-c0, c1))
-    bound = cauchy_root_bound(q)
-    radius = q.root_radius()
-    lo, hi, d = -bound, bound, 1
-    va, vb = counts.total, 0
-    count = va - vb
-    if count == 0:
-        raise ValueError("polynomial has no real roots")
-    while count > 1:
-        mid, d2 = lo + hi, d << 1
-        limit = radius * d2
-        if mid > limit:
-            vm = vb
-        elif mid < -limit:
-            vm = va
-        else:
-            sign, vm = counts.at(mid, d2)
-            if sign == 0:
-                # mid is itself a root; continue above a window that isolates it
-                _, _, right, vr, s = _root_window(counts, lo, hi, d)
-                above = vr - vb
-                if above == 0:
-                    return AlgebraicRoot._isolated(q, mid, mid, d2)
-                lo, hi, d, va, count = right, hi << s, d << s, vr, above
-                continue
-        above = vm - vb
-        if above >= 1:
-            lo, hi, d, va, count = mid, hi << 1, d2, vm, above
-        else:
-            lo, hi, d, vb, count = lo << 1, mid, d2, vm, va - vm
-    return AlgebraicRoot._isolated(q, lo, hi, d)
+def _first_root(counts: _RootCount, upward: bool) -> AlgebraicRoot:
+    """The smallest real root of counts' q when upward, else the largest."""
+    for root in _walk(counts, upward):
+        return root
+    raise ValueError("polynomial has no real roots")
 
 
 def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:
     """Isolating interval (or exact value) of the largest real root of p."""
-    return _largest_root(_squarefree_count(p))
+    return _first_root(_squarefree_count(p), upward=False)
 
 
 def isolate_smallest_root(p: IntPoly) -> AlgebraicRoot:
-    """The smallest real root of p: minus the largest root of p(-x)."""
-    return _largest_root(_squarefree_count(p).reflected()).negated()
+    """Isolating interval (or exact value) of the smallest real root of p."""
+    return _first_root(_squarefree_count(p), upward=True)
 
 
 def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     """(largest root of p, largest root of p(-x)) from one square-free part
-    q and one Sturm chain.
+    q and one Sturm chain, walked down and then up.
 
     The second root is minus the smallest root of p; its poly is the
     square-free part of p(-x), as `isolate_smallest_root(p).negated()` gives.
     When q(-x) = +-q(x), q(-x) made primitive is q itself, so the second
-    root is a `copy()` of the first; otherwise a second bisection runs on
-    the reflected chain.
+    root is a `copy()` of the first and the upward walk does not run.
     """
     counts = _squarefree_count(p)
-    top = _largest_root(counts)
-    mirror = counts.reflected()
-    return top, top.copy() if mirror is counts else _largest_root(mirror)
+    top = _first_root(counts, upward=False)
+    if counts.e is not None:
+        return top, top.copy()
+    return top, _first_root(counts, upward=True).negated()
 
 
 # ---------------------------------------------------------------------------
@@ -1078,9 +990,9 @@ def roots_numeric(p: IntPoly, eps=Fraction(1, 10**9)) -> list[float]:
     are asking for the full spectrum, so silently dropping complex roots
     would be misleading.
     """
-    if not is_real_rooted(p):
-        raise ValueError("polynomial is not real-rooted")
     roots = isolate_real_roots(p)
+    if len(roots) != p.degree:
+        raise ValueError("polynomial is not real-rooted")
     out = []
     seen: dict[int, float] = {}
     for r in roots:
@@ -1107,10 +1019,9 @@ def interlaces(g: IntPoly, f: IntPoly) -> bool:
         raise ValueError("zero polynomial")
     if g.degree != f.degree - 1:
         raise ValueError("interlacer must have degree one less")
-    if not is_real_rooted(f) or not is_real_rooted(g):
+    bs, als = isolate_real_roots(f), isolate_real_roots(g)
+    if len(bs) != f.degree or len(als) != g.degree:
         raise ValueError("both polynomials must be real-rooted")
-    bs = isolate_real_roots(f)
-    als = isolate_real_roots(g)
     for i, a in enumerate(als):
         if not (_leq(bs[i], a) and _leq(a, bs[i + 1])):
             return False
@@ -1144,6 +1055,7 @@ def common_interlacing(f: IntPoly, g: IntPoly) -> bool:
         raise ValueError("polynomials must share the same degree >= 1")
     if f.leading <= 0 or g.leading <= 0:
         raise ValueError("leading coefficients must be positive")
-    if not is_real_rooted(f) or not is_real_rooted(g):
+    bs, cs = isolate_real_roots(f), isolate_real_roots(g)
+    if len(bs) != f.degree or len(cs) != g.degree:
         raise ValueError("both polynomials must be real-rooted")
-    return roots_admit_common_interlacer(isolate_real_roots(f), isolate_real_roots(g))
+    return roots_admit_common_interlacer(bs, cs)

@@ -33,7 +33,6 @@ from orispec.polynomials import (
     IntPoly,
     Order,
     _pseudo_rem,
-    _reflected,
     cauchy_root_bound,
     compare_roots,
     isolate_largest_root,
@@ -480,10 +479,11 @@ def _full_isolate_squarefree(q, chain) -> list[AlgebraicRoot]:
     return out
 
 
-def _full_largest_root(q, chain) -> AlgebraicRoot:
+def _full_largest_root(q) -> AlgebraicRoot:
     if q.degree == 1:
         c0, c1 = q.coeffs
         return AlgebraicRoot.exact(q, Fraction(-c0, c1))
+    chain = sturm_chain(q)
     bound = cauchy_root_bound(q)
     radius = q.root_radius()
     lo, hi, d = -bound, bound, 1
@@ -515,26 +515,32 @@ def _full_largest_root(q, chain) -> AlgebraicRoot:
     return AlgebraicRoot._isolated(q, lo, hi, d)
 
 
-def _full_squarefree_with_chain(p):
+def _full_squarefree(p):
     if p.is_zero:
         raise ValueError("zero polynomial")
     q = squarefree_part(p)
     if q.degree < 1:
         raise ValueError("polynomial has no roots")
-    return q, (sturm_chain(q) if q.degree > 1 else None)
+    return q
 
 
 def largest_root_full_degree(p) -> AlgebraicRoot:
     """`isolate_largest_root` by bisection on the Sturm chain of the
     square-free part q itself, whatever its symmetry."""
-    return _full_largest_root(*_full_squarefree_with_chain(p))
+    return _full_largest_root(_full_squarefree(p))
+
+
+def smallest_root_full_degree(p) -> AlgebraicRoot:
+    """`isolate_smallest_root` as minus the full-degree largest root of
+    q(-x) made primitive, on a Sturm chain built for q(-x) itself."""
+    return _full_largest_root(_full_squarefree(p).reflected().primitive()).negated()
 
 
 def extreme_roots_full_degree(p) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     """`isolate_extreme_roots` at full degree: the second bisection always
-    runs, on the reflected chain, symmetric q included."""
-    q, chain = _full_squarefree_with_chain(p)
-    return _full_largest_root(q, chain), _full_largest_root(*_reflected(q, chain))
+    runs, on the Sturm chain built for q(-x), symmetric q included."""
+    q = _full_squarefree(p)
+    return _full_largest_root(q), _full_largest_root(q.reflected().primitive())
 
 
 def real_roots_full_degree(p) -> list[AlgebraicRoot]:

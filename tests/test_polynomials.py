@@ -16,7 +16,6 @@ from orispec.orientation import _family_levels
 from orispec.polynomials import (
     PRINT_WIDTH,
     _divexact_poly,
-    _reflected,
     _sign_variations,
     AlgebraicRoot,
     IntPoly,
@@ -305,20 +304,6 @@ class TestSturm:
         assert IntPoly.monomial(4).root_radius() == 0
         assert IntPoly.constant(5).root_radius() == 0
 
-    @given(st.lists(small_ints, min_size=2, max_size=9))
-    @settings(max_examples=80, deadline=None)
-    def test_reflected_chain_is_the_chain_of_the_reflection(self, coeffs):
-        # the second bisection of isolate_extreme_roots runs on this chain
-        p = IntPoly(coeffs)
-        if p.degree < 1:
-            return
-        q = squarefree_part(p)
-        if q.degree < 2:
-            return
-        reflected, chain = _reflected(q, sturm_chain(q))
-        assert reflected == q.reflected().primitive()
-        assert chain == sturm_chain(reflected)
-
 
 class TestRootCounts:
     """A symmetric square-free q = x^e f(x^2) counts its roots on f's chain
@@ -451,6 +436,51 @@ class TestIsolation:
         assert hi - lo < Fraction(1, 1000)
         assert Fraction(18, 10) < lo < hi < Fraction(19, 10)
 
+    def test_largest_root_walk_stops_at_the_top(self, monkeypatch):
+        # (3x - 1)(x^2 - 2)(x^2 - 3)(x^2 - 5)(x^2 - 6)(x^2 - 7): the downward
+        # walk counts at as many points as the full-degree bisection, which
+        # follows only the top root, and at fewer than isolating every root
+        p = poly_of(-1, 3)
+        for k in (2, 3, 5, 6, 7):
+            p = p * poly_of(-k, 0, 1)
+        calls = []
+        monkeypatch.setattr(polynomials._RootCount, "at", counting(calls, polynomials._RootCount.at))
+        monkeypatch.setattr(oracles, "variations_at_ratio", counting(calls, oracles.variations_at_ratio))
+
+        def counts_taken(isolate):
+            calls.clear()
+            isolate(p)
+            return len(calls)
+
+        top = counts_taken(isolate_largest_root)
+        assert top == counts_taken(oracles.largest_root_full_degree)
+        assert top < counts_taken(isolate_real_roots)
+
+    @staticmethod
+    def assert_ends_match_every_root(p):
+        # the downward and upward walks stop at the states the full
+        # ascending walk gives its last and first roots
+        if p.degree < 1:
+            return
+        every = isolate_real_roots(squarefree_part(p))
+        if not every:
+            for isolate in (isolate_largest_root, isolate_smallest_root):
+                with pytest.raises(ValueError, match="no real roots"):
+                    isolate(p)
+            return
+        assert states([isolate_largest_root(p)]) == states(every[-1:])
+        assert states([isolate_smallest_root(p)]) == states(every[:1])
+
+    @given(symmetric_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_ends_of_symmetric_polys(self, p):
+        self.assert_ends_match_every_root(p)
+
+    @given(st.lists(small_ints, min_size=2, max_size=9))
+    @settings(max_examples=150, deadline=None)
+    def test_ends_of_any_polys(self, coeffs):
+        self.assert_ends_match_every_root(IntPoly(coeffs))
+
 
 class TestCompareRoots:
     def test_worked_example_comparisons(self):
@@ -536,6 +566,22 @@ class TestInterlacing:
         g = IntPoly.from_roots([0, 2])
         assert common_interlacing(f, g)
 
+    def test_one_squarefree_decomposition_per_polynomial(self, monkeypatch):
+        # real-rootedness is read off the length of the isolated root list
+        calls = []
+        monkeypatch.setattr(polynomials, "squarefree_decomposition", counting(calls, squarefree_decomposition))
+        f, g = IntPoly.from_roots([0, 2, 2]), IntPoly.from_roots([1, 2, 3])
+        for check, polys in ((roots_numeric, (f,)), (interlaces, (f.derivative(), f)), (common_interlacing, (f, g))):
+            calls.clear()
+            assert check(*polys)
+            assert len(calls) == len(polys), check.__name__
+        with pytest.raises(ValueError, match="polynomial is not real-rooted"):
+            roots_numeric(f * poly_of(1, 0, 1))
+        with pytest.raises(ValueError, match="both polynomials must be real-rooted"):
+            interlaces(poly_of(0, 1), poly_of(1, 0, 1))
+        with pytest.raises(ValueError, match="both polynomials must be real-rooted"):
+            common_interlacing(poly_of(-1, 0, 1), poly_of(1, 0, 1))
+
 
 class TestAlgebraicRootExtras:
     def test_of_rational(self):
@@ -611,15 +657,18 @@ class TestAlgebraicRootExtras:
 
 
 class TestHalfDegreeIsolationAgainstFullDegree:
-    """The walks read a symmetric q's counts off f's chain, and its bottom
-    end is a copy of its top; `oracles` keeps the walks on q's own chain
-    with a second bisection on the reflected one.  Both give the same polys
-    and (a, b, d) states, before and after refining to the printed width."""
+    """The walk reads a symmetric q's counts off f's chain, and its bottom
+    end is a copy of its top; any other q's bottom end comes from the
+    upward walk on q's own chain.  `oracles` bisects on q's own chain at
+    full degree and takes every bottom end from the largest root of q(-x),
+    on a chain built for q(-x).  Both give the same polys and (a, b, d)
+    states, before and after refining to the printed width."""
 
     @staticmethod
     def assert_matches_full_degree(p):
         for isolate, oracle in (
             (isolate_largest_root, oracles.largest_root_full_degree),
+            (isolate_smallest_root, oracles.smallest_root_full_degree),
             (isolate_extreme_roots, oracles.extreme_roots_full_degree),
             (isolate_real_roots, oracles.real_roots_full_degree),
         ):
@@ -682,6 +731,16 @@ class TestHalfDegreeIsolationAgainstFullDegree:
 
 def states(roots):
     return [(r.poly, r._a, r._b, r._d) for r in roots]
+
+
+def counting(calls, fn):
+    """fn, recording the arguments of every call in calls."""
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted
 
 
 def ladder(cols):
