@@ -32,10 +32,10 @@ from .graphs import (
     parse_mixed,
     tree_from_edges,
 )
-from .hermitian import GainTable, charpoly_of_mixed, eigenvalues_numeric, hermitian_adjacency
+from .hermitian import charpoly_of_mixed, converse_half_charpolys
 from .matching import matching_counts, matching_polynomial, matching_radius
 from .orientation import audit_interlacing_family, expected_charpoly, greedy_orientation
-from .polynomials import IntPoly
+from .polynomials import IntPoly, roots_numeric
 from .switching import (
     classify_partial_orientations,
     equiv_to_oriented,
@@ -187,9 +187,8 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 
 def cmd_eigen(args: argparse.Namespace) -> int:
     d = read_mixed(args.graph, args.format)
-    h = hermitian_adjacency(d)
     phi = charpoly_of_mixed(d)
-    values = eigenvalues_numeric(h, eps=args.eps)
+    values = roots_numeric(phi, args.eps)
     if args.json:
         _emit(
             {
@@ -344,11 +343,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     results = []
     for t in resolve_trees(args.tree, g, guard):
         classes = classify_partial_orientations(g, t, guard=guard)
-        # class i is the converse pair of the i-th converse half
-        co = cotree_edges(g, t)
-        table = GainTable(g.n, t.tree_edges, co)
-        polys = [IntPoly(table.unpack(p)) for p in table.sweep((), co, half=True)]
-        results.append((t, list(zip(classes, polys))))
+        results.append((t, list(zip(classes, converse_half_charpolys(g, t)))))
     if args.json:
         _emit(
             {

@@ -452,26 +452,37 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     return SpanningTree(root, tuple(parent), frozenset(edges))
 
 
+def _rooted_tree(n: int, edges: frozenset[Edge], root: int) -> SpanningTree:
+    """The SpanningTree rooted at root of an edge set on n vertices.  The
+    parent map of a tree toward its root is unique, so the order of the
+    breadth-first walk does not show."""
+    if not (0 <= root < n):
+        raise ValueError(f"root {root} outside vertex range")
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [-1] * n
+    parent[root] = root
+    order = [root]
+    for u in order:
+        for w in nbrs[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    if len(order) < n:
+        raise ValueError("edges do not form a spanning tree")
+    return SpanningTree(root, tuple(parent), edges)
+
+
 def tree_from_edges(g: Graph, edges: Iterable[tuple[int, int]], root: int = 0) -> SpanningTree:
     """Build a SpanningTree from an explicit edge set of the host graph."""
     es = frozenset(norm_edge(u, v) for u, v in edges)
     if not es <= g.edges:
         raise ValueError(f"tree edges {sorted(es - g.edges)} are not host edges")
-    sub = Graph(g.n, es)
     if len(es) != g.n - 1:
         raise ValueError("a spanning tree on n vertices has n-1 edges")
-    parent = [-1] * g.n
-    parent[root] = root
-    order = deque([root])
-    while order:
-        u = order.popleft()
-        for w in sub.adjacency[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
-    if any(p < 0 for p in parent):
-        raise ValueError("edges do not form a spanning tree")
-    return SpanningTree(root, tuple(parent), es)
+    return _rooted_tree(g.n, es, root)
 
 
 def cotree_edges(g: Graph, t: SpanningTree) -> tuple[Edge, ...]:
@@ -486,20 +497,7 @@ def tree_from_mask(g: Graph, mask: int) -> SpanningTree:
     `g.edge_list` at bit m-1-k, as `spanning_tree_masks` lists them."""
     edges = g.edge_list
     top = len(edges) - 1
-    chosen = [e for k, e in enumerate(edges) if mask >> (top - k) & 1]
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in chosen:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    parent = [-1] * g.n
-    parent[0] = 0
-    order = [0]
-    for u in order:
-        for w in nbrs[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
-    return SpanningTree(0, tuple(parent), frozenset(chosen))
+    return _rooted_tree(g.n, frozenset(e for k, e in enumerate(edges) if mask >> (top - k) & 1), 0)
 
 
 def spanning_tree_masks(g: Graph) -> list[int]:

@@ -3,7 +3,8 @@
 An undirected edge contributes 1 to both symmetric entries; an arc u -> v
 contributes i at (u, v) and -i at (v, u).  The matrix is Hermitian, so its
 spectrum is real and its characteristic polynomial has integer
-coefficients, which we compute exactly.
+coefficients, which we compute exactly; numeric eigenvalues are its roots,
+isolated exactly and rounded (`eigenvalues_numeric`).
 
 A single matrix goes through the kernel.  Families of mixed graphs on one
 graph G (the partial orientations over every spanning tree, the complete
@@ -30,15 +31,12 @@ fold of the tree's table.
 
 from __future__ import annotations
 
-import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernel
-from .errors import ComputationDefect
-from .graphs import Edge, Graph, MixedGraph, SignVector, SpanningTree, build_mixed
+from .graphs import Edge, Graph, MixedGraph, SignVector, SpanningTree, build_mixed, cotree_edges
 from .matching import induced_matching_polynomials
 from .polynomials import (
     AlgebraicRoot,
@@ -47,6 +45,7 @@ from .polynomials import (
     isolate_extreme_roots,
     isolate_largest_root,
     isolate_smallest_root,
+    roots_numeric,
 )
 
 
@@ -383,11 +382,10 @@ class GainTable:
         whenever those edges are the cotree of some spanning tree, and then
         the sweep visits each element of the coset once.
 
-        Callers: `cmd_classify` (one charpoly per converse pair) and the
-        audit's leaves (`orientation._family_levels`) read the converse
-        halves over the table of their own tree; the `explore` searches
-        read the complete orientations and the converse halves of every
-        visited tree over the table of the BFS tree.
+        Callers: `converse_half_charpolys` reads the converse halves over
+        the table of their own tree; the `explore` searches read the
+        complete orientations and the converse halves of every visited tree
+        over the table of the BFS tree.
         """
         parity, carry = self.gain([*arcs, *signed])
         flips = [self._columns[e][0] for e in signed]
@@ -404,6 +402,22 @@ class GainTable:
         packed += self._bias
         digit, half = (self._half << 1) | 1, self._half
         return tuple([((packed >> shift) & digit) - half for shift in self._shifts])
+
+
+def converse_half_charpolys(g: Graph, t: SpanningTree) -> list[IntPoly]:
+    """The charpolys of the partial orientations over t, one per converse
+    pair: those of the first half of `sign_vectors(m)` over the cotree,
+    read from one `GainTable.sweep` over the table of t itself.  The
+    second half are the converses, in reverse order, with the same
+    charpolys (the matrices are complex conjugates).
+
+    Callers: `cmd_classify` (class i of `classify_partial_orientations` is
+    the converse pair of the i-th) and the audit's leaves
+    (`orientation._family_levels`).
+    """
+    co = cotree_edges(g, t)
+    table = GainTable(g.n, t.tree_edges, co)
+    return [IntPoly(table.unpack(p)) for p in table.sweep((), co, half=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -442,91 +456,11 @@ def spectral_radius(h: HermitianMatrix) -> AlgebraicRoot:
     return spectral_radius_of_charpoly(charpoly(h))
 
 
-# ---------------------------------------------------------------------------
-# numeric eigenvalues (display quality; never used for exact decisions)
-# ---------------------------------------------------------------------------
-
-
-def _jacobi_eigenvalues(a: list[list[float]], eps: float) -> list[float]:
-    """Cyclic-by-rows Jacobi on a real symmetric matrix (in place)."""
-    n = len(a)
-    if n <= 1:
-        return [a[0][0]] if n else []
-    threshold = eps / n
-    for _sweep in range(80):
-        off = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n) if i != j))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = a[p][k] = c * akp - s * akq
-                    a[k][q] = a[q][k] = s * akp + c * akq
-    else:
-        raise ValueError(f"Jacobi iteration did not converge to eps={eps}; choose a larger eps")
-    return sorted(a[i][i] for i in range(n))
-
-
-def _real_embedding(h: HermitianMatrix) -> list[list[float]]:
-    """[[R, -Q], [Q, R]] for H = R + iQ, as floats."""
-    n = h.n
-    big = [[0.0] * (2 * n) for _ in range(2 * n)]
-    for u in range(n):
-        for v in range(n):
-            e = h.entries[u][v]
-            big[u][v] = float(e.re)
-            big[n + u][n + v] = float(e.re)
-            big[u][n + v] = float(-e.im)
-            big[n + u][v] = float(e.im)
-    return big
-
-
 def eigenvalues_numeric(h: HermitianMatrix, eps: float = 1e-9) -> list[float]:
-    """All eigenvalues ascending, to roughly eps, via the real embedding.
-
-    H = R + iQ maps to the symmetric 2n x 2n matrix [[R, -Q], [Q, R]] whose
-    spectrum is that of H doubled; we diagonalize with Jacobi rotations and
-    keep one value per pair, checking the pairing really is tight.  Rounding
-    alone moves the values by a few units of the resolution
-    2n * ulp(1) * ||M||_F, so Jacobi runs to the larger of eps and that
-    resolution, and the pairing tolerance is ten times it: an eps below
-    float resolution yields values at float resolution, neither a defect
-    nor a non-convergence.  Near-degenerate pairs can make the off-diagonal
-    norm fall only linearly, for more sweeps than Jacobi allows, long after
-    it has stopped moving the values.  eps must be a normal float.
-    """
-    if not (math.isfinite(eps) and eps >= sys.float_info.min):
-        raise ValueError(f"eps must be finite and at least {sys.float_info.min}, got {eps}")
-    n = h.n
-    if n == 0:
-        return []
-    big = _real_embedding(h)
-    resolution = 2 * n * sys.float_info.epsilon * math.sqrt(sum(x * x for row in big for x in row))
-    target = max(eps, resolution)
-    doubled = _jacobi_eigenvalues(big, target)
-    out = []
-    for k in range(0, 2 * n, 2):
-        lo, hi = doubled[k], doubled[k + 1]
-        if hi - lo > 10 * target:
-            raise ComputationDefect("doubled spectrum failed to pair up")
-        out.append((lo + hi) / 2.0)
-    return out
+    """All eigenvalues ascending, as floats: `roots_numeric` on the exact
+    charpoly, each the midpoint of a certified isolating interval narrower
+    than eps or than float resolution, whichever is wider."""
+    return roots_numeric(charpoly(h), eps)
 
 
 # ---------------------------------------------------------------------------

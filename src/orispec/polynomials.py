@@ -26,8 +26,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd, isfinite, lcm
 from operator import mul
+from sys import float_info
 from typing import Iterable, Iterator, Sequence
 
 
@@ -779,10 +780,11 @@ class _RootCount:
     real roots; a linear q carries no chain and has total 1.
     """
 
-    __slots__ = ("q", "chain", "e", "top", "total")
+    __slots__ = ("q", "chain", "e", "top", "total", "memo")
 
     def __init__(self, q: IntPoly, chain: tuple[IntPoly, ...] | None, e: int | None = None) -> None:
         self.q, self.chain, self.e = q, chain, e  # e is None: the chain is q's own
+        self.memo: dict[tuple[int, int], tuple[int, int]] = {}
         if chain is None:
             self.total = 1
             return
@@ -794,14 +796,21 @@ class _RootCount:
 
     def at(self, num: int, den: int) -> tuple[int, int]:
         """(sign of q, distinct real roots of q above x) at x = num / den,
-        den > 0; the count holds where the sign is nonzero."""
-        if self.e is None:
-            sign, v = _chain_signs(self.chain, num, den)
-            return sign, v - self.top
-        sign, v = _chain_signs(self.chain, num * num, den * den)
-        if num < 0:
-            return -sign if self.e else sign, self.total - v + self.top
-        return sign if num or not self.e else 0, v - self.top
+        den > 0; the count holds where the sign is nonzero.  Each point is
+        counted once, for the walks down and up of one q."""
+        out = self.memo.get((num, den))
+        if out is None:
+            if self.e is None:
+                sign, v = _chain_signs(self.chain, num, den)
+                out = sign, v - self.top
+            else:
+                sign, v = _chain_signs(self.chain, num * num, den * den)
+                if num < 0:
+                    out = -sign if self.e else sign, self.total - v + self.top
+                else:
+                    out = sign if num or not self.e else 0, v - self.top
+            self.memo[num, den] = out
+        return out
 
 
 def _root_count(q: IntPoly) -> _RootCount:
@@ -984,23 +993,27 @@ def refine(a: AlgebraicRoot, eps) -> tuple[Fraction, Fraction]:
 
 
 def roots_numeric(p: IntPoly, eps=Fraction(1, 10**9)) -> list[float]:
-    """All real roots with multiplicity as floats, ascending, each within eps.
+    """All real roots with multiplicity as floats, ascending: the midpoints
+    of their intervals refined below eps or below R * 2^-52, R =
+    `p.root_radius()`, whichever is wider.  Floats of modulus at most R lie
+    at most R * 2^-52 apart, so an eps below float resolution answers at
+    float resolution without bisecting toward eps.  eps must be finite and
+    at least the smallest normal float.
 
     Raises ValueError when p has a non-real root: callers that want floats
     are asking for the full spectrum, so silently dropping complex roots
     would be misleading.
     """
+    if not (isfinite(eps) and eps >= float_info.min):
+        raise ValueError(f"eps must be finite and at least {float_info.min}, got {eps}")
     roots = isolate_real_roots(p)
     if len(roots) != p.degree:
         raise ValueError("polynomial is not real-rooted")
+    width = max(Fraction(eps), Fraction(p.root_radius(), 1 << 52))
     out = []
-    seen: dict[int, float] = {}
     for r in roots:
-        key = id(r)
-        if key not in seen:
-            r.refine(eps)
-            seen[key] = float(r.midpoint)
-        out.append(seen[key])
+        r.refine(width)
+        out.append(float(r.midpoint))
     return out
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from orispec import cli, explore
+from orispec.polynomials import IntPoly, roots_numeric
 
 EX1 = "0 1;1 2;2 3;0 3;1 3"
 C4 = "0 1;1 2;2 3;0 3"
@@ -94,16 +95,16 @@ class TestCharpolyAndEigen:
         assert data["eigenvalues"] == sorted(data["eigenvalues"])
         assert data["eigenvalues"] == pytest.approx([-2, 0, 0, 2], abs=1e-6)
 
-    # nan never converges, inf stops before the first rotation, and eps / n
-    # underflows to 0 for 5e-324
+    # nan and inf are not finite, and 5e-324 is below the smallest normal
+    # float
     @pytest.mark.parametrize("eps", ["nan", "inf", "5e-324"])
     def test_eigen_rejects_unusable_eps(self, capsys, eps):
         code, out, err = run(capsys, "eigen", "-g", "0 1;1 2", "--eps", eps)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "eps" in err
 
-    # Jacobi converges at these eps, but rounding splits the doubled pairs
-    # by more than 10 * eps; the values come out at float resolution
+    # refinement stops at R * 2^-52, R the charpoly's root radius, so the
+    # values come out at float resolution
     @pytest.mark.parametrize(
         "graph, eps", [(D1_MIXED, "1e-30"), (K7_MIXED, "1e-16")], ids=["D1-1e-30", "K7-1e-16"]
     )
@@ -112,6 +113,21 @@ class TestCharpolyAndEigen:
         assert code == 0 and err == ""
         _, default, _ = run_json(capsys, "eigen", "-g", graph, "--format", "mixed")
         assert data["eigenvalues"] == pytest.approx(default["eigenvalues"], abs=1e-8)
+
+    @pytest.mark.parametrize("eps", [None, "1e-30"], ids=["default", "1e-30"])
+    def test_eigen_prints_the_exact_roots(self, capsys, eps):
+        # every printed eigenvalue is the midpoint of a certified interval
+        # around a root of the printed charpoly
+        argv = ["eigen", "-g", K7_MIXED, "--format", "mixed"] + (["--eps", eps] if eps else [])
+        code, data, _ = run_json(capsys, *argv)
+        assert code == 0
+        phi = IntPoly(data["phi"]["coeffs"])
+        assert data["eigenvalues"] == roots_numeric(phi, data["eps"])
+
+    def test_eigen_makes_one_kernel_call(self, capsys, kernel_calls):
+        code, _, _ = run(capsys, "eigen", "-g", K7_MIXED, "--format", "mixed")
+        assert code == 0
+        assert kernel_calls == [7]
 
 
 class TestFindOrientation:

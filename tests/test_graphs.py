@@ -143,6 +143,10 @@ class TestSpanningTrees:
         with pytest.raises(ValueError):
             tree_from_edges(ex1, [(0, 1), (1, 2), (0, 2)])  # not host edges
 
+    def test_tree_from_edges_rejects_a_root_outside_the_graph(self, ex1):
+        with pytest.raises(ValueError, match="root 4 outside vertex range"):
+            tree_from_edges(ex1, [(0, 1), (1, 2), (2, 3)], root=4)
+
     def test_enumerate_counts(self, c4, ex1):
         assert len(enumerate_spanning_trees(Graph.of(3, [(0, 1), (1, 2)]))) == 1
         assert len(enumerate_spanning_trees(c4)) == 4

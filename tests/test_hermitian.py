@@ -446,16 +446,11 @@ class TestNumericEigenvalues:
 
     @pytest.mark.parametrize("draw", [142, 144])
     def test_eps_below_float_resolution(self, draw):
-        # at eps = 1e-30 the off-diagonal norm of these falls only linearly,
-        # by about 0.6 a sweep, and was still above eps / 14 after 80 sweeps
+        # refinement stops at float resolution, R * 2^-52 for the root
+        # radius R of the charpoly, far above eps
         d = random_mixed_k7(draw)
         vals = eigenvalues_numeric(hermitian_adjacency(d), eps=1e-30)
         assert vals == pytest.approx(oracles.numpy_eigenvalues(d), abs=1e-12)
-
-    def test_jacobi_reports_a_target_it_cannot_meet(self):
-        big = hermitian._real_embedding(hermitian_adjacency(random_mixed_k7(142)))
-        with pytest.raises(ValueError, match="did not converge"):
-            hermitian._jacobi_eigenvalues(big, 1e-30)
 
     def test_matches_exact_roots(self, ex1, ex1_path_tree):
         sv = SignVector.for_tree(ex1, ex1_path_tree, (1, 1))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +416,34 @@ class TestIsolation:
         assert roots_numeric(poly_of(4, 0, -5, 0, 1)) == pytest.approx([-2, -1, 1, 2])
         assert roots_numeric(poly_of(0, 0, -4, 0, 1)) == pytest.approx([-2, 0, 0, 2])
         assert roots_numeric(IntPoly.monomial(3)) == pytest.approx([0, 0, 0])
+
+    def test_extreme_roots_count_each_point_once(self, monkeypatch):
+        # the downward and the upward walk share the Cauchy interval's
+        # nodes; the count memo evaluates the chain once per point
+        q = poly_of(-1, 3)
+        for k in (2, 3, 5, 6, 7):
+            q = q * poly_of(-k, 0, 1)
+        want = (isolate_largest_root(q), isolate_smallest_root(q).negated())
+        points = []
+        chain_signs = polynomials._chain_signs
+
+        def counting(chain, num, den):
+            points.append((num, den))
+            return chain_signs(chain, num, den)
+
+        monkeypatch.setattr(polynomials, "_chain_signs", counting)
+        got = isolate_extreme_roots(q)
+        assert len(points) == len(set(points)) == 9
+        for r, w in zip(got, want):
+            assert (r.poly, r.lo, r.hi) == (w.poly, w.lo, w.hi)
+
+    def test_roots_numeric_stops_at_float_resolution(self):
+        # an eps below R * 2^-52 refines no further than R * 2^-52
+        p = poly_of(-1, 3) * poly_of(-2, 0, 1) * poly_of(-7, 0, 1) * poly_of(1, -5, 1)
+        floor = Fraction(p.root_radius(), 2**52)
+        got = roots_numeric(p, sys.float_info.min)
+        assert got == roots_numeric(p, floor)
+        assert got == pytest.approx(np.sort(np.roots(p.coeffs[::-1]).real), abs=1e-12)
 
     def test_roots_numeric_rejects_complex(self):
         with pytest.raises(ValueError):
