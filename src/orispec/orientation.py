@@ -36,6 +36,7 @@ from .polynomials import (
     IntPoly,
     Order,
     compare_roots,
+    interlacer_start,
     isolate_largest_root,
     isolate_real_roots,
     roots_admit_common_interlacer,
@@ -315,18 +316,22 @@ def _family_levels(g: Graph, t: SpanningTree, co: tuple[Edge, ...]) -> list[list
 
 
 def _node_defect(
-    left: list[AlgebraicRoot],
-    right: list[AlgebraicRoot],
-    parent: list[AlgebraicRoot],
+    pair: tuple[IntPoly, IntPoly],
+    roots: dict[IntPoly, list[AlgebraicRoot]],
+    parent_top: AlgebraicRoot,
     gcds: Gcds,
 ) -> str | None:
-    """What is wrong at an internal node, given the sorted roots of its two
-    children and its own, or None; gcds is the audit's gcd memo."""
-    if not roots_admit_common_interlacer(left, right, gcds=gcds):
+    """What is wrong at an internal node, given its two children, the sorted
+    roots of every node polynomial and its own largest root, or None; gcds
+    is the audit's gcd memo.  Two symmetric children are checked from
+    `interlacer_start` on."""
+    start = interlacer_start(*pair)
+    left, right = roots[pair[0]], roots[pair[1]]
+    if not roots_admit_common_interlacer(left[start:], right[start:], gcds=gcds):
         return "children admit no common interlacer"
     top_order = compare_roots(left[-1], right[-1], gcds=gcds)
     child_min_top = left[-1] if top_order is not Order.GT else right[-1]
-    if compare_roots(child_min_top, parent[-1], gcds=gcds) is Order.GT:
+    if compare_roots(child_min_top, parent_top, gcds=gcds) is Order.GT:
         return "both children exceed the parent's largest root"
     return None
 
@@ -340,10 +345,13 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
     once per distinct polynomial: the leaves come from one sweep over the
     converse halves (`_family_levels`), each distinct node polynomial is
     isolated once, and each distinct pair of children is checked once (the
-    parent is their sum).  The comparisons share one gcd memo, so the gcd of
-    each distinct pair of polynomials is computed once per audit.  Exact
-    answers do not depend on how far a shared root was refined, and the
-    report prints no interval.
+    parent is their sum).  On a bipartite host every node polynomial is
+    symmetric: its negative roots are mirrored from its nonnegative ones,
+    and a pair of children is checked on the upper halves of their root
+    lists (`interlacer_start`).  The comparisons share one gcd memo, so the
+    gcd of each distinct pair of polynomials is computed once per audit.
+    Exact answers do not depend on how far a shared root was refined, and
+    the report prints no interval.
     """
     g.require_connected()
     co = cotree_edges(g, t)
@@ -378,7 +386,7 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
             for i, poly in enumerate(levels[k]):
                 pair = (below[2 * i], below[2 * i + 1])
                 if pair not in defects:
-                    defects[pair] = _node_defect(roots[pair[0]], roots[pair[1]], roots[poly], gcds)
+                    defects[pair] = _node_defect(pair, roots, roots[poly][-1], gcds)
                 if defects[pair] is not None:
                     violations.append(f"level {k} node {name(k, i)}: {defects[pair]}")
     return AuditReport(nodes_checked=nodes, violations=tuple(violations))

@@ -8,9 +8,13 @@ of f at x^2, at half the degree, and points beyond an integer bound on every
 complex root's modulus need no count at all.  One lazy bisection walk over
 those counts isolates every root: upward it lists the roots in ascending
 order or stops at the smallest, downward it stops at the largest, both on
-one chain.  Once a root is isolated, a
-sign of its defining polynomial decides every further step.  Floating point appears only
-in display helpers such as ``roots_numeric``.
+one chain.  A symmetric spectrum, p(-x) = +-p(x), is worked at half size
+where that pays: p = x^k g(x^2) is decomposed into square-free factors
+through g, the walk lists only the nonnegative roots and mirrors the
+negative ones, and two symmetric root lists are checked for a common
+interlacer on their upper halves.  Once a root is isolated, a sign of its
+defining polynomial decides every further step.  Floating point appears
+only in display helpers such as ``roots_numeric``.
 
 A real algebraic number is carried as a square-free integer polynomial plus
 an isolating interval whose two endpoints are integers over one shared
@@ -381,17 +385,34 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """[(factor, multiplicity)] with factors square-free, pairwise coprime,
-    primitive, positive leading coefficient; constants are dropped.
+    primitive, positive leading coefficient, by ascending multiplicity;
+    constants are dropped.
 
     Musser's repeated-gcd scheme: every step is a gcd or a quotient of
     primitive polynomials, which Gauss's lemma keeps exactly integral, so no
-    scale bookkeeping is needed.
+    scale bookkeeping is needed.  A p with p(-x) = +-p(x) is x^k g(x^2) with
+    g(0) != 0 and is decomposed at half the degree: each factor g_i of g
+    gives g_i(x^2), square-free because g_i(0) != 0, and x joins the factor
+    of multiplicity k.  The factors are unique up to sign, so the list is
+    the one the loop returns on p itself.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     f = p.primitive()
     if f.degree == 0:
         return []
+    if _mirror_parity(f) is not None:
+        cs = f.coeffs
+        k = next(i for i, c in enumerate(cs) if c)
+        out = []
+        for g, i in squarefree_decomposition(IntPoly(cs[k::2])):
+            spread = [0] * (2 * g.degree + 1)
+            spread[::2] = g.coeffs
+            out.append((IntPoly([0] + spread if i == k else spread), i))
+        if k and all(i != k for _, i in out):
+            out.append((IntPoly((0, 1)), k))
+            out.sort(key=lambda item: item[1])
+        return out
     w = poly_gcd(f, f.derivative())
     if w.degree == 0:
         return [(f, 1)]
@@ -813,16 +834,22 @@ class _RootCount:
         return out
 
 
+def _mirror_parity(q: IntPoly) -> int | None:
+    """e in {0, 1} when q(-x) = (-1)^e q(x), that is when q is x^k f(x^2)
+    with k = e mod 2; None when q has both even and odd terms."""
+    e = q.degree & 1
+    return None if any(q.coeffs[1 - e :: 2]) else e
+
+
 def _root_count(q: IntPoly) -> _RootCount:
     """The `_RootCount` of a square-free q: one Sturm chain, f's when q is
     x^e f(x^2), else q's own; none when q is linear."""
     if q.degree < 2:
         return _RootCount(q, None)
-    cs = q.coeffs
-    e = q.degree & 1
-    if any(cs[1 - e :: 2]):
+    e = _mirror_parity(q)
+    if e is None:
         return _RootCount(q, sturm_chain(q))
-    return _RootCount(q, sturm_chain(IntPoly(cs[e::2])), e)
+    return _RootCount(q, sturm_chain(IntPoly(q.coeffs[e::2])), e)
 
 
 def _root_window(counts: _RootCount, a: int, b: int, d: int) -> tuple[int, int, int, int, int]:
@@ -846,9 +873,10 @@ def _root_window(counts: _RootCount, a: int, b: int, d: int) -> tuple[int, int, 
         s += 1
 
 
-def _walk(counts: _RootCount, upward: bool) -> Iterator[AlgebraicRoot]:
+def _walk(counts: _RootCount, upward: bool, from_zero: bool = False) -> Iterator[AlgebraicRoot]:
     """The real roots of the square-free q of counts as isolating intervals
-    (or exact values), ascending when upward, else descending, found lazily.
+    (or exact values), ascending when upward, else descending, found lazily;
+    from_zero skips every interval left of 0.
 
     A depth-first bisection of the Cauchy interval (-B, B) on the counts of
     roots above each midpoint.  No root lies outside it, so the counts at
@@ -871,7 +899,7 @@ def _walk(counts: _RootCount, upward: bool) -> Iterator[AlgebraicRoot]:
     while stack:
         a, va, b, vb, d = stack.pop()
         count = va - vb
-        if count == 0:
+        if count == 0 or (from_zero and a < 0 and b <= 0):
             continue
         if count == 1:
             yield AlgebraicRoot._isolated(q, a, b, d)
@@ -891,22 +919,37 @@ def _walk(counts: _RootCount, upward: bool) -> Iterator[AlgebraicRoot]:
         stack.extend(reversed(halves) if upward else halves)
 
 
+def _factor_roots(q: IntPoly) -> list[AlgebraicRoot]:
+    """The real roots of a square-free q, ascending.  A symmetric q walks
+    only the intervals not left of 0 and takes each negative root as the
+    mirror (-b, -a) of a positive one, the interval the full walk makes; a
+    root at 0 is never mirrored, whether it sits exactly at 0 or alone in
+    an interval around 0."""
+    counts = _root_count(q)
+    if counts.e is None:
+        return list(_walk(counts, upward=True))
+    upper = list(_walk(counts, upward=True, from_zero=True))
+    lower = [AlgebraicRoot._isolated(q, -r._b, -r._a, r._d) for r in reversed(upper) if r._a >= 0 and r._b > 0]
+    return lower + upper
+
+
 def isolate_real_roots(p: IntPoly) -> list[AlgebraicRoot]:
     """All real roots of p with multiplicity, ascending.
 
     A root of multiplicity m appears m times (repeated references to one
-    AlgebraicRoot).  Roots from distinct square-free factors are merged by
-    exact comparison.
+    AlgebraicRoot).  Each square-free factor lists its roots in ascending
+    order, a symmetric one by mirroring its nonnegative roots
+    (`_factor_roots`); roots from two or more factors are merged by exact
+    comparison.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    groups: list[tuple[AlgebraicRoot, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        for root in _walk(_root_count(factor), upward=True):
-            groups.append((root, mult))
+    factors = squarefree_decomposition(p)
+    groups = [(root, mult) for factor, mult in factors for root in _factor_roots(factor)]
     # square-free factors are pairwise coprime, so roots from different
     # factors are distinct and exact comparison is a pure ordering question
-    groups.sort(key=_RootKey)
+    if len(factors) > 1:
+        groups.sort(key=_RootKey)
     out: list[AlgebraicRoot] = []
     for root, mult in groups:
         out.extend([root] * mult)
@@ -1047,13 +1090,29 @@ def roots_admit_common_interlacer(
     """Criterion on two sorted root lists of equal length n: a degree n-1
     polynomial interlacing both exists iff max(b_i, c_i) <= min(b_{i+1},
     c_{i+1}) for every i, which reduces to the two cross inequalities.
-    gcds is the optional gcd memo of `AlgebraicRoot.compare`."""
+    gcds is the optional gcd memo of `AlgebraicRoot.compare`.  For two
+    symmetric spectra the tails from `interlacer_start` decide the same
+    answer."""
     if len(bs) != len(cs):
         raise ValueError("root lists must have equal length")
     for i in range(len(bs) - 1):
         if not (_leq(bs[i], cs[i + 1], gcds) and _leq(cs[i], bs[i + 1], gcds)):
             return False
     return True
+
+
+def interlacer_start(f: IntPoly, g: IntPoly) -> int:
+    """Where the sorted root lists of f and g, of length n = deg f = deg g,
+    may start for `roots_admit_common_interlacer`: (n - 1) // 2 when f and
+    g are both symmetric, else 0.
+
+    Symmetric roots satisfy b_i = -b_(n-1-i), so b_i <= c_(i+1) holds
+    exactly when c_(n-2-i) <= b_(n-1-i): each cross inequality below the
+    start mirrors one at or above it.
+    """
+    if f.degree != g.degree or _mirror_parity(f) is None or _mirror_parity(g) is None:
+        return 0
+    return (f.degree - 1) // 2
 
 
 def common_interlacing(f: IntPoly, g: IntPoly) -> bool:
@@ -1071,4 +1130,5 @@ def common_interlacing(f: IntPoly, g: IntPoly) -> bool:
     bs, cs = isolate_real_roots(f), isolate_real_roots(g)
     if len(bs) != f.degree or len(cs) != g.degree:
         raise ValueError("both polynomials must be real-rooted")
-    return roots_admit_common_interlacer(bs, cs)
+    start = interlacer_start(f, g)
+    return roots_admit_common_interlacer(bs[start:], cs[start:])

@@ -32,13 +32,13 @@ from orispec.polynomials import (
     AlgebraicRoot,
     IntPoly,
     Order,
+    _divexact_poly,
     _pseudo_rem,
     cauchy_root_bound,
     compare_roots,
     isolate_largest_root,
-    isolate_real_roots,
+    poly_gcd,
     roots_admit_common_interlacer,
-    squarefree_decomposition,
     squarefree_part,
     sturm_chain,
     variations_at,
@@ -543,13 +543,41 @@ def extreme_roots_full_degree(p) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     return _full_largest_root(q), _full_largest_root(q.reflected().primitive())
 
 
+def squarefree_decomposition_full_degree(p: IntPoly) -> list[tuple[IntPoly, int]]:
+    """`squarefree_decomposition` by Musser's repeated-gcd loop on p itself,
+    whatever its symmetry."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    f = p.primitive()
+    if f.degree == 0:
+        return []
+    w = poly_gcd(f, f.derivative())
+    if w.degree == 0:
+        return [(f, 1)]
+    c = _divexact_poly(f, w).primitive()  # product of the distinct factors
+    out: list[tuple[IntPoly, int]] = []
+    k = 1
+    while c.degree > 0:
+        y = poly_gcd(w, c)  # distinct factors of multiplicity > k
+        factor = _divexact_poly(c, y).primitive()
+        if factor.degree > 0:
+            out.append((factor, k))
+        c = y
+        if w.degree > 0:
+            w = _divexact_poly(w, y).primitive()
+        k += 1
+    return out
+
+
 def real_roots_full_degree(p) -> list[AlgebraicRoot]:
-    """`isolate_real_roots` with each square-free factor isolated on its
-    own Sturm chain, merged by the same sort."""
+    """`isolate_real_roots` with Musser's loop on p itself and each
+    square-free factor isolated on its own Sturm chain, every root walked
+    (none mirrored), merged by the same sort whatever the number of
+    factors."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     groups = []
-    for factor, mult in squarefree_decomposition(p):
+    for factor, mult in squarefree_decomposition_full_degree(p):
         if factor.degree >= 1:
             groups += [(root, mult) for root in _full_isolate_squarefree(factor, sturm_chain(factor))]
     groups.sort(key=functools.cmp_to_key(lambda x, y: -1 if x[0].compare(y[0]) is Order.LT else 1))
@@ -850,7 +878,8 @@ def sign_sweep_by_tree_table(n, tree_edges, cotree, sign_seq, tree_arcs=False):
 
 def audit_interlacing_family_unreduced(g, t) -> AuditReport:
     """The interlacing-family audit over all 2^m leaves, each node isolated
-    and each internal node checked on its own, in (level, index) order."""
+    at full degree (`real_roots_full_degree`) and each internal node checked
+    on its own, on the full root lists, in (level, index) order."""
     co = cotree_edges(g, t)
     m = len(co)
     levels = [[] for _ in range(m + 1)]
@@ -869,7 +898,7 @@ def audit_interlacing_family_unreduced(g, t) -> AuditReport:
     for k in range(m + 1):
         for i, poly in enumerate(levels[k]):
             nodes += 1
-            rs = isolate_real_roots(poly)
+            rs = real_roots_full_degree(poly)
             roots[k].append(rs)
             if len(rs) != poly.degree:
                 violations.append(f"level {k} node {name(k, i)}: sum is not real-rooted")

@@ -314,12 +314,17 @@ class TestAuditReductions:
         assert seen > 20
 
     def test_forced_real_rootedness_violations_match(self, corpus5, monkeypatch):
-        # drop the largest root of every polynomial with p(1) odd
-        def lossy(p):
-            roots = isolate_real_roots(p)
-            return roots[:-1] if p.evaluate(1) % 2 else roots
+        # drop the largest root of every polynomial with p(1) odd, on the
+        # audit's isolation and on the oracle's own full-degree one
+        def lossy(isolate):
+            def drop(p):
+                roots = isolate(p)
+                return roots[:-1] if p.evaluate(1) % 2 else roots
 
-        self.patch_both(monkeypatch, "isolate_real_roots", lossy)
+            return drop
+
+        monkeypatch.setattr(orientation, "isolate_real_roots", lossy(isolate_real_roots))
+        monkeypatch.setattr(oracles, "real_roots_full_degree", lossy(oracles.real_roots_full_degree))
         seen = 0
         for g, t in audit_cases(corpus5, every_tree=False):
             report = audit_interlacing_family(g, t)
@@ -378,7 +383,10 @@ class TestAuditReductions:
     def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, gain_tables):
         # audit-family on the 2x8 ladder at bfs:0 (m = 7): one table, one
         # sweep of half of the 128 leaves, and each distinct node polynomial
-        # isolated once
+        # isolated once.  All 100 are symmetric of degree 16: the walks list
+        # only their 8 nonnegative roots and mirror the rest, and the
+        # interlacer checks read half of each pair of root lists (a full
+        # walk lists 1,600 roots, and the full checks make 5,564 compares)
         g = grid(2, 8)
         t = bfs_spanning_tree(g, 0)
         co = cotree_edges(g, t)
@@ -395,7 +403,21 @@ class TestAuditReductions:
             isolations.append(p)
             return isolate_real_roots(p)
 
+        walked, compares = [], []
+        walk, compare = polynomials._walk, AlgebraicRoot.compare
+
+        def counting_walk(*args, **kwargs):
+            for root in walk(*args, **kwargs):
+                walked.append(root)
+                yield root
+
+        def counting_compare(self, other, **kwargs):
+            compares.append(None)
+            return compare(self, other, **kwargs)
+
         monkeypatch.setattr(orientation, "isolate_real_roots", recording)
+        monkeypatch.setattr(polynomials, "_walk", counting_walk)
+        monkeypatch.setattr(AlgebraicRoot, "compare", counting_compare)
         graph = ";".join(f"{u} {v}" for u, v in sorted(g.edges))
         assert cli.main(["audit-family", "-g", graph, "--tree", "bfs:0", "--json"]) == 0
         assert '"passed": true' in capsys.readouterr().out
@@ -403,6 +425,9 @@ class TestAuditReductions:
         assert gain_tables.sweeps == [(False, 64)]
         assert kernel_calls == []
         assert len(isolations) == len(set(isolations)) == len(distinct) == 100
+        assert all(p.degree == 16 and not any(p.coeffs[1::2]) for p in distinct)
+        assert len(walked) == 800
+        assert len(compares) <= 2300
 
 
 class TestCommonInterlacerAgainstCombinations:

@@ -24,6 +24,7 @@ from orispec.polynomials import (
     common_interlacing,
     compare_roots,
     count_real_roots,
+    interlacer_start,
     interlaces,
     is_real_rooted,
     isolate_extreme_roots,
@@ -32,6 +33,7 @@ from orispec.polynomials import (
     isolate_smallest_root,
     poly_gcd,
     refine,
+    roots_admit_common_interlacer,
     roots_numeric,
     squarefree_decomposition,
     squarefree_part,
@@ -235,6 +237,37 @@ class TestGcdAndSquarefree:
         monkeypatch.setattr(polynomials, "_divexact_poly", None)
         p = IntPoly((-4, 0, 2))  # 2x^2 - 4
         assert squarefree_decomposition(p) == [(IntPoly((-2, 0, 1)), 1)]
+
+    @given(
+        st.integers(min_value=0, max_value=4),
+        st.lists(st.tuples(st.sampled_from((-3, -1, 1, 2, 4, 9)), st.integers(1, 3)), max_size=3),
+        st.sampled_from((1, -1, 2, -6)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_half_degree_decomposition_matches_the_full_degree_loop(self, zeros, factors, scale):
+        # x^zeros * prod (x^2 - a)^mult * scale: a root at 0 of multiplicity
+        # 0-4 that joins the factor of its multiplicity, repeated +-r pairs
+        # (a = 1, 4, 9), +-sqrt(2), x^2 + 1 and x^2 + 3, any leading sign
+        p = IntPoly.monomial(zeros, scale)
+        for a, mult in factors:
+            for _ in range(mult):
+                p = p * poly_of(-a, 0, 1)
+        want = oracles.squarefree_decomposition_full_degree(p)
+        assert squarefree_decomposition(p) == want
+        assert squarefree_decomposition(p * poly_of(1, 1)) == oracles.squarefree_decomposition_full_degree(
+            p * poly_of(1, 1)
+        )
+
+    def test_zero_roots_join_the_factor_of_their_multiplicity(self):
+        x2 = poly_of(-2, 0, 1)
+        cases = {
+            poly_of(0, 0, 1) * x2 * x2: [(poly_of(0, -2, 0, 1), 2)],
+            poly_of(0, 0, 0, -1) * x2: [(x2, 1), (poly_of(0, 1), 3)],
+            poly_of(0, 1) * x2 * x2 * poly_of(1, 0, 1): [(poly_of(0, 1, 0, 1), 1), (x2, 2)],
+            poly_of(0, 0, 0, 0, 3): [(poly_of(0, 1), 4)],
+        }
+        for p, want in cases.items():
+            assert squarefree_decomposition(p) == want == oracles.squarefree_decomposition_full_degree(p)
 
     @given(root_lists)
     @settings(max_examples=60, deadline=None)
@@ -612,6 +645,86 @@ class TestInterlacing:
             common_interlacing(poly_of(-1, 0, 1), poly_of(1, 0, 1))
 
 
+@st.composite
+def symmetric_real_rooted_pairs(draw):
+    """Two symmetric real-rooted polynomials of one degree n: x^e times
+    k factors x^2 - a, so their roots are +-sqrt(a) (0 too when e = 1).
+    The second draws part of its a from the first, so roots are shared."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    e = draw(st.integers(min_value=0, max_value=1))
+    squares = st.integers(min_value=1, max_value=9)
+    first = draw(st.lists(squares, min_size=k, max_size=k))
+    second = draw(st.lists(st.one_of(squares, st.sampled_from(first)), min_size=k, max_size=k))
+    return e, first, second
+
+
+def symmetric_poly(e, squares):
+    p = IntPoly.monomial(e)
+    for a in squares:
+        p = p * poly_of(-a, 0, 1)
+    return p
+
+
+def signed_squares(e, squares):
+    """The roots +-sqrt(a), ascending, each as the integer +-a, which orders
+    them the same way."""
+    return sorted([-a for a in squares] + [0] * e + list(squares))
+
+
+def failing_cross_inequalities(bs, cs):
+    """The i with b_i > c_(i+1) or c_i > b_(i+1), on exact sortable keys."""
+    return [i for i in range(len(bs) - 1) if bs[i] > cs[i + 1] or cs[i] > bs[i + 1]]
+
+
+class TestHalfInterlacerChecks:
+    """Two sorted root lists b, c of symmetric polynomials admit a common
+    interlacer exactly when their tails from (n - 1) // 2 do: b_i <= c_(i+1)
+    mirrors c_(n-2-i) <= b_(n-1-i).  Checked against the full lists and
+    against the criterion on exact keys."""
+
+    @given(symmetric_real_rooted_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_tails_decide_the_full_lists(self, pair):
+        e, first, second = pair
+        f, g = symmetric_poly(e, first), symmetric_poly(e, second)
+        n = f.degree
+        bs, cs = isolate_real_roots(f), isolate_real_roots(g)
+        start = interlacer_start(f, g)
+        assert start == (n - 1) // 2
+        want = not failing_cross_inequalities(signed_squares(e, first), signed_squares(e, second))
+        assert roots_admit_common_interlacer(bs, cs) == want
+        assert roots_admit_common_interlacer(bs[start:], cs[start:]) == want
+        assert common_interlacing(f, g) == want
+
+    def test_innermost_failures(self):
+        # with n = 2k even, b_(k-1) <= 0 <= c_k and c_(k-1) <= 0 <= b_k, so
+        # index k - 1, the first of the tail, never fails; the innermost
+        # failure is b_k > c_(k+1) at i = k, mirrored at i = k - 2 below the
+        # tail.  With n odd the middle roots are both 0.
+        cases = [
+            (0, [16, 25], [4, 9], [0, 2]),  # n = 4: +-4, +-5 against +-2, +-3
+            (0, [4, 25, 81], [1, 2, 81], [1, 3]),  # n = 6: +-2 above +-sqrt(2), +-9 shared
+            (1, [16, 25], [4, 9], [0, 3]),  # n = 5 with a root at 0
+            (1, [4], [9], []),  # n = 3: 0 between +-2 and +-3
+            (1, [4, 9], [4, 9], []),  # equal spectra
+        ]
+        for e, first, second, failing in cases:
+            f, g = symmetric_poly(e, first), symmetric_poly(e, second)
+            assert failing_cross_inequalities(signed_squares(e, first), signed_squares(e, second)) == failing
+            start = interlacer_start(f, g)
+            bs, cs = isolate_real_roots(f), isolate_real_roots(g)
+            assert roots_admit_common_interlacer(bs[start:], cs[start:]) is not failing
+            assert roots_admit_common_interlacer(bs, cs) is not failing
+            assert common_interlacing(f, g) is not failing
+
+    def test_start_needs_two_symmetric_polynomials_of_one_degree(self):
+        sym = poly_of(-1, 0, 1) * poly_of(-4, 0, 1)
+        assert interlacer_start(sym, sym) == 1
+        assert interlacer_start(sym, IntPoly.from_roots([-2, -1, 1, 3])) == 0
+        assert interlacer_start(IntPoly.from_roots([-2, -1, 1, 3]), sym) == 0
+        assert interlacer_start(sym, poly_of(0, 1) * poly_of(-1, 0, 1)) == 0
+
+
 class TestAlgebraicRootExtras:
     def test_of_rational(self):
         r = AlgebraicRoot.of_rational(Fraction(7, 3))
@@ -749,6 +862,18 @@ class TestHalfDegreeIsolationAgainstFullDegree:
             assert all(p.degree == n and not any(p.coeffs[1 - n % 2 :: 2]) for p in polys)
             for p in polys:
                 self.assert_matches_full_degree(p)
+
+    def test_mirrored_roots(self):
+        # a lone root at 0 isolated by the whole Cauchy interval (-2, 2) is
+        # not mirrored; repeated and distinct +-r pairs around a root at 0
+        cases = (
+            poly_of(0, 1, 0, 1),
+            poly_of(0, 1) * poly_of(-2, 0, 1) * poly_of(-2, 0, 1) * poly_of(-3, 0, 1),
+            poly_of(-2, 0, 1) * poly_of(-2, 0, 1) * poly_of(-2, 0, 1),
+        )
+        for p in cases:
+            self.assert_matches_full_degree(p)
+        assert states(isolate_real_roots(cases[0])) == [(cases[0], -2, 2, 1)]
 
     def test_symmetric_bottom_is_a_copy_of_the_top(self):
         for p in (poly_of(1, 0, -3, 0, 1), poly_of(0, -3, 0, 1), poly_of(-3, 0, 1) * poly_of(1, 0, 1)):
