@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import GuardLimit, check_guard
 from .graphs import (
@@ -43,20 +43,6 @@ MIN_COMPLETE_GUARD_M = 20
 MIN_PARTIAL_GUARD_N = 7
 ALL_MIXED_GUARD_N = 4
 GUO_MOHAR_GUARD_M = 12
-
-
-def worker_count() -> int:
-    """Parallel workers for corpus sweeps, capped by ORISPEC_THREADS.
-
-    Defaults to 1 (serial, fully deterministic); results are emitted in
-    input order either way.
-    """
-    raw = os.environ.get("ORISPEC_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -592,30 +578,20 @@ def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool 
     return data
 
 
-def explore_records(graphs: list[Graph], guard: bool = True) -> list[dict]:
-    """Records for the given graphs, in input order.
+def explore_records(graphs: Iterable[Graph], guard: bool = True) -> Iterator[dict]:
+    """Records for the given graphs, in input order, computed one at a time
+    as the returned iterator is advanced.
 
-    Every guard of every graph is checked before the first record is
-    computed, by the check `explore_record` makes, so an inadmissible input
-    fails at once, not after the rest; guard=False lifts the guards of every
-    search.  Honors ORISPEC_THREADS for process-level parallelism, with no
-    more worker processes than graphs or cores; output order and content
-    are independent of the worker count.
+    graphs is read once.  Every guard of every graph is checked before this
+    call returns, by the check `explore_record` makes, so an inadmissible
+    input fails at once, before any record; guard=False lifts the guards of
+    every search.
     """
+    graphs = tuple(graphs)
     for g in graphs:
         try:
             _check_guards(g, guard, complete=True, partial=True, sweep=True)
         except GuardLimit as exc:
             exc.args = (f"graph6={encode_graph6(g)}: {exc}",)
             raise
-    record = functools.partial(explore_record, guard=guard)
-    # the pool starts one worker per pending graph up to max_workers
-    workers = min(worker_count(), len(graphs), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return list(pool.map(record, graphs))
-    return [record(g) for g in graphs]
+    return (explore_record(g, guard=guard) for g in graphs)

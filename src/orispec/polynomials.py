@@ -562,11 +562,10 @@ class AlgebraicRoot:
     across it and a sign at the midpoint picks the half that keeps it.
     The constructor therefore rejects lo > hi, a non-degenerate interval
     whose ends do not differ in sign, and an exact value that is not a root
-    of the polynomial.  Narrowing is deterministic, so duplicated refinement
-    across threads is harmless.  Comparisons refine in
-    place too, and a printed interval depends on every refinement its root
-    went through, so a memo of roots hands out a ``copy()`` per lookup and
-    keeps its own object unrefined.
+    of the polynomial.  Comparisons refine in place too, and a printed
+    interval depends on every refinement its root went through, so a memo
+    of roots hands out a ``copy()`` per lookup and keeps its own object
+    unrefined.
     """
 
     __slots__ = ("poly", "_a", "_b", "_d", "_slo")
@@ -1103,16 +1102,18 @@ def roots_admit_common_interlacer(
 
 def interlacer_start(f: IntPoly, g: IntPoly) -> int:
     """Where the sorted root lists of f and g, of length n = deg f = deg g,
-    may start for `roots_admit_common_interlacer`: (n - 1) // 2 when f and
+    may start for `roots_admit_common_interlacer`: (n + 1) // 2 when f and
     g are both symmetric, else 0.
 
     Symmetric roots satisfy b_i = -b_(n-1-i), so b_i <= c_(i+1) holds
-    exactly when c_(n-2-i) <= b_(n-1-i): each cross inequality below the
-    start mirrors one at or above it.
+    exactly when c_(n-2-i) <= b_(n-1-i): the cross inequalities at i and
+    n - 2 - i decide each other.  Those in the middle always hold and are
+    skipped too: i = k - 1 when n = 2k, since b_(k-1) <= 0 <= c_k, and
+    i = k - 1, k when n = 2k + 1, since b_k = c_k = 0.
     """
     if f.degree != g.degree or _mirror_parity(f) is None or _mirror_parity(g) is None:
         return 0
-    return (f.degree - 1) // 2
+    return (f.degree + 1) // 2
 
 
 def common_interlacing(f: IntPoly, g: IntPoly) -> bool:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from orispec import cli, explore
+from orispec.errors import ComputationDefect
 from orispec.polynomials import IntPoly, roots_numeric
 
 EX1 = "0 1;1 2;2 3;0 3;1 3"
@@ -311,12 +312,22 @@ class TestExplore:
         assert exc.value.code == 1
         assert "not allowed with" in capsys.readouterr().err
 
-    def test_worker_count_does_not_change_bytes(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORISPEC_THREADS", "1")
-        _, serial, _ = run(capsys, "explore", "--max-n", "4", "--json")
-        monkeypatch.setenv("ORISPEC_THREADS", "2")
-        _, parallel, _ = run(capsys, "explore", "--max-n", "4", "--json")
-        assert parallel == serial
+    def test_records_print_before_a_later_one_fails(self, capsys, monkeypatch):
+        original = explore.explore_record
+        computed = []
+
+        def failing_second(g, include_all_mixed=None, guard=True):
+            computed.append(g)
+            if len(computed) == 2:
+                raise ComputationDefect("second record")
+            return original(g, include_all_mixed, guard)
+
+        monkeypatch.setattr(explore, "explore_record", failing_second)
+        code, out, err = run(capsys, "explore", "--max-n", "3", "--json")
+        assert code == 2 and err == "defect: second record\n"
+        assert out.splitlines() == [
+            json.dumps({"schema": cli.SCHEMA, **original(computed[0])}, separators=(",", ":"))
+        ]
 
 
 class TestPlumbing:
@@ -455,8 +466,7 @@ class TestBenchmarkReference:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == refs[label]
 
-    def test_explore_max_n6_is_byte_identical(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORISPEC_THREADS", "1")
+    def test_explore_max_n6_is_byte_identical(self, capsys):
         code, out, err = run(capsys, "explore", "--max-n", "6", "--json")
         assert code == 0
         assert "note: 7 graph(s) inconsistent with the conjecture" in err

@@ -1,6 +1,4 @@
-import concurrent.futures
 import itertools
-import os
 import random
 
 import pytest
@@ -21,7 +19,6 @@ from orispec.explore import (
     min_rho_all_mixed,
     min_rho_complete,
     min_rho_partial,
-    worker_count,
 )
 from orispec.graphs import (
     Graph,
@@ -91,22 +88,6 @@ def isolated(monkeypatch):
 
     monkeypatch.setattr(explore, "spectral_radius_of_charpoly", counting)
     return calls
-
-
-class TestWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("ORISPEC_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("ORISPEC_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_garbage_and_floor(self, monkeypatch):
-        monkeypatch.setenv("ORISPEC_THREADS", "soon")
-        assert worker_count() == 1
-        monkeypatch.setenv("ORISPEC_THREADS", "0")
-        assert worker_count() == 1
 
 
 class TestCanonicalForm:
@@ -632,39 +613,29 @@ class TestExploreRecords:
         assert str(refused.value).startswith("graph6=F~~~w: bound sweep enumerates 2^m orientations; m=15")
         assert gain_tables.built == []
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("ORISPEC_THREADS", "1")
-        serial = explore_records(generate_corpus(4))
-        monkeypatch.setenv("ORISPEC_THREADS", "2")
-        # the pool is capped at the core count: open it on one core too
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        parallel = explore_records(generate_corpus(4))
-        assert parallel == serial
+    def test_any_iterable_is_read_once(self):
+        graphs = generate_corpus(3)
+        recs = list(explore_records(iter(graphs)))
+        assert [r["n"] for r in recs] == [1, 2, 3, 3]
+        assert recs == [explore_record(g) for g in graphs]
 
-    def test_pool_has_no_more_workers_than_graphs_or_cores(self, monkeypatch):
-        # a process pool starts one worker per pending graph up to its
-        # max_workers; a serial stand-in records what it is asked for
-        asked = []
+    def test_records_are_computed_as_they_are_asked_for(self, monkeypatch):
+        graphs = generate_corpus(4)
+        calls = []
+        original = explore.explore_record
 
-        class SerialPool:
-            def __init__(self, max_workers, mp_context=None):
-                asked.append(max_workers)
+        def counting(g, include_all_mixed=None, guard=True):
+            calls.append(g)
+            return original(g, include_all_mixed, guard)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setenv("ORISPEC_THREADS", "1000000")
-        graphs = generate_corpus(3)[1:]
-        assert len(graphs) == 3
-        assert explore_records(graphs) == [explore_record(g) for g in graphs]
-        assert all(k <= min(3, os.cpu_count() or 1) for k in asked)
+        monkeypatch.setattr(explore, "explore_record", counting)
+        records = explore_records(graphs)
+        assert calls == []
+        first = next(records)
+        assert calls == [graphs[0]]
+        assert first == original(graphs[0])
+        assert list(records) == [original(g) for g in graphs[1:]]
+        assert calls == list(graphs)
 
 
 def separate_record(g):

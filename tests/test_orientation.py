@@ -427,7 +427,7 @@ class TestAuditReductions:
         assert len(isolations) == len(set(isolations)) == len(distinct) == 100
         assert all(p.degree == 16 and not any(p.coeffs[1::2]) for p in distinct)
         assert len(walked) == 800
-        assert len(compares) <= 2300
+        assert len(compares) <= 2100
 
 
 class TestCommonInterlacerAgainstCombinations:

@@ -678,9 +678,9 @@ def failing_cross_inequalities(bs, cs):
 
 class TestHalfInterlacerChecks:
     """Two sorted root lists b, c of symmetric polynomials admit a common
-    interlacer exactly when their tails from (n - 1) // 2 do: b_i <= c_(i+1)
-    mirrors c_(n-2-i) <= b_(n-1-i).  Checked against the full lists and
-    against the criterion on exact keys."""
+    interlacer exactly when their tails from (n + 1) // 2 do: b_i <= c_(i+1)
+    mirrors c_(n-2-i) <= b_(n-1-i), and the middle inequalities always hold.
+    Checked against the full lists and against the criterion on exact keys."""
 
     @given(symmetric_real_rooted_pairs())
     @settings(max_examples=200, deadline=None)
@@ -690,7 +690,7 @@ class TestHalfInterlacerChecks:
         n = f.degree
         bs, cs = isolate_real_roots(f), isolate_real_roots(g)
         start = interlacer_start(f, g)
-        assert start == (n - 1) // 2
+        assert start == (n + 1) // 2
         want = not failing_cross_inequalities(signed_squares(e, first), signed_squares(e, second))
         assert roots_admit_common_interlacer(bs, cs) == want
         assert roots_admit_common_interlacer(bs[start:], cs[start:]) == want
@@ -698,9 +698,10 @@ class TestHalfInterlacerChecks:
 
     def test_innermost_failures(self):
         # with n = 2k even, b_(k-1) <= 0 <= c_k and c_(k-1) <= 0 <= b_k, so
-        # index k - 1, the first of the tail, never fails; the innermost
-        # failure is b_k > c_(k+1) at i = k, mirrored at i = k - 2 below the
-        # tail.  With n odd the middle roots are both 0.
+        # index k - 1, just below the tail, never fails; the innermost
+        # failure is b_k > c_(k+1) at i = k, the first of the tail, mirrored
+        # at i = k - 2.  With n = 2k + 1 the middle roots b_k = c_k = 0, so
+        # neither k - 1 nor k fails and the tail starts at k + 1.
         cases = [
             (0, [16, 25], [4, 9], [0, 2]),  # n = 4: +-4, +-5 against +-2, +-3
             (0, [4, 25, 81], [1, 2, 81], [1, 3]),  # n = 6: +-2 above +-sqrt(2), +-9 shared
@@ -719,7 +720,7 @@ class TestHalfInterlacerChecks:
 
     def test_start_needs_two_symmetric_polynomials_of_one_degree(self):
         sym = poly_of(-1, 0, 1) * poly_of(-4, 0, 1)
-        assert interlacer_start(sym, sym) == 1
+        assert interlacer_start(sym, sym) == 2
         assert interlacer_start(sym, IntPoly.from_roots([-2, -1, 1, 3])) == 0
         assert interlacer_start(IntPoly.from_roots([-2, -1, 1, 3]), sym) == 0
         assert interlacer_start(sym, poly_of(0, 1) * poly_of(-1, 0, 1)) == 0
