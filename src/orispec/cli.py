@@ -4,6 +4,14 @@ Exit codes: 0 success, 1 usage or input error, 2 mathematical defect (a
 result that contradicts a proved statement, e.g. a greedy descent ending
 above the matching bound or an expectation mismatch).
 
+The per-tree commands (find-orientation, verify-expectation, audit-family,
+classify, lemma4) finish every tree of --tree before printing, so a tree
+that is refused leaves stdout empty.  Their JSON holds "command", "graph",
+the command's own head fields, "results" (one object per tree, "tree"
+first) and, for the two with a verdict (verify-expectation, audit-family),
+"pass"; those two exit 2 when the verdict fails on any tree.  Their text
+prints each tree line and its body, with one blank line between trees.
+
 JSON output is versioned with "schema": "orispec/1" and always carries
 exact data (integer coefficients, interval endpoints as strings) next to
 any decimal approximation.
@@ -15,7 +23,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ComputationDefect, OrispecError, ParseError
 from .explore import explore_records, generate_corpus
@@ -34,7 +42,7 @@ from .graphs import (
 )
 from .hermitian import charpoly_of_mixed, converse_half_charpolys
 from .matching import matching_counts, matching_polynomial, matching_radius
-from .orientation import audit_interlacing_family, expected_charpoly, greedy_orientation
+from .orientation import AuditReport, audit_interlacing_family, expected_charpoly, greedy_orientation
 from .polynomials import IntPoly, roots_numeric
 from .switching import (
     classify_partial_orientations,
@@ -82,8 +90,10 @@ def _poly_json(p: IntPoly) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_source(spec: str) -> str:
+def _load_source(spec: str | None) -> str:
     """Inline graph text, with ';' doubling as a line break, or @path."""
+    if spec is None:
+        raise ParseError("a graph is required (use -g/--graph)")
     if spec.startswith("@"):
         if not spec[1:]:
             raise ParseError("a file path must follow '@' (as in -g @graph.txt)")
@@ -92,7 +102,7 @@ def _load_source(spec: str) -> str:
     return spec.replace(";", "\n")
 
 
-def read_mixed(spec: str, fmt: str) -> MixedGraph:
+def read_mixed(spec: str | None, fmt: str) -> MixedGraph:
     text = _load_source(spec)
     if fmt == "edgelist":
         return MixedGraph.undirected(parse_edge_list(text))
@@ -117,23 +127,13 @@ def resolve_trees(spec: str, g: Graph, guard: bool) -> list[SpanningTree]:
     if spec.startswith("edges:"):
         pairs = []
         for part in spec[len("edges:"):].split(","):
-            bits = part.split("-")
-            if len(bits) != 2:
-                raise ParseError(f"bad tree edge {part!r} (expected u-v)")
             try:
-                pairs.append((int(bits[0]), int(bits[1])))
+                u, v = map(int, part.split("-"))
             except ValueError:
                 raise ParseError(f"bad tree edge {part!r} (expected u-v)") from None
+            pairs.append((u, v))
         return [tree_from_edges(g, pairs)]
     raise ParseError(f"unknown tree spec {spec!r} (use bfs:<root>, edges:..., or all)")
-
-
-def _tree_json(t: SpanningTree) -> list[list[int]]:
-    return sorted([u, v] for (u, v) in t.tree_edges)
-
-
-def _tree_line(t: SpanningTree) -> str:
-    return "tree: " + " ".join(_edge_str(e) for e in sorted(t.tree_edges))
 
 
 def _graph_json(g: Graph) -> dict:
@@ -141,11 +141,7 @@ def _graph_json(g: Graph) -> dict:
 
 
 def _mixed_json(d: MixedGraph) -> dict:
-    return {
-        "n": d.graph.n,
-        "edges": [list(e) for e in d.graph.edge_list],
-        "arcs": [list(a) for a in d.arcs()],
-    }
+    return {**_graph_json(d.graph), "arcs": [list(a) for a in d.arcs()]}
 
 
 # ---------------------------------------------------------------------------
@@ -205,114 +201,6 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_find_orientation(args: argparse.Namespace) -> int:
-    g = read_mixed(args.graph, args.format).graph
-    guard = not args.unsafe_no_guards
-    results = []
-    for t in resolve_trees(args.tree, g, guard):
-        cert = greedy_orientation(g, t, guard=guard)
-        results.append((t, cert))
-    if args.json:
-        _emit(
-            {
-                "command": "find-orientation",
-                "graph": _graph_json(g),
-                "results": [
-                    {"tree": _tree_json(t), "certificate": cert.to_json()}
-                    for t, cert in results
-                ],
-            }
-        )
-        return 0
-    for idx, (t, cert) in enumerate(results):
-        if idx:
-            print()
-        print(_tree_line(t))
-        for lv in cert.levels:
-            picked = "+1" if lv.sign > 0 else "-1"
-            print(
-                f"  edge {_edge_str(lv.edge)} -> {picked}"
-                f"  (top with +1 ~= {_f(lv.plus_largest.approx())},"
-                f" with -1 ~= {_f(lv.minus_largest.approx())})"
-            )
-        signs = " ".join(
-            f"{_edge_str(e)}:{'+1' if s > 0 else '-1'}"
-            for e, s in zip(cert.signs.edges, cert.signs.signs)
-        )
-        print(f"signs: {signs if signs else '(none, tree graph)'}")
-        print(f"phi(x) = {cert.final_charpoly}")
-        print(f"lambda_max ~= {_f(cert.largest_eigenvalue.approx())}")
-        print(f"rho(mu) ~= {_f(cert.matching_bound.approx())}")
-        print(f"verdict: {cert.verdict}")
-    return 0
-
-
-def cmd_verify_expectation(args: argparse.Namespace) -> int:
-    g = read_mixed(args.graph, args.format).graph
-    guard = not args.unsafe_no_guards
-    mu = matching_polynomial(g)
-    results = []
-    for t in resolve_trees(args.tree, g, guard):
-        expected = expected_charpoly(g, t, guard=guard)
-        results.append((t, expected, expected == mu))
-    ok = all(r[2] for r in results)
-    if args.json:
-        _emit(
-            {
-                "command": "verify-expectation",
-                "graph": _graph_json(g),
-                "mu": _poly_json(mu),
-                "results": [
-                    {"tree": _tree_json(t), "expected": _poly_json(e), "pass": p}
-                    for t, e, p in results
-                ],
-                "pass": ok,
-            }
-        )
-    else:
-        for idx, (t, expected, p) in enumerate(results):
-            if idx:
-                print()
-            print(_tree_line(t))
-            print(f"expected charpoly: {expected}")
-            print(f"matching polynomial: {mu}")
-            print("PASS" if p else "FAIL")
-    return 0 if ok else 2
-
-
-def cmd_audit_family(args: argparse.Namespace) -> int:
-    g = read_mixed(args.graph, args.format).graph
-    guard = not args.unsafe_no_guards
-    results = [
-        (t, audit_interlacing_family(g, t, guard=guard))
-        for t in resolve_trees(args.tree, g, guard)
-    ]
-    ok = all(r.passed for _, r in results)
-    if args.json:
-        _emit(
-            {
-                "command": "audit-family",
-                "graph": _graph_json(g),
-                "results": [
-                    {"tree": _tree_json(t), **r.to_json()} for t, r in results
-                ],
-                "pass": ok,
-            }
-        )
-    else:
-        for idx, (t, report) in enumerate(results):
-            if idx:
-                print()
-            print(_tree_line(t))
-            if report.passed:
-                print(f"audited {report.nodes_checked} nodes: PASS")
-            else:
-                print(f"audited {report.nodes_checked} nodes: FAIL")
-                for v in report.violations:
-                    print(f"  {v}")
-    return 0 if ok else 2
-
-
 def cmd_switching(args: argparse.Namespace) -> int:
     d1 = read_mixed(args.graph, args.format)
     d2 = read_mixed(args.other, args.format)
@@ -337,79 +225,152 @@ def cmd_switching(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def _per_tree(args, command: str, solve, as_json, as_text, finish=None, head=None, verdict=False):
+    """Run a per-tree command and print its envelope (see the module doc).
+
+    `solve(g, t, guard)` makes the library calls on one tree; `finish(g,
+    results)` maps the results once every tree, and so every guard, is done.
+    `as_json(result)` gives a tree's fields after "tree", `head(results)` the
+    command's fields before "results", and `as_text(result)` the lines under
+    a tree line.  Only the format asked for is rendered: the text renderers
+    refine roots, which would narrow the intervals that the JSON prints.  A
+    `verdict` command's results have `passed`.
+    """
     g = read_mixed(args.graph, args.format).graph
     guard = not args.unsafe_no_guards
-    results = []
-    for t in resolve_trees(args.tree, g, guard):
-        classes = classify_partial_orientations(g, t, guard=guard)
-        results.append((t, list(zip(classes, converse_half_charpolys(g, t)))))
+    trees = resolve_trees(args.tree, g, guard)
+    results = [solve(g, t, guard) for t in trees]
+    if finish is not None:
+        results = finish(g, results)
+    ok = not verdict or all(r.passed for r in results)
     if args.json:
-        _emit(
-            {
-                "command": "classify",
-                "graph": _graph_json(g),
-                "results": [
-                    {
-                        "tree": _tree_json(t),
-                        "cotree": [list(e) for e in cotree_edges(g, t)],
-                        "classes": [
-                            {
-                                "size": len(members),
-                                "members": [list(sv.signs) for sv in members],
-                                "charpoly": _poly_json(phi),
-                            }
-                            for members, phi in rows
-                        ],
-                    }
-                    for t, rows in results
-                ],
-            }
+        data = {"command": command, "graph": _graph_json(g), **(head(results) if head else {})}
+        data["results"] = [
+            {"tree": sorted([u, v] for (u, v) in t.tree_edges), **as_json(r)}
+            for t, r in zip(trees, results)
+        ]
+        if verdict:
+            data["pass"] = ok
+        _emit(data)
+    else:
+        blocks = []
+        for t, r in zip(trees, results):
+            tree = "tree: " + " ".join(_edge_str(e) for e in sorted(t.tree_edges))
+            blocks.append("\n".join([tree, *as_text(r)]))
+        print("\n\n".join(blocks))
+    return 0 if ok else 2
+
+
+def cmd_find_orientation(args: argparse.Namespace) -> int:
+    def as_json(cert):
+        return {"certificate": cert.to_json()}
+
+    def as_text(cert):
+        for lv in cert.levels:
+            yield (
+                f"  edge {_edge_str(lv.edge)} -> {'+1' if lv.sign > 0 else '-1'}"
+                f"  (top with +1 ~= {_f(lv.plus_largest.approx())},"
+                f" with -1 ~= {_f(lv.minus_largest.approx())})"
+            )
+        signs = " ".join(
+            f"{_edge_str(e)}:{'+1' if s > 0 else '-1'}"
+            for e, s in zip(cert.signs.edges, cert.signs.signs)
         )
-        return 0
-    for idx, (t, rows) in enumerate(results):
-        if idx:
-            print()
-        print(_tree_line(t))
-        co = cotree_edges(g, t)
-        print("cotree: " + (" ".join(_edge_str(e) for e in co) if co else "(empty)"))
-        total = sum(len(members) for members, _ in rows)
-        print(f"{total} orientations in {len(rows)} classes")
+        yield f"signs: {signs if signs else '(none, tree graph)'}"
+        yield f"phi(x) = {cert.final_charpoly}"
+        yield f"lambda_max ~= {_f(cert.largest_eigenvalue.approx())}"
+        yield f"rho(mu) ~= {_f(cert.matching_bound.approx())}"
+        yield f"verdict: {cert.verdict}"
+
+    return _per_tree(args, "find-orientation", greedy_orientation, as_json, as_text)
+
+
+class _Expectation(NamedTuple):
+    expected: IntPoly
+    mu: IntPoly
+    passed: bool
+
+
+def cmd_verify_expectation(args: argparse.Namespace) -> int:
+    def finish(g, expected):
+        # mu_G only after every tree's guard: its vertex-subset recursion is
+        # exponential on dense graphs
+        mu = matching_polynomial(g)
+        return [_Expectation(e, mu, e == mu) for e in expected]
+
+    def head(results):
+        return {"mu": _poly_json(results[0].mu)}
+
+    def as_json(r):
+        return {"expected": _poly_json(r.expected), "pass": r.passed}
+
+    def as_text(r):
+        return [
+            f"expected charpoly: {r.expected}",
+            f"matching polynomial: {r.mu}",
+            "PASS" if r.passed else "FAIL",
+        ]
+
+    return _per_tree(
+        args, "verify-expectation", expected_charpoly, as_json, as_text, finish, head, verdict=True
+    )
+
+
+def cmd_audit_family(args: argparse.Namespace) -> int:
+    def as_text(report):
+        yield f"audited {report.nodes_checked} nodes: {'PASS' if report.passed else 'FAIL'}"
+        for v in report.violations:
+            yield f"  {v}"
+
+    return _per_tree(
+        args, "audit-family", audit_interlacing_family, AuditReport.to_json, as_text, verdict=True
+    )
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
+    def solve(g, t, guard):
+        classes = classify_partial_orientations(g, t, guard=guard)
+        return cotree_edges(g, t), list(zip(classes, converse_half_charpolys(g, t)))
+
+    def as_json(result):
+        cotree, rows = result
+        return {
+            "cotree": [list(e) for e in cotree],
+            "classes": [
+                {
+                    "size": len(members),
+                    "members": [list(sv.signs) for sv in members],
+                    "charpoly": _poly_json(phi),
+                }
+                for members, phi in rows
+            ],
+        }
+
+    def as_text(result):
+        cotree, rows = result
+        yield "cotree: " + (" ".join(_edge_str(e) for e in cotree) if cotree else "(empty)")
+        yield f"{sum(len(members) for members, _ in rows)} orientations in {len(rows)} classes"
         for ci, (members, phi) in enumerate(rows, start=1):
             labels = ", ".join(_signs_str(sv.signs) for sv in members)
-            print(f"class {ci} (size {len(members)}): phi(x) = {phi}; members: {labels}")
-    return 0
+            yield f"class {ci} (size {len(members)}): phi(x) = {phi}; members: {labels}"
+
+    return _per_tree(args, "classify", solve, as_json, as_text)
 
 
 def cmd_lemma4(args: argparse.Namespace) -> int:
-    g = read_mixed(args.graph, args.format).graph
-    guard = not args.unsafe_no_guards
-    results = []
-    for t in resolve_trees(args.tree, g, guard):
-        results.append((t, equiv_to_unoriented(g, t), equiv_to_oriented(g, t)))
-    if args.json:
-        _emit(
-            {
-                "command": "lemma4",
-                "graph": _graph_json(g),
-                "results": [
-                    {
-                        "tree": _tree_json(t),
-                        "equiv_to_unoriented": u,
-                        "equiv_to_oriented": o,
-                    }
-                    for t, u, o in results
-                ],
-            }
-        )
-    else:
-        for idx, (t, u, o) in enumerate(results):
-            if idx:
-                print()
-            print(_tree_line(t))
-            print(f"equivalent to unoriented: {'yes' if u else 'no'}")
-            print(f"equivalent to oriented: {'yes' if o else 'no'}")
-    return 0
+    def solve(g, t, guard):
+        return {
+            "equiv_to_unoriented": equiv_to_unoriented(g, t),
+            "equiv_to_oriented": equiv_to_oriented(g, t),
+        }
+
+    def as_text(r):
+        return [
+            f"equivalent to unoriented: {'yes' if r['equiv_to_unoriented'] else 'no'}",
+            f"equivalent to oriented: {'yes' if r['equiv_to_oriented'] else 'no'}",
+        ]
+
+    return _per_tree(args, "lemma4", solve, dict, as_text)
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -463,9 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="orispec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
+    json_opt = _Parser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="machine-readable output")
+    guard_opt = _Parser(add_help=False)
+    guard_opt.add_argument(
         "--unsafe-no-guards",
         action="store_true",
         help="disable cost guards (searches may become astronomically slow)",
@@ -488,59 +450,50 @@ def build_parser() -> argparse.ArgumentParser:
         default="bfs:0",
         help="spanning tree: bfs:<root>, edges:u-v,u-v,..., or all (default bfs:0)",
     )
+    one_graph = [json_opt, graph_opt]
+    per_tree = [json_opt, guard_opt, graph_opt, tree_opt]
 
-    def add(name: str, func, parents: list, help_text: str, needs_graph: bool = True):
+    def add(name: str, func, parents: list, help_text: str):
         p = sub.add_parser(name, parents=parents, help=help_text)
-        p.set_defaults(func=func, needs_graph=needs_graph)
+        p.set_defaults(func=func)
         return p
 
-    add("matching", cmd_matching, [common, graph_opt], "matching polynomial, counts, rho")
-    add("charpoly", cmd_charpoly, [common, graph_opt], "exact charpoly of a mixed graph")
-    eigen = add("eigen", cmd_eigen, [common, graph_opt], "numeric eigenvalues")
+    add("matching", cmd_matching, one_graph, "matching polynomial, counts, rho")
+    add("charpoly", cmd_charpoly, one_graph, "exact charpoly of a mixed graph")
+    eigen = add("eigen", cmd_eigen, one_graph, "numeric eigenvalues")
     eigen.add_argument("--eps", type=float, default=1e-9, help="target accuracy (default 1e-9)")
     add(
         "find-orientation",
         cmd_find_orientation,
-        [common, graph_opt, tree_opt],
+        per_tree,
         "greedy partial orientation with certified bound",
     )
     add(
         "verify-expectation",
         cmd_verify_expectation,
-        [common, graph_opt, tree_opt],
+        per_tree,
         "check average charpoly over orientations equals the matching polynomial",
     )
     add(
         "audit-family",
         cmd_audit_family,
-        [common, graph_opt, tree_opt],
+        per_tree,
         "exhaustive interlacing audit of the sign-assignment tree",
     )
     switching = add(
         "switching",
         cmd_switching,
-        [common, graph_opt],
+        one_graph,
         "switching-equivalence certificate for two mixed graphs",
     )
     switching.add_argument("--other", required=True, help="second graph (same format)")
-    add(
-        "classify",
-        cmd_classify,
-        [common, graph_opt, tree_opt],
-        "switching classes of all partial orientations",
-    )
-    add(
-        "lemma4",
-        cmd_lemma4,
-        [common, graph_opt, tree_opt],
-        "equivalence to unoriented / fully oriented graphs",
-    )
+    add("classify", cmd_classify, per_tree, "switching classes of all partial orientations")
+    add("lemma4", cmd_lemma4, per_tree, "equivalence to unoriented / fully oriented graphs")
     explore = add(
         "explore",
         cmd_explore,
-        [common, format_opt],
+        [json_opt, guard_opt, format_opt],
         "minimum-rho tiers and exact bound checks over a corpus",
-        needs_graph=False,
     )
     source = explore.add_mutually_exclusive_group()
     source.add_argument("-g", "--graph", help=graph_help)
@@ -559,9 +512,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.needs_graph and args.graph is None:
-        print("error: a graph is required (use -g/--graph)", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except ComputationDefect as exc:

@@ -312,58 +312,44 @@ def _close_graph(declared: int | None, edges: list[Edge], where: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _parse_pairs(text: str, arcs: bool) -> tuple[int | None, list[tuple[int, int, bool]]]:
+    """The vertex-count header and one (u, v, is_arc) per line.  Lines are
+    ``u v``, or also ``u > v`` when `arcs` is set."""
+    declared, body = _parse_header_and_lines(text)
+    pairs = []
+    for lineno, line in body:
+        parts = line.split()
+        arc = arcs and len(parts) == 3 and parts[1] == ">"
+        if len(parts) != 2 and not arc:
+            shape = "'u v' or 'u > v'" if arcs else "'u v'"
+            raise ParseError(f"line {lineno}: expected {shape}, got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[-1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
+        if u < 0 or v < 0:
+            raise ParseError(f"line {lineno}: negative vertex label")
+        if u == v:
+            raise ParseError(f"line {lineno}: loop at vertex {u}")
+        pairs.append((u, v, arc))
+    return declared, pairs
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated vertex pairs, one edge per line.
 
     An optional first line ``n=<count>`` fixes the vertex count; otherwise
     it is the largest label plus one.  '#' starts a comment.
     """
-    declared, body = _parse_header_and_lines(text)
-    edges: list[Edge] = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex label")
-        if u == v:
-            raise ParseError(f"line {lineno}: loop at vertex {u}")
-        edges.append(norm_edge(u, v))
-    return _close_graph(declared, edges, "edge list")
+    declared, pairs = _parse_pairs(text, arcs=False)
+    return _close_graph(declared, [norm_edge(u, v) for u, v, _ in pairs], "edge list")
 
 
 def parse_mixed(text: str) -> MixedGraph:
     """Parse mixed-graph text: lines ``u v`` (undirected) or ``u > v`` (arc)."""
-    declared, body = _parse_header_and_lines(text)
-    edges: list[Edge] = []
-    directions: dict[Edge, tuple[int, int] | None] = {}
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) == 3 and parts[1] == ">":
-            tail, head = parts[0], parts[2]
-            arc = True
-        elif len(parts) == 2:
-            tail, head = parts
-            arc = False
-        else:
-            raise ParseError(f"line {lineno}: expected 'u v' or 'u > v', got {line!r}")
-        try:
-            u, v = int(tail), int(head)
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex label")
-        if u == v:
-            raise ParseError(f"line {lineno}: loop at vertex {u}")
-        e = norm_edge(u, v)
-        edges.append(e)
-        directions[e] = (u, v) if arc else None
-    g = _close_graph(declared, edges, "mixed graph")
-    return MixedGraph.of(g, directions)
+    declared, pairs = _parse_pairs(text, arcs=True)
+    g = _close_graph(declared, [norm_edge(u, v) for u, v, _ in pairs], "mixed graph")
+    return MixedGraph.of(g, {norm_edge(u, v): (u, v) if arc else None for u, v, arc in pairs})
 
 
 def format_mixed(d: MixedGraph) -> str:

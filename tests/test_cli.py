@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orispec import cli, explore
+from orispec import cli, explore, graphs, orientation, switching
 from orispec.errors import ComputationDefect
 from orispec.polynomials import IntPoly, roots_numeric
 
@@ -30,6 +30,31 @@ EXPLORE_MAX_N6_SHA256 = "6a9e8cad87265d6bbb155f57e42e570c22108bbbe99f9b955657202
 GRID5X5_SHA256 = {
     0: "33fac6832f6695a46c6513b8a992dcfb64e725ad8e21b6d9aabaa9afd4e5954b",
     12: "576a689cb83a4bb4233ec763c18d65fca8694e049c8a5ebec156a9e51b02012e",
+}
+
+# SHA-256 of each per-tree command's stdout with `--tree all`, by graph and
+# format: the multi-tree text with its blank lines, and the JSON envelope
+PER_TREE_SHA256 = {
+    ("find-orientation", "EX1", "text"): "4b25e0f6340f3338660b0ccdfb89fbbbaff9a489cdff56444789dc31eb309a59",
+    ("find-orientation", "EX1", "json"): "5901a0e4d2e1d9d8d78d60ba971ee52022bd87fae2ca1a268630af15bfde9339",
+    ("find-orientation", "C4", "text"): "f06b4cbeb35814cd98daa328a7c8f2ecda1dcf92dca99123cafaa9fbcaf58ef1",
+    ("find-orientation", "C4", "json"): "ab7adb75bc5d6feb55da909a2ec90f6238c93c9bccf905b480ca7adc93b2d6c1",
+    ("verify-expectation", "EX1", "text"): "a30107b884535b15fb6b8691c1d103dba29c2fba0bc1e28c9af3dc13c4d010d8",
+    ("verify-expectation", "EX1", "json"): "f9c965952dd75e5c05f6c5b1f2466d777015bec80268ef636dc20d7a778218e5",
+    ("verify-expectation", "C4", "text"): "55e005a9f4b657703d104a2163c52e763fb0ab2dd42bd5d345f612ea6c1b54fe",
+    ("verify-expectation", "C4", "json"): "6db7d9fd6f81039eb4447ef056dbb8035c0f5b8e8528eef8179fed5e52701ba3",
+    ("audit-family", "EX1", "text"): "a50528a4535204ecc3046dc33271abcf887fa605c36e04a586e84d0edaf0a4f9",
+    ("audit-family", "EX1", "json"): "55336d4d376fd6e8080da25bf295c6a13972948146b7345ab777c143b0119f24",
+    ("audit-family", "C4", "text"): "2558a2c162f612142bf37bfaa19cc9e79c8b32c7b58293f90448fbd0276b165c",
+    ("audit-family", "C4", "json"): "2cd459fd51081609fac5c25b63544f8ff311352428dceb4ce2e5e10938580e97",
+    ("classify", "EX1", "text"): "7db12629aa03a3131a27ef618b0a31fc15dd675189d326756455c52195cb25d6",
+    ("classify", "EX1", "json"): "0796b09e97e12fd2fdaa7fad57770771f750ac9b3c559a1dbb446469f07794c8",
+    ("classify", "C4", "text"): "71b22deb75a352f23942d52d55dedb867ea1e2373db5afda6aa476518a840175",
+    ("classify", "C4", "json"): "8f457f80d41f8adfe25f9762fd702610901647635747d7ceca0849210ba66a0e",
+    ("lemma4", "EX1", "text"): "a5aa32f88520a7a1eeb11d3f26bb98c3cd7e3626a3e8c9fa21d6939405564d4e",
+    ("lemma4", "EX1", "json"): "58cef77ab5eb8227438071d7f68d3a1a369ae2c181f9989183b52445c9443726",
+    ("lemma4", "C4", "text"): "1043ce155b8d21f07a1fc096e805da65a6adcc69c480af87c59423517185f022",
+    ("lemma4", "C4", "json"): "992c10ecb8133deeef535adb1adc674f65f63056f6adbe1e7e00c527e4700a20",
 }
 
 
@@ -240,6 +265,59 @@ class TestClassifyAndLemma4:
         assert "equivalent to oriented: no" in out
 
 
+class TestPerTreeCommands:
+    @pytest.mark.parametrize("command, graph, fmt", list(PER_TREE_SHA256))
+    def test_all_trees_are_byte_identical(self, capsys, command, graph, fmt):
+        argv = [command, "-g", {"EX1": EX1, "C4": C4}[graph], "--tree", "all"]
+        code, out, err = run(capsys, *argv, *(["--json"] if fmt == "json" else []))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == PER_TREE_SHA256[command, graph, fmt]
+
+    def test_verify_refuses_before_the_matching_polynomial(self, capsys, monkeypatch):
+        # mu_G's vertex-subset recursion is exponential on dense graphs, so
+        # a refused tree must not wait for it
+        calls = []
+        original = cli.matching_polynomial
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(cli, "matching_polynomial", counting)
+        k8 = ";".join(f"{u} {v}" for u in range(8) for v in range(u + 1, 8))
+        code, out, err = run(capsys, "verify-expectation", "-g", k8)
+        assert code == 1 and out == ""
+        assert "m=21 exceeds 20" in err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "command, module, limit",
+        [
+            ("find-orientation", orientation, "CONDITIONAL_SUM_GUARD_M"),
+            ("verify-expectation", orientation, "CONDITIONAL_SUM_GUARD_M"),
+            ("audit-family", orientation, "AUDIT_GUARD_M"),
+            ("classify", switching, "CLASSIFY_GUARD_M"),
+            ("lemma4", graphs, "SPANNING_TREE_GUARD_N"),
+        ],
+    )
+    def test_unsafe_no_guards_reaches_the_library(self, capsys, monkeypatch, command, module, limit):
+        # EX1 has n = 4 and m = 2 cotree edges, so a limit of 1 refuses it
+        monkeypatch.setattr(module, limit, 1)
+        argv = [command, "-g", EX1, "--tree", "all"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "exceeds 1" in err
+        code, out, err = run(capsys, *argv, "--unsafe-no-guards")
+        assert code == 0 and out.startswith("tree: ") and err == ""
+
+    @pytest.mark.parametrize("command", ["matching", "charpoly", "eigen", "switching"])
+    def test_commands_without_guards_reject_the_flag(self, capsys, command):
+        argv = [command, "-g", "0 1", "--unsafe-no-guards"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + (["--other", "0 1"] if command == "switching" else []))
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --unsafe-no-guards" in capsys.readouterr().err
+
+
 class TestExplore:
     def test_single_graph_text(self, capsys):
         code, out, err = run(capsys, "explore", "-g", C4)
@@ -405,7 +483,7 @@ class TestParserCache:
         for p in (parser, *sub.choices.values()):
             for action in p._actions:
                 assert isinstance(action.default, (type(None), str, int, float)), (p.prog, action.dest)
-            assert set(p._defaults) <= {"func", "needs_graph"}
+            assert set(p._defaults) <= {"func"}
 
     def test_traced_pass_binds_the_wrapped_command(self):
         # perfbench/child.py installs its tracer after import and before the

@@ -90,6 +90,33 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_edge_list("n=2\n0 5")
 
+    @pytest.mark.parametrize(
+        "text, edge_list, mixed",
+        [
+            ("0 1\n2", "line 2: expected 'u v', got '2'", "line 2: expected 'u v' or 'u > v', got '2'"),
+            ("0 < 1", "line 1: expected 'u v', got '0 < 1'", "line 1: expected 'u v' or 'u > v', got '0 < 1'"),
+            ("0 > 1 > 2", "line 1: expected 'u v', got '0 > 1 > 2'", "line 1: expected 'u v' or 'u > v', got '0 > 1 > 2'"),
+            ("0 > x", "line 1: expected 'u v', got '0 > x'", "line 1: non-integer vertex in '0 > x'"),
+            ("a b", "line 1: non-integer vertex in 'a b'", "line 1: non-integer vertex in 'a b'"),
+            ("3 -2", "line 1: negative vertex label", "line 1: negative vertex label"),
+            ("2 > 2", "line 1: expected 'u v', got '2 > 2'", "line 1: loop at vertex 2"),
+            ("0 0", "line 1: loop at vertex 0", "line 1: loop at vertex 0"),
+            ("0 0\nn=3", "line 2: vertex-count header must come first", "line 2: vertex-count header must come first"),
+            ("n=x", "line 1: bad vertex count 'x'", "line 1: bad vertex count 'x'"),
+            ("n=-1", "line 1: negative vertex count", "line 1: negative vertex count"),
+            ("# c", "edge list: no edges and no n=<count> header", "mixed graph: no edges and no n=<count> header"),
+            ("n=3\n2 > 5", "line 2: expected 'u v', got '2 > 5'", "mixed graph: vertex 5 outside declared range n=3"),
+            ("n=2\n0 5", "edge list: vertex 5 outside declared range n=2", "mixed graph: vertex 5 outside declared range n=2"),
+            ("0 1\n1 0", "edge list: duplicate edge (0, 1)", "mixed graph: duplicate edge (0, 1)"),
+            ("1 > 0\n0 1", "line 1: expected 'u v', got '1 > 0'", "mixed graph: duplicate edge (0, 1)"),
+        ],
+    )
+    def test_error_messages(self, text, edge_list, mixed):
+        for parse, message in ((parse_edge_list, edge_list), (parse_mixed, mixed)):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == message
+
     def test_mixed_roundtrip(self):
         d = parse_mixed("n=4\n0 1\n1 > 2\n3 > 2")
         assert d.direction(0, 1) is None
