@@ -33,7 +33,6 @@ from .graphs import (
     MixedGraph,
     SpanningTree,
     bfs_spanning_tree,
-    cotree_edges,
     enumerate_spanning_trees,
     parse_edge_list,
     parse_graph6,
@@ -330,7 +329,8 @@ def cmd_audit_family(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     def solve(g, t, guard):
         classes = classify_partial_orientations(g, t, guard=guard)
-        return cotree_edges(g, t), list(zip(classes, converse_half_charpolys(g, t)))
+        # every member's edges are the cotree, and there is always a class
+        return classes[0][0].edges, list(zip(classes, converse_half_charpolys(g, t)))
 
     def as_json(result):
         cotree, rows = result

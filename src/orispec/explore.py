@@ -361,8 +361,7 @@ class _Search:
     def __init__(self, g: Graph) -> None:
         self.g = g
         self.tree = bfs_spanning_tree(g, 0)
-        self.cotree = cotree_edges(g, self.tree)
-        self.table = GainTable(g.n, self.tree.tree_edges, self.cotree)
+        self.table = GainTable(g, self.tree)
         self.radii: dict[IntPoly, AlgebraicRoot] = {}
         self.gcds: Gcds = {}
 
@@ -370,7 +369,7 @@ class _Search:
     def sweep(self) -> list[int]:
         """Packed charpolys of every reduced complete orientation: tree arcs
         from smaller to larger endpoint, cotree signs ascending."""
-        return self.table.sweep(sorted(self.tree.tree_edges), self.cotree)
+        return self.table.sweep(sorted(self.tree.tree_edges), self.table.cotree)
 
     def _min(self, seen: dict[int, object]) -> tuple[AlgebraicRoot, object]:
         """`_radius_min` over packed charpolys and their first witnesses."""
@@ -379,12 +378,12 @@ class _Search:
 
     def complete(self) -> tuple[AlgebraicRoot, SignVector]:
         seen: dict[int, object] = {}  # the cotree signs of each first occurrence
-        for signs, packed in zip(sign_vectors(len(self.cotree)), self.sweep):
+        for signs, packed in zip(sign_vectors(len(self.table.cotree)), self.sweep):
             seen.setdefault(packed, signs)
         root, signs = self._min(seen)
         edge_order = self.g.edge_list
         full = [1] * len(edge_order)
-        for e, s in zip(self.cotree, signs):  # type: ignore[call-overload]
+        for e, s in zip(self.table.cotree, signs):  # type: ignore[call-overload]
             full[edge_order.index(e)] = s
         return root, SignVector(edge_order, tuple(full))
 
@@ -588,10 +587,12 @@ def explore_records(graphs: Iterable[Graph], guard: bool = True) -> Iterator[dic
     every search.
     """
     graphs = tuple(graphs)
-    for g in graphs:
+    for k, g in enumerate(graphs, start=1):
         try:
             _check_guards(g, guard, complete=True, partial=True, sweep=True)
         except GuardLimit as exc:
-            exc.args = (f"graph6={encode_graph6(g)}: {exc}",)
+            # graph6 has a short form only up to 62 vertices
+            name = f"graph6={encode_graph6(g)}" if g.n <= 62 else f"graph {k} (n={g.n})"
+            exc.args = (f"{name}: {exc}",)
             raise
     return (explore_record(g, guard=guard) for g in graphs)

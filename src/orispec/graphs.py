@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -118,6 +118,8 @@ class SpanningTree:
     root: int
     parent: tuple[int, ...]
     tree_edges: frozenset[Edge]
+    # the number of tree edges between each vertex and the root
+    depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.parent)
@@ -128,6 +130,7 @@ class SpanningTree:
         if len(self.tree_edges) != n - 1:
             raise ValueError("a spanning tree on n vertices has n-1 edges")
         derived = set()
+        children: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
             if v == self.root:
                 continue
@@ -135,33 +138,23 @@ class SpanningTree:
             if not (0 <= p < n):
                 raise ValueError(f"parent of {v} out of range")
             derived.add(norm_edge(v, p))
+            children[p].append(v)
         if derived != set(self.tree_edges):
             raise ValueError("parent map and tree edge set disagree")
-        # parent chains must reach the root (no cycles)
-        for v in range(n):
-            seen = 0
-            u = v
-            while u != self.root:
-                u = self.parent[u]
-                seen += 1
-                if seen > n:
-                    raise ValueError("parent map contains a cycle")
+        # depths from the root down; a vertex never reached is on a cycle
+        depth = [0] * n
+        order = [self.root]
+        for u in order:
+            for v in children[u]:
+                depth[v] = depth[u] + 1
+                order.append(v)
+        if len(order) < n:
+            raise ValueError("parent map contains a cycle")
+        object.__setattr__(self, "depth", tuple(depth))
 
     @property
     def n(self) -> int:
         return len(self.parent)
-
-    @cached_property
-    def depth(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for v in range(self.n):
-            d = 0
-            u = v
-            while u != self.root:
-                u = self.parent[u]
-                d += 1
-            out[v] = d
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -472,7 +465,11 @@ def tree_from_edges(g: Graph, edges: Iterable[tuple[int, int]], root: int = 0) -
 
 
 def cotree_edges(g: Graph, t: SpanningTree) -> tuple[Edge, ...]:
-    """Edges outside the tree, ascending."""
+    """Edges outside the tree, ascending, after the one check, made for
+    every (G, T) routine, that t spans g: a SpanningTree has n-1 edges that
+    all reach its root, so it spans g when it has g's n and g's edges."""
+    if t.n != g.n:
+        raise ValueError(f"tree on {t.n} vertices does not span a graph on {g.n}")
     if not t.tree_edges <= g.edges:
         raise ValueError("tree is not a subgraph of the host graph")
     return tuple(sorted(g.edges - t.tree_edges))

@@ -16,9 +16,9 @@ gain-graph form instead (Reff 2012; Guo & Mohar 2017):
 D ranging over the sets of c(D) vertex-disjoint cycles of G, w(C) being the
 product of the entries around C and mu the matching polynomial.  Fix one
 spanning tree T0: w(C) depends only on the gains i^(g_j) of the m
-fundamental cycles of T0, so one table per graph (`GainTable`) holds every
-D with the cotree crossings of its cycles, and phi depends on g in Z4^m
-alone.  The table is folded once per coset g = pi + 2b (pi fixed, b in
+fundamental cycles of T0, so one table per (G, T0) (`GainTable`) holds
+every D with the cotree crossings of its cycles, and phi depends on g in
+Z4^m alone.  The table is folded once per coset g = pi + 2b (pi fixed, b in
 {0, 1}^m) into c_S(pi), S the cotree support of D, at most one D per S
 because D is the element of the cycle space with those cotree edges; one
 Walsh-Hadamard transform of the fold gives all 2^m charpolys of the coset.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernel
-from .graphs import Edge, Graph, MixedGraph, SignVector, SpanningTree, build_mixed, cotree_edges
+from .graphs import Edge, Graph, MixedGraph, SignVector, SpanningTree, build_mixed, cotree_edges, norm_edge
 from .matching import induced_matching_polynomials
 from .polynomials import (
     AlgebraicRoot,
@@ -189,38 +189,33 @@ class GainTable:
     integer each, base 2^width with signed digits; the width holds every
     partial sum of every fold, so packed integers of one table are equal
     exactly when their charpolys are (`unpack`).
+
+    Built from (G, T0): the cotree is `cotree_edges(g, t)`, kept as
+    `cotree`, and tree paths run toward `t.root`; a column records how each
+    fundamental cycle crosses the arc, so none depends on the root.
     """
 
-    def __init__(self, n: int, tree_edges: Iterable[Edge], cotree: Sequence[Edge]) -> None:
-        tree_edges = tuple(tree_edges)
+    def __init__(self, g: Graph, t: SpanningTree) -> None:
+        cotree = self.cotree = cotree_edges(g, t)
+        tree_edges = tuple(t.tree_edges)
         m = self.m = len(cotree)
-        g = Graph.of(n, [*tree_edges, *cotree])
+        n = g.n
         # edge bit m-1-j is cotree edge j, bit m+i is tree edge i
         edges = [*reversed(cotree), *tree_edges]
         star = [0] * n
         for bit, (u, v) in enumerate(edges):
             star[u] |= 1 << bit
             star[v] |= 1 << bit
-        # root the tree at 0: the path to the root of each vertex, as an edge
-        # mask, and the endpoint of each tree edge away from the root
-        tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for bit, (u, v) in enumerate(tree_edges, start=m):
-            tree_adj[u].append((v, bit))
-            tree_adj[v].append((u, bit))
+        # the path to the root of each vertex, as an edge mask, and the
+        # endpoint of each tree edge away from the root, parents first
+        tree_bit = {e: bit for bit, e in enumerate(tree_edges, start=m)}
         up = [0] * n
         child: dict[int, int] = {}
-        frontier = [0] if n else []
-        reached = set(frontier)
-        for u in frontier:
-            for v, bit in tree_adj[u]:
-                if v not in reached:
-                    reached.add(v)
-                    up[v] = up[u] | 1 << bit
-                    child[bit] = v
-                    frontier.append(v)
-        spanning = len(reached) == n and len(tree_edges) == max(n - 1, 0)
-        if not spanning or len(g.edges) != len(tree_edges) + m:
-            raise ValueError("tree_edges must be a spanning tree and cotree the other edges")
+        for v in sorted(range(n), key=t.depth.__getitem__)[1:]:
+            p = t.parent[v]
+            bit = tree_bit[norm_edge(v, p)]
+            up[v] = up[p] | 1 << bit
+            child[bit] = v
         fundamental = [1 << bit | up[u] ^ up[v] for bit, (u, v) in enumerate(edges[:m])]
 
         # the gain of the single arc u -> v: cotree edge j adds 1 to g_j; a
@@ -415,9 +410,8 @@ def converse_half_charpolys(g: Graph, t: SpanningTree) -> list[IntPoly]:
     the converse pair of the i-th) and the audit's leaves
     (`orientation._family_levels`).
     """
-    co = cotree_edges(g, t)
-    table = GainTable(g.n, t.tree_edges, co)
-    return [IntPoly(table.unpack(p)) for p in table.sweep((), co, half=True)]
+    table = GainTable(g, t)
+    return [IntPoly(table.unpack(p)) for p in table.sweep((), table.cotree, half=True)]
 
 
 # ---------------------------------------------------------------------------

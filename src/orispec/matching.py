@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,7 @@ class MatchingProfile:
         return len(self.counts) - 1
 
 
+@functools.lru_cache(maxsize=1)
 def induced_matching_polynomials(g: Graph) -> Callable[[int], tuple[int, ...]]:
     """mu(G[U]) for the vertex masks U of g (bit v for vertex v).
 
@@ -35,7 +37,9 @@ def induced_matching_polynomials(g: Graph) -> Callable[[int], tuple[int, ...]]:
         mu(U) = x mu(U - v) - sum_{w in N(v) & U} mu(U - v - w).
 
     Every mask met is memoised for the life of the function, so one function
-    serves all the vertex-deleted subgraphs of one graph.
+    serves all the vertex-deleted subgraphs of one graph.  The function of
+    the last graph asked for is kept with its memo, so one recursion serves
+    every caller on an equal graph (`Graph` hashes by value).
     """
     neighbours = [sum(1 << w for w in a) for a in g.adjacency]
     memo: dict[int, tuple[int, ...]] = {0: (1,)}

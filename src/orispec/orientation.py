@@ -152,11 +152,10 @@ def conditional_sum_fast(
     production route, which greedy_orientation takes with one table per
     descent; the brute-force sum is the reference the tests compare with.
     """
-    co = cotree_edges(g, t)
-    m = len(co)
+    m = len(cotree_edges(g, t))
     check_guard(_TABLE_WALK, "m", m, CONDITIONAL_SUM_GUARD_M, guard)
     p = _check_prefix(prefix, m)
-    table = GainTable(g.n, t.tree_edges, co)
+    table = GainTable(g, t)
     return _prefix_sum(table, _partial_terms(table), p)
 
 
@@ -237,11 +236,10 @@ def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> Orienta
     this call (`_prefix_sum`).  Under guards m <= CONDITIONAL_SUM_GUARD_M.
     """
     g.require_connected()
-    co = cotree_edges(g, t)
-    m = len(co)
+    m = len(cotree_edges(g, t))
     check_guard(_TABLE_WALK, "m", m, CONDITIONAL_SUM_GUARD_M, guard)
 
-    table = GainTable(g.n, t.tree_edges, co)
+    table = GainTable(g, t)
     terms = _partial_terms(table)
     prefix: list[int] = []
     current = _prefix_sum(table, terms, ())
@@ -256,7 +254,7 @@ def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> Orienta
         else:
             sign, current = 1, plus
         prefix.append(sign)
-        levels.append(LevelChoice(co[k], sign, root_plus, root_minus))
+        levels.append(LevelChoice(table.cotree[k], sign, root_plus, root_minus))
 
     final = current  # with every edge resolved the sum is one charpoly
     lam = isolate_largest_root(final)
@@ -268,7 +266,7 @@ def greedy_orientation(g: Graph, t: SpanningTree, guard: bool = True) -> Orienta
             "the interlacing argument and indicates a bug"
         )
     return OrientationCertificate(
-        signs=SignVector.for_tree(g, t, prefix),
+        signs=SignVector(table.cotree, tuple(prefix)),
         levels=tuple(levels),
         final_charpoly=final,
         largest_eigenvalue=lam,

@@ -6,7 +6,6 @@ from orispec import (
     Graph,
     IntPoly,
     bfs_spanning_tree,
-    cotree_edges,
     enumerate_spanning_trees,
     generate_corpus,
     graphs,
@@ -76,9 +75,8 @@ def corpus5_charpolys(corpus5):
         bfs = bfs_spanning_tree(g, 0)
         sweeps = [(t, ()) for t in enumerate_spanning_trees(g)] + [(bfs, sorted(bfs.tree_edges))]
         for t, arcs in sweeps:
-            co = cotree_edges(g, t)
-            table = hermitian.GainTable(g.n, t.tree_edges, co)
-            polys.update(map(table.unpack, table.sweep(arcs, co, half=not arcs)))
+            table = hermitian.GainTable(g, t)
+            polys.update(map(table.unpack, table.sweep(arcs, table.cotree, half=not arcs)))
     return [IntPoly(p) for p in sorted(polys)]
 
 
@@ -105,8 +103,8 @@ def gain_tables(monkeypatch):
     table = hermitian.GainTable
     init, coset, sweep = table.__init__, table.coset, table.sweep
 
-    def counting_init(self, n, tree_edges, cotree):
-        init(self, n, tree_edges, cotree)
+    def counting_init(self, g, t):
+        init(self, g, t)
         record.built.append(self.m)
 
     def counting_coset(self, parity):

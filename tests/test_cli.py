@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orispec import cli, explore, graphs, orientation, switching
+from orispec import cli, explore, graphs, matching, orientation, switching
 from orispec.errors import ComputationDefect
 from orispec.polynomials import IntPoly, roots_numeric
 
@@ -96,6 +96,16 @@ class TestMatching:
         code, out, _ = run(capsys, "matching", "-g", f"@{path}")
         assert code == 0
         assert "mu(x) = x^4-5x^2+2" in out
+
+    @pytest.mark.parametrize("argv", [("matching",), ("find-orientation", "--tree", "all")])
+    def test_one_recursion_per_graph(self, capsys, argv):
+        # the counts, mu and its radius, or every tree's gain table and
+        # matching bound, share one memo of K4 - e
+        memos = matching.induced_matching_polynomials
+        memos.cache_clear()
+        code, _, _ = run(capsys, *argv, "-g", EX1)
+        assert code == 0
+        assert memos.cache_info().misses == 1
 
 
 class TestCharpolyAndEigen:
@@ -383,6 +393,14 @@ class TestExplore:
         assert code == 0 and err == ""
         record = json.loads(out)
         assert record["n"] == 4 and record["guo_mohar"]["violations"] == []
+
+    def test_guard_refusal_beyond_graph6(self, capsys):
+        # graph6 has no short form for 64 vertices: the refusal names the
+        # graph by its place in the input
+        path64 = ";".join(f"{v} {v + 1}" for v in range(63))
+        code, out, err = run(capsys, "explore", "-g", path64)
+        assert code == 1 and out == ""
+        assert err.startswith("error: graph 1 (n=64): ") and "n=64 exceeds 7" in err
 
     def test_graph_and_max_n_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -394,7 +394,7 @@ class TestGainTable:
         for _ in range(400):
             g = rng.choice(graphs)
             t = rng.choice(enumerate_spanning_trees(g))
-            table = GainTable(g.n, t.tree_edges, cotree_edges(g, t))
+            table = GainTable(g, t)
             directions = {e: rng.choice((None, e, (e[1], e[0]))) for e in g.edge_list}
             d = MixedGraph.of(g, directions)
             kernel_calls.clear()

@@ -160,6 +160,12 @@ class TestSpanningTrees:
         assert t.tree_edges == frozenset()
         assert t.parent == (0,)
 
+    def test_parent_map_with_a_cycle(self):
+        # n - 1 distinct edges that match the parent map, yet 1 -> 2 -> 3 -> 1
+        # never reaches the root
+        with pytest.raises(ValueError, match="parent map contains a cycle"):
+            SpanningTree(0, (0, 2, 3, 1), frozenset({(1, 2), (2, 3), (1, 3)}))
+
     def test_bfs_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
             bfs_spanning_tree(Graph.of(3, [(0, 1)]), 0)

@@ -17,6 +17,7 @@ from orispec.graphs import (
     encode_graph6,
     enumerate_spanning_trees,
     sign_vectors,
+    tree_from_edges,
 )
 from orispec.hermitian import (
     G_I,
@@ -36,8 +37,16 @@ from orispec.hermitian import (
     spectral_radius_of_charpoly,
     verify_rank_one_identity,
 )
+from orispec.orientation import (
+    audit_interlacing_family,
+    conditional_sum_charpoly,
+    conditional_sum_fast,
+    expected_charpoly,
+    greedy_orientation,
+    verify_bound,
+)
 from orispec.polynomials import IntPoly, Order, cauchy_root_bound, compare_roots, squarefree_part
-from orispec.switching import classify_partial_orientations
+from orispec.switching import classify_partial_orientations, equiv_to_oriented, equiv_to_unoriented
 
 
 def grid(rows, cols):
@@ -210,10 +219,9 @@ class TestExactSpectra:
 def tree_sweep(g, t, tree_arcs=False, half=False):
     """Every charpoly the table of t's own tree sweeps over its cotree, in
     `sign_vectors` order, or over the converse halves."""
-    co = cotree_edges(g, t)
-    table = GainTable(g.n, t.tree_edges, co)
+    table = GainTable(g, t)
     arcs = sorted(t.tree_edges) if tree_arcs else ()
-    return [table.unpack(p) for p in table.sweep(arcs, co, half=half)]
+    return [table.unpack(p) for p in table.sweep(arcs, table.cotree, half=half)]
 
 
 def sign_index(signs):
@@ -301,17 +309,64 @@ class TestSignSweepByCycleExpansion:
                 assert got == want == [(0, 0, -3, 0, 1)]
 
     def test_one_and_no_vertex(self):
-        for n, poly in ((1, (0, 1)), (0, (1,))):
-            table = GainTable(n, (), ())
-            for half in (False, True):
-                assert [table.unpack(p) for p in table.sweep((), (), half=half)] == [poly]
-            assert list(oracles.sign_sweep_charpolys_by_kernel(n, (), (), [()])) == [poly]
+        g = Graph(1, frozenset())
+        table = GainTable(g, bfs_spanning_tree(g, 0))
+        for half in (False, True):
+            assert [table.unpack(p) for p in table.sweep((), (), half=half)] == [(0, 1)]
+        assert list(oracles.sign_sweep_charpolys_by_kernel(1, (), (), [()])) == [(0, 1)]
+        # the empty graph has no spanning tree, so it has no table
+        with pytest.raises(ValueError):
+            bfs_spanning_tree(Graph(0, frozenset()), 0)
 
-    def test_rejects_a_tree_that_does_not_span(self):
-        with pytest.raises(ValueError):
-            GainTable(4, [(0, 1), (2, 3)], [(1, 2)])
-        with pytest.raises(ValueError):
-            GainTable(3, [(0, 1), (1, 2)], [(0, 1)])
+    def test_rejects_a_tree_that_does_not_span(self, c4):
+        # the BFS tree of C4 inside C4 plus a pendant vertex: every public
+        # (G, T) routine refuses it at `cotree_edges`, as does the table
+        t = bfs_spanning_tree(c4, 0)
+        g = Graph.of(5, [*c4.edges, (0, 4)])
+        s = SignVector(tuple(sorted(g.edges - t.tree_edges)), (1, 1))
+        calls = (
+            lambda: cotree_edges(g, t),
+            lambda: SignVector.for_tree(g, t, (1, 1)),
+            lambda: build_mixed(g, t, s),
+            lambda: classify_partial_orientations(g, t),
+            lambda: equiv_to_oriented(g, t),
+            lambda: equiv_to_unoriented(g, t),
+            lambda: expected_charpoly(g, t),
+            lambda: conditional_sum_charpoly(g, t),
+            lambda: conditional_sum_fast(g, t),
+            lambda: verify_bound(g, t, s),
+            lambda: rank_one_witness(g, t, s),
+            lambda: verify_rank_one_identity(g, t, s),
+            lambda: greedy_orientation(g, t),
+            lambda: audit_interlacing_family(g, t),
+            lambda: GainTable(g, t),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="tree on 4 vertices does not span a graph on 5"):
+                call()
+        # same vertex count, but a tree edge that is not an edge of the host
+        k4 = Graph.of(4, itertools.combinations(range(4), 2))
+        star = bfs_spanning_tree(k4, 0)
+        for call in (lambda: cotree_edges(c4, star), lambda: GainTable(c4, star)):
+            with pytest.raises(ValueError, match="not a subgraph"):
+                call()
+
+    def test_table_does_not_depend_on_the_root(self, corpus5):
+        # the BFS tree at 0 rerooted at every vertex: the same sweeps and the
+        # same column for every single arc
+        for g in [*corpus5, PETERSEN]:
+            t = bfs_spanning_tree(g, 0)
+            tables = [GainTable(g, tree_from_edges(g, t.tree_edges, root=r)) for r in range(g.n)]
+            arcs = [a for u, v in g.edge_list for a in ((u, v), (v, u))]
+            want = None
+            for table in tables:
+                got = (
+                    table.sweep(sorted(t.tree_edges), table.cotree),
+                    table.sweep((), table.cotree, half=True),
+                    [table.gain((a,)) for a in arcs],
+                )
+                want = want or got
+                assert got == want, encode_graph6(g)
 
     def test_makes_no_kernel_call(self, kernel_calls):
         t = bfs_spanning_tree(PETERSEN, 0)

@@ -109,9 +109,8 @@ class TestConditionalSums:
         # depth-first order, as the descent reads it along each path
         for g in [*corpus5, grid(3, 4)]:
             t = bfs_spanning_tree(g, 0)
-            co = cotree_edges(g, t)
-            m = len(co)
-            table = GainTable(g.n, t.tree_edges, co)
+            table = GainTable(g, t)
+            m = table.m
             terms = _partial_terms(table)
             stack = [()]
             while stack:

@@ -857,9 +857,8 @@ class TestHalfDegreeIsolationAgainstFullDegree:
             if n < g.n:
                 g = Graph.of(n, [e for e in g.edges if max(e) < n])
             t = bfs_spanning_tree(g, 0)
-            co = cotree_edges(g, t)
-            table = GainTable(g.n, t.tree_edges, co)
-            polys = {IntPoly(table.unpack(c)) for c in table.sweep((), co)}
+            table = GainTable(g, t)
+            polys = {IntPoly(table.unpack(c)) for c in table.sweep((), table.cotree)}
             assert all(p.degree == n and not any(p.coeffs[1 - n % 2 :: 2]) for p in polys)
             for p in polys:
                 self.assert_matches_full_degree(p)
