@@ -23,9 +23,10 @@ import argparse
 import functools
 import json
 import sys
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ComputationDefect, OrispecError, ParseError
+from . import graphs
+from .errors import ComputationDefect, OrispecError, ParseError, check_guard
 from .explore import explore_records, generate_corpus
 from .graphs import (
     Edge,
@@ -33,11 +34,12 @@ from .graphs import (
     MixedGraph,
     SpanningTree,
     bfs_spanning_tree,
-    enumerate_spanning_trees,
     parse_edge_list,
     parse_graph6,
     parse_mixed,
+    spanning_tree_masks,
     tree_from_edges,
+    tree_from_mask,
 )
 from .hermitian import charpoly_of_mixed, converse_half_charpolys
 from .matching import matching_counts, matching_polynomial, matching_radius
@@ -112,11 +114,13 @@ def read_mixed(spec: str | None, fmt: str) -> MixedGraph:
     raise ParseError(f"unknown format {fmt!r}")
 
 
-def resolve_trees(spec: str, g: Graph, guard: bool) -> list[SpanningTree]:
-    """Tree spec: 'bfs:<root>', 'edges:u-v,u-v,...', or 'all'."""
+def resolve_trees(spec: str, g: Graph, guard: bool) -> Iterable[SpanningTree]:
+    """Tree spec: 'bfs:<root>', 'edges:u-v,u-v,...', or 'all'.  'all' builds
+    each tree when it is asked for, so a per-tree guard refuses at the first."""
     g.require_connected()
     if spec == "all":
-        return enumerate_spanning_trees(g, guard=guard)
+        check_guard("spanning-tree enumeration is exhaustive", "n", g.n, graphs.SPANNING_TREE_GUARD_N, guard)
+        return map(functools.partial(tree_from_mask, g), spanning_tree_masks(g))
     if spec.startswith("bfs:"):
         try:
             root = int(spec[4:])
@@ -237,8 +241,7 @@ def _per_tree(args, command: str, solve, as_json, as_text, finish=None, head=Non
     """
     g = read_mixed(args.graph, args.format).graph
     guard = not args.unsafe_no_guards
-    trees = resolve_trees(args.tree, g, guard)
-    results = [solve(g, t, guard) for t in trees]
+    trees, results = zip(*[(t, solve(g, t, guard)) for t in resolve_trees(args.tree, g, guard)])
     if finish is not None:
         results = finish(g, results)
     ok = not verdict or all(r.passed for r in results)

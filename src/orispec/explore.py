@@ -61,10 +61,7 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], Graph]:
     levels even on sparse graphs.
     """
     n = g.n
-    adjbits = [0] * n
-    for (u, v) in g.edges:
-        adjbits[u] |= 1 << v
-        adjbits[v] |= 1 << u
+    adjbits = g.neighbour_masks
     best_bits: list[int] | None = None
     best_perm: list[int] | None = None
 
@@ -112,10 +109,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     adjacency to the images of 0..v-1 matches that of v.
     """
     n = g.n
-    adjbits = [0] * n
-    for (u, v) in g.edges:
-        adjbits[u] |= 1 << v
-        adjbits[v] |= 1 << u
+    adjbits = g.neighbour_masks
     degree = [bin(a).count("1") for a in adjbits]
     image: list[int] = []
     out: list[tuple[int, ...]] = []
@@ -174,16 +168,14 @@ def generate_corpus(max_n: int, guard: bool = True) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-def _check_guards(
-    g: Graph, guard: bool, *, complete=False, partial=False, all_mixed: bool | None = False, sweep=False
-) -> None:
+def _check_guards(g: Graph, guard: bool, *, complete=False, partial=False, all_mixed=False, sweep=False) -> None:
     """Check that g is connected and then, unless guard is False, the guard
     of each named search, in the order a record runs them: complete, partial,
     all-mixed, bound sweep.
 
     Every search on g has cotree size m = |E| - n + 1, so the first refusal
-    comes before any work.  all_mixed=None means the all-mixed tier runs
-    only where its guard admits it, so it checks nothing.
+    comes before any work.  A report runs its all-mixed tier only where that
+    guard admits it, so it does not name all_mixed.
     """
     g.require_connected()
     if not guard:
@@ -297,7 +289,7 @@ class GuoMoharReport:
 @dataclass(frozen=True)
 class ConjectureReport:
     """Comparison of the minimum spectral radius over complete orientations
-    against partial orientations (and optionally all mixed graphs).
+    against partial orientations (and, for n <= 4, all mixed graphs).
 
     The working conjecture is that complete orientations attain the global
     minimum; ``consistent`` is False exactly when this sweep refutes it,
@@ -457,13 +449,11 @@ class _Search:
                 violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
         return GuoMoharReport(checked=len(packed), violations=tuple(violations))
 
-    def report(self, include_all_mixed: bool | None) -> ConjectureReport:
+    def report(self) -> ConjectureReport:
         c_root, c_witness = self.complete()
         p_root, p_tree, p_witness = self.partial()
-        if include_all_mixed is None:
-            include_all_mixed = self.g.n <= ALL_MIXED_GUARD_N
         all_root = all_cmp = None
-        if include_all_mixed:
+        if self.g.n <= ALL_MIXED_GUARD_N:
             all_root, _ = self.all_mixed()
             all_cmp = compare_roots(all_root, c_root, gcds=self.gcds)
         return ConjectureReport(
@@ -543,18 +533,18 @@ def guo_mohar_sweep(g: Graph, guard: bool = True) -> GuoMoharReport:
     return _Search(g).bound_sweep()
 
 
-def conjecture_report(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> ConjectureReport:
+def conjecture_report(g: Graph, guard: bool = True) -> ConjectureReport:
     """Assemble the three-tier minimum-rho comparison for one graph.
 
-    include_all_mixed defaults to running the 3^|E| sweep only when the
-    guard allows it (n <= 4).  Every guard of the report is checked before
-    any search, and the tiers share one `_Search`.
+    The 3^|E| all-mixed tier runs only where its guard admits it (n <= 4),
+    whatever guard says.  Every guard of the report is checked before any
+    search, and the tiers share one `_Search`.
     """
-    _check_guards(g, guard, complete=True, partial=True, all_mixed=include_all_mixed)
-    return _Search(g).report(include_all_mixed)
+    _check_guards(g, guard, complete=True, partial=True)
+    return _Search(g).report()
 
 
-def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool = True) -> dict:
+def explore_record(g: Graph, guard: bool = True) -> dict:
     """One JSON-ready record per graph: conjecture tiers plus the exact
     rho(mixed) <= rho(G) sweep.
 
@@ -565,9 +555,9 @@ def explore_record(g: Graph, include_all_mixed: bool | None = None, guard: bool 
     gcd memo, so each distinct charpoly is isolated once per record and the
     gcd of each distinct pair is computed once.
     """
-    _check_guards(g, guard, complete=True, partial=True, all_mixed=include_all_mixed, sweep=True)
+    _check_guards(g, guard, complete=True, partial=True, sweep=True)
     search = _Search(g)
-    report = search.report(include_all_mixed)
+    report = search.report()
     gm = search.bound_sweep()
     data = report.to_json()
     data["guo_mohar"] = {
@@ -587,12 +577,10 @@ def explore_records(graphs: Iterable[Graph], guard: bool = True) -> Iterator[dic
     every search.
     """
     graphs = tuple(graphs)
-    for k, g in enumerate(graphs, start=1):
+    for g in graphs:
         try:
             _check_guards(g, guard, complete=True, partial=True, sweep=True)
         except GuardLimit as exc:
-            # graph6 has a short form only up to 62 vertices
-            name = f"graph6={encode_graph6(g)}" if g.n <= 62 else f"graph {k} (n={g.n})"
-            exc.args = (f"{name}: {exc}",)
+            exc.args = (f"graph6={encode_graph6(g)}: {exc}",)
             raise
     return (explore_record(g, guard=guard) for g in graphs)

@@ -10,7 +10,6 @@ tree and every cotree edge carries a direction.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -58,6 +57,15 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """The neighbours of each vertex as a mask, bit w for vertex w."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -65,46 +73,40 @@ class Graph:
         return max((len(a) for a in self.adjacency), default=0)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = self._reach(0)
-        return len(seen) == self.n
-
-    def _reach(self, start: int) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+        return self.n <= 1 or len(_bfs(self.adjacency, 0)[1]) == self.n
 
     def require_connected(self) -> None:
         if self.n == 0:
             raise DisconnectedError("graph has no vertices")
-        seen = self._reach(0)
-        if len(seen) != self.n:
-            missing = min(set(range(self.n)) - seen)
-            raise DisconnectedError(f"vertex {missing} is not reachable from vertex 0")
+        parent, order = _bfs(self.adjacency, 0)
+        if len(order) != self.n:
+            raise DisconnectedError(f"vertex {parent.index(-1)} is not reachable from vertex 0")
 
     def is_bipartite(self) -> bool:
+        # colour each component by the parity of breadth-first depth
         color = [-1] * self.n
         for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if color[w] < 0:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
+            if color[s] < 0:
+                parent, order = _bfs(self.adjacency, s)
+                color[s] = 0
+                for v in order[1:]:
+                    color[v] = 1 - color[parent[v]]
+        return all(color[u] != color[v] for u, v in self.edges)
+
+
+def _bfs(nbrs: Sequence[Iterable[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from root over the neighbour lists nbrs, each in
+    its own order: (parent, order), parent[root] = root and -1 where the walk
+    does not reach, and order the reached vertices as visited."""
+    parent = [-1] * len(nbrs)
+    parent[root] = root
+    order = [root]
+    for u in order:
+        for w in nbrs[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return parent, order
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,8 @@ class SpanningTree:
     """Rooted spanning tree of a host graph.
 
     parent[root] == root; every other vertex points one step toward the
-    root along a tree edge.
+    root along a tree edge.  order lists every vertex once, parents before
+    children, as the check's walk from the root visits them.
     """
 
     root: int
@@ -120,6 +123,7 @@ class SpanningTree:
     tree_edges: frozenset[Edge]
     # the number of tree edges between each vertex and the root
     depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.parent)
@@ -141,16 +145,15 @@ class SpanningTree:
             children[p].append(v)
         if derived != set(self.tree_edges):
             raise ValueError("parent map and tree edge set disagree")
-        # depths from the root down; a vertex never reached is on a cycle
-        depth = [0] * n
-        order = [self.root]
-        for u in order:
-            for v in children[u]:
-                depth[v] = depth[u] + 1
-                order.append(v)
+        # the walk from the root down; a vertex never reached is on a cycle
+        _, order = _bfs(children, self.root)
         if len(order) < n:
             raise ValueError("parent map contains a cycle")
+        depth = [0] * n
+        for v in order[1:]:
+            depth[v] = depth[self.parent[v]] + 1
         object.__setattr__(self, "depth", tuple(depth))
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def n(self) -> int:
@@ -357,17 +360,21 @@ def format_mixed(d: MixedGraph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a short-form graph6 string (n <= 62)."""
+    """Decode graph6: n <= 62 in one character, or '~' and three up to 258047."""
     s = text.strip()
     if not s:
         raise ParseError("empty graph6 string")
     if any(ord(ch) < 63 or ord(ch) > 126 for ch in s):
         raise ParseError("graph6 characters must be in the range 63..126")
-    n = ord(s[0]) - 63
-    if n > 62:
-        raise ParseError("only short-form graph6 (n <= 62) is supported")
+    if s[0] != "~":
+        n, data = ord(s[0]) - 63, s[1:]
+    elif s[1:2] == "~":
+        raise ParseError("graph6 with more than 258047 vertices is not supported")
+    elif len(s) < 4:
+        raise ParseError("graph6 size '~' needs three more characters")
+    else:
+        n, data = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63, s[4:]
     need = (n * (n - 1) // 2 + 5) // 6
-    data = s[1:]
     if len(data) != need:
         raise ParseError(f"graph6 body for n={n} needs {need} characters, got {len(data)}")
     bits: list[int] = []
@@ -387,22 +394,16 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode as short-form graph6 (n <= 62)."""
-    if g.n > 62:
-        raise ValueError("only short-form graph6 (n <= 62) is supported")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    """Encode as graph6 (n <= 258047), the inverse of `parse_graph6`."""
+    n = g.n
+    if n > 258047:
+        raise ValueError(f"graph6 supports at most 258047 vertices, got n={n}")
+    size = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
+    # column v lists the pairs (0, v), ..., (v - 1, v)
+    masks = g.neighbour_masks
+    bits = "".join(format(masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return size + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +415,10 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     """Breadth-first spanning tree, neighbors visited in ascending order."""
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} outside vertex range")
-    parent = [-1] * g.n
-    parent[root] = root
-    order = deque([root])
-    edges = set()
-    while order:
-        u = order.popleft()
-        for w in g.adjacency[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                edges.add(norm_edge(u, w))
-                order.append(w)
-    for v in range(g.n):
-        if parent[v] < 0:
-            raise DisconnectedError(f"vertex {v} is not reachable from vertex {root}")
-    return SpanningTree(root, tuple(parent), frozenset(edges))
+    parent, order = _bfs(g.adjacency, root)
+    if len(order) < g.n:
+        raise DisconnectedError(f"vertex {parent.index(-1)} is not reachable from vertex {root}")
+    return SpanningTree(root, tuple(parent), frozenset(norm_edge(v, parent[v]) for v in order[1:]))
 
 
 def _rooted_tree(n: int, edges: frozenset[Edge], root: int) -> SpanningTree:
@@ -441,14 +431,7 @@ def _rooted_tree(n: int, edges: frozenset[Edge], root: int) -> SpanningTree:
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    parent = [-1] * n
-    parent[root] = root
-    order = [root]
-    for u in order:
-        for w in nbrs[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
+    parent, order = _bfs(nbrs, root)
     if len(order) < n:
         raise ValueError("edges do not form a spanning tree")
     return SpanningTree(root, tuple(parent), edges)
@@ -496,10 +479,7 @@ def spanning_tree_masks(g: Graph) -> list[int]:
     g.require_connected()
     n, edges = g.n, g.edge_list
     m = len(edges)
-    near = [0] * n  # the neighbours of each vertex over the edges not excluded
-    for u, v in edges:
-        near[u] |= 1 << v
-        near[v] |= 1 << u
+    near = list(g.neighbour_masks)  # the neighbours of each vertex over the edges not excluded
     part = [1 << v for v in range(n)]  # the component of each vertex over the chosen edges
     out: list[int] = []
 

@@ -211,7 +211,7 @@ class GainTable:
         tree_bit = {e: bit for bit, e in enumerate(tree_edges, start=m)}
         up = [0] * n
         child: dict[int, int] = {}
-        for v in sorted(range(n), key=t.depth.__getitem__)[1:]:
+        for v in t.order[1:]:
             p = t.parent[v]
             bit = tree_bit[norm_edge(v, p)]
             up[v] = up[p] | 1 << bit

@@ -41,7 +41,7 @@ def induced_matching_polynomials(g: Graph) -> Callable[[int], tuple[int, ...]]:
     the last graph asked for is kept with its memo, so one recursion serves
     every caller on an equal graph (`Graph` hashes by value).
     """
-    neighbours = [sum(1 << w for w in a) for a in g.adjacency]
+    neighbours = g.neighbour_masks
     memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
     def mu(mask: int) -> tuple[int, ...]:

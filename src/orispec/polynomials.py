@@ -671,8 +671,8 @@ class AlgebraicRoot:
             self._refine_step()
         return (self.lo, self.hi)
 
-    def approx(self, eps=Fraction(1, 10**12)) -> float:
-        self.refine(eps)
+    def approx(self) -> float:
+        self.refine(Fraction(1, 10**12))
         return float(self.midpoint)
 
     def __float__(self) -> float:
@@ -766,8 +766,8 @@ class AlgebraicRoot:
     def interval_strings(self) -> tuple[str, str]:
         return (str(self.lo), str(self.hi))
 
-    def to_json(self, eps=PRINT_WIDTH) -> dict:
-        self.refine(eps)
+    def to_json(self) -> dict:
+        self.refine(PRINT_WIDTH)
         lo, hi = self.interval_strings()
         return {
             "poly": self.poly.to_json(),

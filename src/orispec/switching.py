@@ -116,13 +116,10 @@ def switching_equivalent(d1: MixedGraph, d2: MixedGraph) -> SwitchingCertificate
     g = d1.graph
     g.require_connected()
     t = bfs_spanning_tree(g, 0)
-    order = sorted(range(g.n), key=lambda v: t.depth[v])
     for used_converse in (False, True):
         a = converse(d1) if used_converse else d1
         phases = [0] * g.n
-        for v in order:
-            if v == t.root:
-                continue
+        for v in t.order[1:]:
             u = t.parent[v]
             # need: phase_a(u, v) - phases[u] + phases[v] == phase_2(u, v)
             phases[v] = (phases[u] + d2.phase(u, v) - a.phase(u, v)) % 4

@@ -300,6 +300,19 @@ class TestPerTreeCommands:
         assert "m=21 exceeds 20" in err
         assert calls == []
 
+    def test_tree_all_refuses_at_the_first_tree(self, capsys, spanning_trees_built):
+        # every spanning tree of K8 has m = 21, so the first tree's guard
+        # refuses them all; K11 is refused by the tree guard before any listing
+        k8 = ";".join(f"{u} {v}" for u in range(8) for v in range(u + 1, 8))
+        code, out, err = run(capsys, "classify", "-g", k8, "--tree", "all")
+        assert code == 1 and out == "" and "m=21 exceeds" in err
+        assert len(spanning_trees_built) == 1
+        k11 = ";".join(f"{u} {v}" for u in range(11) for v in range(u + 1, 11))
+        code, out, err = run(capsys, "classify", "-g", k11, "--tree", "all")
+        assert code == 1 and out == ""
+        assert err.startswith("error: spanning-tree enumeration is exhaustive; n=11 exceeds 10")
+        assert len(spanning_trees_built) == 1
+
     @pytest.mark.parametrize(
         "command, module, limit",
         [
@@ -396,11 +409,19 @@ class TestExplore:
 
     def test_guard_refusal_beyond_graph6(self, capsys):
         # graph6 has no short form for 64 vertices: the refusal names the
-        # graph by its place in the input
+        # graph by its long form, '~' and three size characters
         path64 = ";".join(f"{v} {v + 1}" for v in range(63))
         code, out, err = run(capsys, "explore", "-g", path64)
         assert code == 1 and out == ""
-        assert err.startswith("error: graph 1 (n=64): ") and "n=64 exceeds 7" in err
+        assert err.startswith("error: graph6=~?@?") and "n=64 exceeds 7" in err
+
+    def test_record_beyond_62_vertices(self, capsys):
+        path64 = graphs.Graph.of(64, [(v, v + 1) for v in range(63)])
+        text = ";".join(f"{u} {v}" for u, v in path64.edge_list)
+        code, data, err = run_json(capsys, "explore", "-g", text, "--unsafe-no-guards")
+        assert code == 0 and err == ""
+        assert data["n"] == 64 and data["graph6"] == graphs.encode_graph6(path64)
+        assert graphs.parse_graph6(data["graph6"]) == path64
 
     def test_graph_and_max_n_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -412,11 +433,11 @@ class TestExplore:
         original = explore.explore_record
         computed = []
 
-        def failing_second(g, include_all_mixed=None, guard=True):
+        def failing_second(g, guard=True):
             computed.append(g)
             if len(computed) == 2:
                 raise ComputationDefect("second record")
-            return original(g, include_all_mixed, guard)
+            return original(g, guard)
 
         monkeypatch.setattr(explore, "explore_record", failing_second)
         code, out, err = run(capsys, "explore", "--max-n", "3", "--json")

@@ -479,8 +479,11 @@ class TestRadiusMinPruning:
         assert explore._radius_min(candidates, {}, {})[0].to_json() != unpruned
 
     def test_prune_margin_is_the_printed_width(self):
-        assert AlgebraicRoot.to_json.__defaults__ == (polynomials.PRINT_WIDTH,)
-        assert explore.PRINT_WIDTH is AlgebraicRoot.to_json.__defaults__[0]
+        # to_json refines to the width that the prune adds as its margin
+        assert explore.PRINT_WIDTH is polynomials.PRINT_WIDTH
+        root = spectral_radius_of_charpoly(SQRT2)
+        root.to_json()
+        assert polynomials.PRINT_WIDTH / 2 <= root.width < polynomials.PRINT_WIDTH
 
     @staticmethod
     def searches(g):
@@ -587,7 +590,7 @@ class TestExploreRecords:
         assert [r["n"] for r in recs] == [1, 2, 3, 3]
 
     def test_guards_checked_before_any_record(self, c4, monkeypatch):
-        def unexpected(g, include_all_mixed=None):
+        def unexpected(g, guard=True):
             raise AssertionError("record computed before the guards were checked")
 
         monkeypatch.setattr(explore, "explore_record", unexpected)
@@ -604,7 +607,7 @@ class TestExploreRecords:
             "bound sweep enumerates 2^m orientations; m=15 exceeds 12 (pass guard=False to override)"
         )
         with pytest.raises(GuardLimit) as refused:
-            conjecture_report(complete_graph(5), include_all_mixed=True)
+            min_rho_all_mixed(complete_graph(5))
         assert str(refused.value) == (
             "all-mixed search enumerates 3^|E| states; n=5 exceeds 4 (pass guard=False to override)"
         )
@@ -624,9 +627,9 @@ class TestExploreRecords:
         calls = []
         original = explore.explore_record
 
-        def counting(g, include_all_mixed=None, guard=True):
+        def counting(g, guard=True):
             calls.append(g)
-            return original(g, include_all_mixed, guard)
+            return original(g, guard)
 
         monkeypatch.setattr(explore, "explore_record", counting)
         records = explore_records(graphs)

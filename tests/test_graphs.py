@@ -67,6 +67,20 @@ class TestGraph:
         assert c4.is_bipartite()
         assert not ex1.is_bipartite()
 
+    def test_bipartite_matches_networkx(self, corpus6):
+        nx = pytest.importorskip("networkx")
+        # the corpus, and disconnected graphs with a bipartite first component
+        c4_and_triangle = Graph.of(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
+        two_paths = Graph.of(5, [(0, 1), (2, 3), (3, 4)])
+        for g in [*corpus6, c4_and_triangle, two_paths, Graph.of(3, [])]:
+            h = nx.Graph(g.edge_list)
+            h.add_nodes_from(range(g.n))
+            assert g.is_bipartite() == nx.is_bipartite(h), g.edge_list
+
+    def test_neighbour_masks_match_adjacency(self, corpus6):
+        for g in [*corpus6, Graph.of(4, [(0, 1), (2, 3)]), Graph.of(0, [])]:
+            assert g.neighbour_masks == tuple(sum(1 << w for w in a) for a in g.adjacency)
+
 
 class TestParsing:
     def test_edge_list_basic(self):
@@ -137,6 +151,28 @@ class TestParsing:
     def test_graph6_roundtrip_small(self, c4, ex1):
         for g in (c4, ex1, Graph.of(1, []), Graph.of(2, [(0, 1)])):
             assert parse_graph6(encode_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [1, 62, 63, 64, 100, 300])
+    def test_graph6_long_form_matches_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        h = nx.gnp_random_graph(n, 0.1, seed=rng.randrange(2**32))
+        g = Graph.of(n, h.edges())
+        ours = encode_graph6(g)
+        assert ours == nx.to_graph6_bytes(h, header=False).decode().strip()
+        assert ours.startswith("~") == (n > 62)
+        assert parse_graph6(ours) == g
+        back = nx.from_graph6_bytes(ours.encode())
+        assert back.number_of_nodes() == n
+        assert {tuple(sorted(e)) for e in back.edges()} == set(g.edges)
+
+    def test_graph6_size_limits(self):
+        with pytest.raises(ParseError, match="more than 258047 vertices"):
+            parse_graph6("~~??????")
+        with pytest.raises(ParseError, match="three more characters"):
+            parse_graph6("~?@")
+        with pytest.raises(ValueError, match="at most 258047 vertices"):
+            encode_graph6(Graph(258048, frozenset()))
 
     def test_graph6_matches_networkx(self, corpus6):
         nx = pytest.importorskip("networkx")
@@ -221,6 +257,30 @@ class TestSpanningTrees:
                         steps += 1
                         assert steps <= g.n
                     assert steps == t.depth[v]
+
+
+    def test_bfs_parents_match_networkx(self, corpus6):
+        nx = pytest.importorskip("networkx")
+        for g in corpus6:
+            h = nx.Graph(g.edge_list)
+            h.add_nodes_from(range(g.n))
+            for root in range(g.n):
+                parent = dict(enumerate(bfs_spanning_tree(g, root).parent))
+                del parent[root]
+                assert parent == dict(nx.bfs_predecessors(h, root, sort_neighbors=sorted))
+
+    @staticmethod
+    def assert_parents_first(t: SpanningTree) -> None:
+        assert sorted(t.order) == list(range(t.n)) and t.order[0] == t.root
+        place = {v: k for k, v in enumerate(t.order)}
+        assert all(place[t.parent[v]] < place[v] for v in t.order[1:])
+
+    def test_order_lists_parents_first(self, corpus6):
+        for g in corpus6:
+            for root in range(g.n):
+                self.assert_parents_first(bfs_spanning_tree(g, root))
+            for mask in spanning_tree_masks(g):
+                self.assert_parents_first(tree_from_mask(g, mask))
 
 
 def grid(rows: int, cols: int) -> Graph:
