@@ -25,21 +25,19 @@ import json
 import sys
 from typing import Iterable, NamedTuple, Sequence
 
-from . import graphs
-from .errors import ComputationDefect, OrispecError, ParseError, check_guard
+from .errors import ComputationDefect, OrispecError, ParseError
 from .explore import explore_records, generate_corpus
 from .graphs import (
     Edge,
     Graph,
     MixedGraph,
     SpanningTree,
+    _spanning_trees,
     bfs_spanning_tree,
     parse_edge_list,
     parse_graph6,
     parse_mixed,
-    spanning_tree_masks,
     tree_from_edges,
-    tree_from_mask,
 )
 from .hermitian import charpoly_of_mixed, converse_half_charpolys
 from .matching import matching_counts, matching_polynomial, matching_radius
@@ -119,8 +117,7 @@ def resolve_trees(spec: str, g: Graph, guard: bool) -> Iterable[SpanningTree]:
     each tree when it is asked for, so a per-tree guard refuses at the first."""
     g.require_connected()
     if spec == "all":
-        check_guard("spanning-tree enumeration is exhaustive", "n", g.n, graphs.SPANNING_TREE_GUARD_N, guard)
-        return map(functools.partial(tree_from_mask, g), spanning_tree_masks(g))
+        return _spanning_trees(g, guard)
     if spec.startswith("bfs:"):
         try:
             root = int(spec[4:])

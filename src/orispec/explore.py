@@ -577,10 +577,13 @@ def explore_records(graphs: Iterable[Graph], guard: bool = True) -> Iterator[dic
     every search.
     """
     graphs = tuple(graphs)
-    for g in graphs:
+    for k, g in enumerate(graphs, start=1):
         try:
             _check_guards(g, guard, complete=True, partial=True, sweep=True)
         except GuardLimit as exc:
-            exc.args = (f"graph6={encode_graph6(g)}: {exc}",)
+            # a graph6 name grows as n^2/6, so past its short form (n <= 62)
+            # the refusal names the graph by its place in the input
+            name = f"graph6={encode_graph6(g)}" if g.n <= 62 else f"graph {k} (n={g.n})"
+            exc.args = (f"{name}: {exc}",)
             raise
     return (explore_record(g, guard=guard) for g in graphs)

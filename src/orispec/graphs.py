@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DisconnectedError, ParseError, check_guard
@@ -83,22 +83,29 @@ class Graph:
             raise DisconnectedError(f"vertex {parent.index(-1)} is not reachable from vertex 0")
 
     def is_bipartite(self) -> bool:
-        # colour each component by the parity of breadth-first depth
-        color = [-1] * self.n
+        # colour each component by the parity of breadth-first depth; the
+        # walks share one parent list, so each vertex is visited once
+        parent = [-1] * self.n
+        color = [0] * self.n
         for s in range(self.n):
-            if color[s] < 0:
-                parent, order = _bfs(self.adjacency, s)
-                color[s] = 0
-                for v in order[1:]:
+            if parent[s] < 0:
+                for v in _bfs(self.adjacency, s, parent)[1][1:]:
                     color[v] = 1 - color[parent[v]]
         return all(color[u] != color[v] for u, v in self.edges)
 
 
-def _bfs(nbrs: Sequence[Iterable[int]], root: int) -> tuple[list[int], list[int]]:
+def _bfs(
+    nbrs: Sequence[Iterable[int]], root: int, parent: list[int] | None = None
+) -> tuple[list[int], list[int]]:
     """Breadth-first walk from root over the neighbour lists nbrs, each in
     its own order: (parent, order), parent[root] = root and -1 where the walk
-    does not reach, and order the reached vertices as visited."""
-    parent = [-1] * len(nbrs)
+    does not reach, and order the reached vertices as visited.
+
+    A given parent list is filled in place and its entries other than -1
+    count as visited, so walks from several roots can share it.
+    """
+    if parent is None:
+        parent = [-1] * len(nbrs)
     parent[root] = root
     order = [root]
     for u in order:
@@ -466,9 +473,10 @@ def tree_from_mask(g: Graph, mask: int) -> SpanningTree:
     return _rooted_tree(g.n, frozenset(e for k, e in enumerate(edges) if mask >> (top - k) & 1), 0)
 
 
-def spanning_tree_masks(g: Graph) -> list[int]:
+def spanning_tree_masks(g: Graph) -> Iterator[int]:
     """Every spanning tree of g as an integer mask over `g.edge_list`, edge
-    k at bit m-1-k, in descending order.
+    k at bit m-1-k, in descending order, each made when it is asked for.
+    g is checked to be connected before this call returns.
 
     Include-first recursion over the sorted edges: an edge is included when
     it joins two components of the edges chosen so far, and excluded when
@@ -481,7 +489,6 @@ def spanning_tree_masks(g: Graph) -> list[int]:
     m = len(edges)
     near = list(g.neighbour_masks)  # the neighbours of each vertex over the edges not excluded
     part = [1 << v for v in range(n)]  # the component of each vertex over the chosen edges
-    out: list[int] = []
 
     def reaches(u: int, v: int) -> bool:
         seen = frontier = 1 << u
@@ -497,10 +504,10 @@ def spanning_tree_masks(g: Graph) -> list[int]:
             seen |= frontier
         return True
 
-    def rec(k: int, tree: int, left: int) -> None:
+    def rec(k: int, tree: int, left: int) -> Iterator[int]:
         # k < m while edges are left to choose: the edges not excluded span
         if not left:
-            out.append(tree)
+            yield tree
             return
         u, v = edges[k]
         together = part[u] >> v & 1
@@ -511,17 +518,27 @@ def spanning_tree_masks(g: Graph) -> list[int]:
                 low = rest & -rest
                 part[low.bit_length() - 1] = merged
                 rest ^= low
-            rec(k + 1, tree | 1 << (m - 1 - k), left - 1)
+            yield from rec(k + 1, tree | 1 << (m - 1 - k), left - 1)
             part[:] = saved
         near[u] ^= 1 << v
         near[v] ^= 1 << u
         if together or reaches(u, v):
-            rec(k + 1, tree, left)
+            yield from rec(k + 1, tree, left)
         near[u] ^= 1 << v
         near[v] ^= 1 << u
 
-    rec(0, 0, n - 1)
-    return out
+    return rec(0, 0, n - 1)
+
+
+def _spanning_trees(g: Graph, guard: bool = True) -> Iterator[SpanningTree]:
+    """All spanning trees, in the order of `spanning_tree_masks`, each built
+    when it is asked for; g and the guard are checked before this returns.
+
+    Exhaustive, so guarded to n <= 10 by default.
+    """
+    masks = spanning_tree_masks(g)  # checks that g is connected
+    check_guard("spanning-tree enumeration is exhaustive", "n", g.n, SPANNING_TREE_GUARD_N, guard)
+    return map(partial(tree_from_mask, g), masks)
 
 
 def enumerate_spanning_trees(g: Graph, guard: bool = True) -> list[SpanningTree]:
@@ -529,9 +546,7 @@ def enumerate_spanning_trees(g: Graph, guard: bool = True) -> list[SpanningTree]
 
     Exhaustive, so guarded to n <= 10 by default.
     """
-    g.require_connected()
-    check_guard("spanning-tree enumeration is exhaustive", "n", g.n, SPANNING_TREE_GUARD_N, guard)
-    return [tree_from_mask(g, mask) for mask in spanning_tree_masks(g)]
+    return list(_spanning_trees(g, guard))
 
 
 def tree_parity_bipartition(t: SpanningTree) -> tuple[frozenset[int], frozenset[int]]:

@@ -300,18 +300,25 @@ class TestPerTreeCommands:
         assert "m=21 exceeds 20" in err
         assert calls == []
 
-    def test_tree_all_refuses_at_the_first_tree(self, capsys, spanning_trees_built):
-        # every spanning tree of K8 has m = 21, so the first tree's guard
-        # refuses them all; K11 is refused by the tree guard before any listing
-        k8 = ";".join(f"{u} {v}" for u in range(8) for v in range(u + 1, 8))
-        code, out, err = run(capsys, "classify", "-g", k8, "--tree", "all")
-        assert code == 1 and out == "" and "m=21 exceeds" in err
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_tree_all_refuses_at_the_first_tree(self, capsys, spanning_trees_built, n):
+        # every spanning tree of Kn has m = (n-1)(n-2)/2, so the first tree's
+        # guard refuses them all, before any later tree or mask is made:
+        # K10 has 10^8 spanning trees
+        kn = ";".join(f"{u} {v}" for u in range(n) for v in range(u + 1, n))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "-g", kn, "--tree", "all")
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == "" and f"m={(n - 1) * (n - 2) // 2} exceeds" in err
         assert len(spanning_trees_built) == 1
+
+    def test_tree_all_guard_comes_before_any_tree(self, capsys, spanning_trees_built):
+        # K11 is refused by the tree guard before any listing
         k11 = ";".join(f"{u} {v}" for u in range(11) for v in range(u + 1, 11))
         code, out, err = run(capsys, "classify", "-g", k11, "--tree", "all")
         assert code == 1 and out == ""
         assert err.startswith("error: spanning-tree enumeration is exhaustive; n=11 exceeds 10")
-        assert len(spanning_trees_built) == 1
+        assert spanning_trees_built == []
 
     @pytest.mark.parametrize(
         "command, module, limit",
@@ -409,11 +416,22 @@ class TestExplore:
 
     def test_guard_refusal_beyond_graph6(self, capsys):
         # graph6 has no short form for 64 vertices: the refusal names the
-        # graph by its long form, '~' and three size characters
+        # graph by its place in the input
         path64 = ";".join(f"{v} {v + 1}" for v in range(63))
         code, out, err = run(capsys, "explore", "-g", path64)
         assert code == 1 and out == ""
-        assert err.startswith("error: graph6=~?@?") and "n=64 exceeds 7" in err
+        assert err.startswith("error: graph 1 (n=64): ") and "n=64 exceeds 7" in err
+
+    @pytest.mark.parametrize("n", [5000, 258048])
+    def test_refusal_of_a_large_graph_is_short(self, capsys, n):
+        # the refusal's name does not grow with the graph (a graph6 name has
+        # n^2/6 characters), and past graph6's 258,047 vertices the guard
+        # message still comes, not an encoder error
+        path = ";".join(f"{v} {v + 1}" for v in range(n - 1))
+        code, out, err = run(capsys, "explore", "-g", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: graph 1 (n={n}): ") and f"n={n} exceeds 7" in err
+        assert len(err) < 200
 
     def test_record_beyond_62_vertices(self, capsys):
         path64 = graphs.Graph.of(64, [(v, v + 1) for v in range(63)])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from orispec import graphs
 from orispec.errors import DisconnectedError, GuardLimit, ParseError
 from orispec.graphs import (
     Graph,
@@ -76,6 +77,21 @@ class TestGraph:
             h = nx.Graph(g.edge_list)
             h.add_nodes_from(range(g.n))
             assert g.is_bipartite() == nx.is_bipartite(h), g.edge_list
+
+    def test_bipartite_visits_each_vertex_once(self, monkeypatch):
+        # one walk per component, over one shared parent list
+        visited = []
+        bfs = graphs._bfs
+
+        def recording(*args):
+            parent, order = bfs(*args)
+            visited.extend(order)
+            return parent, order
+
+        monkeypatch.setattr(graphs, "_bfs", recording)
+        g = Graph.of(9, [(1, 2), (2, 3), (5, 6), (6, 7), (5, 7)])
+        assert not g.is_bipartite()
+        assert sorted(visited) == list(range(9))
 
     def test_neighbour_masks_match_adjacency(self, corpus6):
         for g in [*corpus6, Graph.of(4, [(0, 1), (2, 3)]), Graph.of(0, [])]:
@@ -309,7 +325,7 @@ class TestSpanningTreeMasks:
     @staticmethod
     def assert_matches_reference(g: Graph, count: int | None = None, trees: bool = True) -> None:
         reference = oracles.spanning_tree_edges_by_recursion(g)
-        masks = spanning_tree_masks(g)
+        masks = list(spanning_tree_masks(g))
         assert masks == [mask_of(g, edges) for edges in reference]
         assert masks == sorted(set(masks), reverse=True)
         if count is not None:
@@ -336,7 +352,7 @@ class TestSpanningTreeMasks:
         self.assert_matches_reference(grid(4, 4), 100352, trees=False)
 
     def test_n1_is_the_empty_tree(self):
-        assert spanning_tree_masks(Graph.of(1, [])) == [0]
+        assert list(spanning_tree_masks(Graph.of(1, []))) == [0]
         assert enumerate_spanning_trees(Graph.of(1, [])) == [SpanningTree(0, (0,), frozenset())]
 
     def test_disconnected_and_empty_graphs_are_rejected(self):
