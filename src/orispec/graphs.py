@@ -118,49 +118,43 @@ def _bfs(
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Rooted spanning tree of a host graph.
+    """Spanning tree on vertices 0..n-1, n = |tree_edges| + 1, rooted at root.
 
-    parent[root] == root; every other vertex points one step toward the
-    root along a tree edge.  order lists every vertex once, parents before
-    children, as the check's walk from the root visits them.
+    The one walk that checks the edges derives the rest: parent[root] ==
+    root and every other vertex points one step toward the root along a
+    tree edge; order lists every vertex once, parents before children and
+    each vertex's children ascending; depth counts the tree edges between
+    each vertex and the root.  Root and edges fix all three, so equality
+    and hashing read only those two.
     """
 
     root: int
-    parent: tuple[int, ...]
     tree_edges: frozenset[Edge]
-    # the number of tree edges between each vertex and the root
-    depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    parent: tuple[int, ...] = field(init=False, repr=False, compare=False)
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.parent)
-        if not (0 <= self.root < n) or n == 0:
-            raise ValueError("root outside vertex range")
-        if self.parent[self.root] != self.root:
-            raise ValueError("root must be its own parent")
-        if len(self.tree_edges) != n - 1:
-            raise ValueError("a spanning tree on n vertices has n-1 edges")
-        derived = set()
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v == self.root:
-                continue
-            p = self.parent[v]
-            if not (0 <= p < n):
-                raise ValueError(f"parent of {v} out of range")
-            derived.add(norm_edge(v, p))
-            children[p].append(v)
-        if derived != set(self.tree_edges):
-            raise ValueError("parent map and tree edge set disagree")
-        # the walk from the root down; a vertex never reached is on a cycle
-        _, order = _bfs(children, self.root)
+        n = len(self.tree_edges) + 1
+        if not (0 <= self.root < n):
+            raise ValueError(f"root {self.root} outside vertex range")
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        # ascending edges give each vertex its neighbours ascending
+        for u, v in sorted(self.tree_edges):
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u}, {v}) is not normalized inside 0..{n - 1}")
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        # n - 1 edges that reach all n vertices form a tree
+        parent, order = _bfs(nbrs, self.root)
         if len(order) < n:
-            raise ValueError("parent map contains a cycle")
+            raise ValueError("edges do not form a spanning tree")
         depth = [0] * n
         for v in order[1:]:
-            depth[v] = depth[self.parent[v]] + 1
-        object.__setattr__(self, "depth", tuple(depth))
+            depth[v] = depth[parent[v]] + 1
+        object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "depth", tuple(depth))
 
     @property
     def n(self) -> int:
@@ -425,23 +419,7 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     parent, order = _bfs(g.adjacency, root)
     if len(order) < g.n:
         raise DisconnectedError(f"vertex {parent.index(-1)} is not reachable from vertex {root}")
-    return SpanningTree(root, tuple(parent), frozenset(norm_edge(v, parent[v]) for v in order[1:]))
-
-
-def _rooted_tree(n: int, edges: frozenset[Edge], root: int) -> SpanningTree:
-    """The SpanningTree rooted at root of an edge set on n vertices.  The
-    parent map of a tree toward its root is unique, so the order of the
-    breadth-first walk does not show."""
-    if not (0 <= root < n):
-        raise ValueError(f"root {root} outside vertex range")
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    parent, order = _bfs(nbrs, root)
-    if len(order) < n:
-        raise ValueError("edges do not form a spanning tree")
-    return SpanningTree(root, tuple(parent), edges)
+    return SpanningTree(root, frozenset(norm_edge(v, parent[v]) for v in order[1:]))
 
 
 def tree_from_edges(g: Graph, edges: Iterable[tuple[int, int]], root: int = 0) -> SpanningTree:
@@ -451,7 +429,7 @@ def tree_from_edges(g: Graph, edges: Iterable[tuple[int, int]], root: int = 0) -
         raise ValueError(f"tree edges {sorted(es - g.edges)} are not host edges")
     if len(es) != g.n - 1:
         raise ValueError("a spanning tree on n vertices has n-1 edges")
-    return _rooted_tree(g.n, es, root)
+    return SpanningTree(root, es)
 
 
 def cotree_edges(g: Graph, t: SpanningTree) -> tuple[Edge, ...]:
@@ -470,7 +448,7 @@ def tree_from_mask(g: Graph, mask: int) -> SpanningTree:
     `g.edge_list` at bit m-1-k, as `spanning_tree_masks` lists them."""
     edges = g.edge_list
     top = len(edges) - 1
-    return _rooted_tree(g.n, frozenset(e for k, e in enumerate(edges) if mask >> (top - k) & 1), 0)
+    return SpanningTree(0, frozenset(e for k, e in enumerate(edges) if mask >> (top - k) & 1))
 
 
 def spanning_tree_masks(g: Graph) -> Iterator[int]:

@@ -501,12 +501,14 @@ def rank_one_witness(g: Graph, t: SpanningTree, s: SignVector) -> RankOneWitness
     d = build_mixed(g, t, s)
     h = hermitian_adjacency(d)
     n = g.n
-    lhs = [[G_ZERO] * n for _ in range(n)]
+    # J_T, the Laplacian of the tree, is integral and on both sides
+    jt = [[0] * n for _ in range(n)]
     for (u, v) in t.tree_edges:
-        lhs[u][u] += G_ONE
-        lhs[v][v] += G_ONE
-        lhs[u][v] -= G_ONE
-        lhs[v][u] -= G_ONE
+        jt[u][u] += 1
+        jt[v][v] += 1
+        jt[u][v] -= 1
+        jt[v][u] -= 1
+    lhs = [[GaussInt(a, 0) for a in row] for row in jt]
     for j, (u, v) in enumerate(s.edges):
         # (e_u + sign*i*e_v)(e_u + sign*i*e_v)^* has diagonal 1 at u and v
         # and off-diagonal -sign*i at (u, v)
@@ -526,16 +528,10 @@ def rank_one_witness(g: Graph, t: SpanningTree, s: SignVector) -> RankOneWitness
         if mismatch:
             break
     delta = max(degree, default=0)
-    # M = Delta*I - D + J_T is real and integral; J_T part recomputed here
-    m = [[0] * n for _ in range(n)]
+    # jt becomes M = Delta*I - D + J_T, real and integral
     for v in range(n):
-        m[v][v] = delta - degree[v]
-    for (u, v) in t.tree_edges:
-        m[u][u] += 1
-        m[v][v] += 1
-        m[u][v] -= 1
-        m[v][u] -= 1
-    margins = _dominance_margins(m)
+        jt[v][v] += delta - degree[v]
+    margins = _dominance_margins(jt)
     return RankOneWitness(
         holds=mismatch is None,
         first_mismatch=mismatch,

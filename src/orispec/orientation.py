@@ -7,13 +7,16 @@ which keeps every quantity an integer polynomial: the full sum equals
 2^m * mu_G, each node of the assignment tree is the sum of its two
 children, and the leaves are honest characteristic polynomials.
 
-Production computes every conditional sum through one route, a prefix sum
-of the fold of the gain table that also serves the sign sweeps
-(`hermitian.GainTable`, see `conditional_sum_fast`); no matrix is
-formed.  The brute enumeration of completions, `conditional_sum_charpoly`,
-is kept as the reference the tests compare against, and the expectation
-is checked by an independent expansion over matchings
-(`expected_charpoly`).
+Production computes conditional sums through two routes over the gain
+table (`hermitian.GainTable`), and no matrix is formed.  The greedy descent
+and `conditional_sum_fast` take prefix sums of the table's fold
+(`_prefix_sum`), one node at a time.  The audit needs every node, so it
+sweeps the leaf charpolys over the converse halves and adds them in pairs
+up the levels (`_family_levels`).  The brute enumeration of completions,
+`conditional_sum_charpoly`, is kept as the reference the tests compare the
+prefix sums against; the audit is compared with an unreduced audit over
+all 2^m leaves.  The expectation is checked by an independent expansion
+over matchings (`expected_charpoly`).
 
 The greedy descent walks from the root to a leaf, at each level keeping the
 child whose largest root is (weakly) smaller, and certifies at the end that
@@ -148,9 +151,9 @@ def conditional_sum_fast(
 
     The charpoly is multilinear in the cotree signs (`hermitian` module
     docstring), so the sum over completions keeps the table entries c_S
-    whose set S lies inside the resolved edges (`_prefix_sum`).  This is the
-    production route, which greedy_orientation takes with one table per
-    descent; the brute-force sum is the reference the tests compare with.
+    whose set S lies inside the resolved edges (`_prefix_sum`).  The greedy
+    descent calls `_prefix_sum` itself on the one table it builds; the
+    brute-force sum is the reference the tests compare with.
     """
     m = len(cotree_edges(g, t))
     check_guard(_TABLE_WALK, "m", m, CONDITIONAL_SUM_GUARD_M, guard)

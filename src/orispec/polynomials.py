@@ -1029,11 +1029,6 @@ def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot, *, gcds: Gcds | None = Non
     return a.compare(b, gcds=gcds)
 
 
-def refine(a: AlgebraicRoot, eps) -> tuple[Fraction, Fraction]:
-    """Narrow the isolating interval of a to width < eps; returns (lo, hi)."""
-    return a.refine(eps)
-
-
 def roots_numeric(p: IntPoly, eps=Fraction(1, 10**9)) -> list[float]:
     """All real roots with multiplicity as floats, ascending: the midpoints
     of their intervals refined below eps or below R * 2^-52, R =

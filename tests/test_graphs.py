@@ -213,10 +213,30 @@ class TestSpanningTrees:
         assert t.parent == (0,)
 
     def test_parent_map_with_a_cycle(self):
-        # n - 1 distinct edges that match the parent map, yet 1 -> 2 -> 3 -> 1
-        # never reaches the root
-        with pytest.raises(ValueError, match="parent map contains a cycle"):
-            SpanningTree(0, (0, 2, 3, 1), frozenset({(1, 2), (2, 3), (1, 3)}))
+        # n - 1 distinct edges, yet the cycle 1 - 2 - 3 never reaches the root
+        with pytest.raises(ValueError, match="edges do not form a spanning tree"):
+            SpanningTree(0, frozenset({(1, 2), (2, 3), (1, 3)}))
+
+    @pytest.mark.parametrize(
+        "root, edges, message",
+        [
+            (3, {(0, 1), (1, 2)}, r"root 3 outside vertex range"),
+            (-1, {(0, 1), (1, 2)}, r"root -1 outside vertex range"),
+            (0, {(1, 0), (1, 2)}, r"edge \(1, 0\) is not normalized inside 0..2"),
+            (0, {(0, 1), (1, 3)}, r"edge \(1, 3\) is not normalized inside 0..2"),
+            (0, {(0, 1), (2, 3), (3, 4), (2, 4)}, r"edges do not form a spanning tree"),
+        ],
+        ids=["root-past-n", "negative-root", "reversed-edge", "edge-past-n", "cycle-missing-root"],
+    )
+    def test_constructor_refusals(self, root, edges, message):
+        with pytest.raises(ValueError, match=message):
+            SpanningTree(root, frozenset(edges))
+
+    def test_equality_is_root_and_edges(self):
+        a = SpanningTree(1, frozenset({(0, 1), (1, 2)}))
+        assert a == SpanningTree(1, frozenset({(1, 2), (0, 1)}))
+        assert a != SpanningTree(0, frozenset({(0, 1), (1, 2)}))
+        assert (a.parent, a.order, a.depth) == ((1, 1, 1), (1, 0, 2), (1, 0, 1))
 
     def test_bfs_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
@@ -298,6 +318,38 @@ class TestSpanningTrees:
             for mask in spanning_tree_masks(g):
                 self.assert_parents_first(tree_from_mask(g, mask))
 
+    def test_mask_trees_are_the_constructor_on_their_edges(self, corpus6):
+        # parent and order are networkx's walk of the tree alone, neighbours
+        # ascending: parents first, each vertex's children ascending
+        nx = pytest.importorskip("networkx")
+        for g in corpus6:
+            for mask in spanning_tree_masks(g):
+                t = tree_from_mask(g, mask)
+                assert t == SpanningTree(0, t.tree_edges)
+                h = nx.Graph(sorted(t.tree_edges))
+                h.add_nodes_from(range(g.n))
+                parent = dict(enumerate(t.parent))
+                del parent[0]
+                assert parent == dict(nx.bfs_predecessors(h, 0, sort_neighbors=sorted))
+                walk = nx.bfs_edges(h, 0, sort_neighbors=sorted)
+                assert t.order == (0, *(v for _, v in walk))
+
+    def test_each_tree_is_walked_once(self, ex1, monkeypatch):
+        walks = []
+        bfs = graphs._bfs
+
+        def counting(*args):
+            walks.append(args[1])
+            return bfs(*args)
+
+        monkeypatch.setattr(graphs, "_bfs", counting)
+        masks = list(spanning_tree_masks(ex1))  # checks connectivity with one walk
+        walks.clear()
+        for mask in masks:
+            tree_from_mask(ex1, mask)
+        tree_from_edges(ex1, [(0, 1), (1, 2), (2, 3)], root=2)
+        assert walks == [0] * len(masks) + [2]
+
 
 def grid(rows: int, cols: int) -> Graph:
     edges = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
@@ -353,7 +405,7 @@ class TestSpanningTreeMasks:
 
     def test_n1_is_the_empty_tree(self):
         assert list(spanning_tree_masks(Graph.of(1, []))) == [0]
-        assert enumerate_spanning_trees(Graph.of(1, [])) == [SpanningTree(0, (0,), frozenset())]
+        assert enumerate_spanning_trees(Graph.of(1, [])) == [SpanningTree(0, frozenset())]
 
     def test_disconnected_and_empty_graphs_are_rejected(self):
         with pytest.raises(DisconnectedError):

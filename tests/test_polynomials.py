@@ -32,7 +32,6 @@ from orispec.polynomials import (
     isolate_real_roots,
     isolate_smallest_root,
     poly_gcd,
-    refine,
     roots_admit_common_interlacer,
     roots_numeric,
     squarefree_decomposition,
@@ -406,7 +405,7 @@ class TestRealRootedness:
 class TestIsolation:
     def test_largest_root_of_quadratic(self):
         r = isolate_largest_root(poly_of(-2, 0, 1))
-        lo, hi = refine(r, Fraction(1, 10**6))
+        lo, hi = r.refine(Fraction(1, 10**6))
         assert lo < hi
         assert abs(float(r) - 2 ** 0.5) < 1e-6
         # the defining value squares to 2: check via compare_rational bracketing
@@ -420,7 +419,7 @@ class TestIsolation:
     def test_exact_rational_root_detected(self):
         r = isolate_largest_root(poly_of(-3, 1))
         assert r.is_exact and r.exact_value() == 3
-        assert refine(r, Fraction(1, 10**9)) == (Fraction(3), Fraction(3))
+        assert r.refine(Fraction(1, 10**9)) == (Fraction(3), Fraction(3))
 
     def test_smallest_root(self):
         r = isolate_smallest_root(poly_of(2, 2, -5, 0, 1))
@@ -494,7 +493,7 @@ class TestIsolation:
 
     def test_refine_shrinks_width(self):
         r = isolate_largest_root(poly_of(2, 0, -4, 0, 1))
-        lo, hi = refine(r, Fraction(1, 1000))
+        lo, hi = r.refine(Fraction(1, 1000))
         assert hi - lo < Fraction(1, 1000)
         assert Fraction(18, 10) < lo < hi < Fraction(19, 10)
 
