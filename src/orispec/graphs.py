@@ -423,8 +423,15 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
 
 
 def tree_from_edges(g: Graph, edges: Iterable[tuple[int, int]], root: int = 0) -> SpanningTree:
-    """Build a SpanningTree from an explicit edge set of the host graph."""
-    es = frozenset(norm_edge(u, v) for u, v in edges)
+    """Build a SpanningTree from an explicit edge list of the host graph, in
+    which no edge may appear twice (in either direction)."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        e = norm_edge(u, v)
+        if e in seen:
+            raise ValueError(f"tree edge {u}-{v} is given twice")
+        seen.add(e)
+    es = frozenset(seen)
     if not es <= g.edges:
         raise ValueError(f"tree edges {sorted(es - g.edges)} are not host edges")
     if len(es) != g.n - 1:

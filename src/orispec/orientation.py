@@ -43,6 +43,7 @@ from .polynomials import (
     isolate_largest_root,
     isolate_real_roots,
     roots_admit_common_interlacer,
+    roots_from_sign_changes,
 )
 
 CONDITIONAL_SUM_GUARD_M = 20
@@ -316,23 +317,49 @@ def _family_levels(g: Graph, t: SpanningTree, co: tuple[Edge, ...]) -> list[list
     return levels
 
 
+def _separators(left: list[AlgebraicRoot], right: list[AlgebraicRoot], start: int) -> list[tuple[int, int]]:
+    """Points at which `roots_from_sign_changes` may certify the roots of
+    the sum of two children, from their root lists once the lists pass the
+    common-interlacer check from start on: the lower of the lower ends of
+    the first pair of roots, then the higher of the upper ends of each pair.
+    Two symmetric lists (start > 0) give the points of their tail, mirrored
+    through 0: above each pair of the tail, and below its first pair too
+    when the degree is odd and 0 is a root; 0 itself when it is even."""
+    n = len(left)
+    points = []
+    for b, c in zip(left[start:], right[start:]):
+        (x, d), (y, e) = b.hi_ratio(), c.hi_ratio()
+        points.append((x, d) if x * e >= y * d else (y, e))
+    if start == 0 or n % 2:
+        (x, d), (y, e) = left[start].lo_ratio(), right[start].lo_ratio()
+        points.insert(0, (x, d) if x * e <= y * d else (y, e))
+    if start == 0:
+        return points
+    return [(-x, d) for x, d in reversed(points)] + ([] if n % 2 else [(0, 1)]) + points
+
+
 def _node_defect(
     pair: tuple[IntPoly, IntPoly],
+    parent: IntPoly,
     roots: dict[IntPoly, list[AlgebraicRoot]],
-    parent_top: AlgebraicRoot,
     gcds: Gcds,
 ) -> str | None:
-    """What is wrong at an internal node, given its two children, the sorted
-    roots of every node polynomial and its own largest root, or None; gcds
+    """What is wrong at an internal node with two real-rooted children,
+    given the sorted roots of every node polynomial below it, or None; gcds
     is the audit's gcd memo.  Two symmetric children are checked from
-    `interlacer_start` on."""
+    `interlacer_start` on.  When they admit a common interlacer, the
+    parent's roots go into roots, certified by sign changes at the
+    children's separators or, when the signs certify nothing, walked."""
     start = interlacer_start(*pair)
     left, right = roots[pair[0]], roots[pair[1]]
     if not roots_admit_common_interlacer(left[start:], right[start:], gcds=gcds):
         return "children admit no common interlacer"
+    if parent not in roots:
+        certified = roots_from_sign_changes(parent, _separators(left, right, start))
+        roots[parent] = isolate_real_roots(parent) if certified is None else certified
     top_order = compare_roots(left[-1], right[-1], gcds=gcds)
     child_min_top = left[-1] if top_order is not Order.GT else right[-1]
-    if compare_roots(child_min_top, parent_top, gcds=gcds) is Order.GT:
+    if compare_roots(child_min_top, roots[parent][-1], gcds=gcds) is Order.GT:
         return "both children exceed the parent's largest root"
     return None
 
@@ -342,17 +369,26 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
     two children of every internal node admit a common interlacer, and the
     smaller child largest-root does not exceed the parent largest-root.
 
-    Every node is reported on, in (level, index) order, but the work is done
-    once per distinct polynomial: the leaves come from one sweep over the
-    converse halves (`_family_levels`), each distinct node polynomial is
-    isolated once, and each distinct pair of children is checked once (the
-    parent is their sum).  On a bipartite host every node polynomial is
-    symmetric: its negative roots are mirrored from its nonnegative ones,
-    and a pair of children is checked on the upper halves of their root
-    lists (`interlacer_start`).  The comparisons share one gcd memo, so the
-    gcd of each distinct pair of polynomials is computed once per audit.
-    Exact answers do not depend on how far a shared root was refined, and
-    the report prints no interval.
+    Every node is reported on, in (level, index) order, real-rootedness
+    first: any node that is not real-rooted suppresses every pair check.
+    The work is done once per distinct polynomial, from the leaves up: the
+    leaves come from one sweep over the converse halves (`_family_levels`)
+    and each distinct leaf polynomial is isolated by a walk.  Each distinct
+    pair of real-rooted children is then checked once (`_node_defect`; the
+    parent is their sum).  When they admit a common interlacer, the i-th
+    root of the parent lies between the children's i-th roots (Marcus,
+    Spielman and Srivastava, Interlacing families I), and the checks have
+    refined those roots apart: so the parent's roots are certified, with no
+    Sturm chain, by sign changes at points between them
+    (`roots_from_sign_changes`, at `_separators`).  A parent whose children
+    fail, are not real-rooted, or whose signs certify nothing is walked as a
+    leaf is.  On a bipartite host every node polynomial is symmetric: its
+    negative roots are mirrored from its nonnegative ones, and a pair of
+    children is checked on the upper halves of their root lists
+    (`interlacer_start`).  The comparisons share one gcd memo, so the gcd
+    of each distinct pair of polynomials is computed once per audit.
+    Exact answers do not depend on how far a shared root was refined or
+    which route isolated it, and the report prints no interval.
     """
     g.require_connected()
     co = cotree_edges(g, t)
@@ -368,29 +404,39 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
             signs.append("+" if (i >> bit) & 1 else "-")
         return "(" + "".join(signs) + ")" if signs else "(root)"
 
-    violations: list[str] = []
+    def real_rooted(poly: IntPoly) -> bool:
+        return len(roots[poly]) == poly.degree
+
     roots: dict[IntPoly, list[AlgebraicRoot]] = {}
-    nodes = 0
-    for k in range(m + 1):
+    for poly in levels[m]:
+        if poly not in roots:
+            roots[poly] = isolate_real_roots(poly)
+    defects: dict[tuple[IntPoly, IntPoly], str | None] = {}
+    gcds: Gcds = {}
+    for k in range(m - 1, -1, -1):
+        below = levels[k + 1]
         for i, poly in enumerate(levels[k]):
-            nodes += 1
-            rs = roots.get(poly)
-            if rs is None:
-                rs = roots[poly] = isolate_real_roots(poly)
-            if len(rs) != poly.degree:
-                violations.append(f"level {k} node {name(k, i)}: sum is not real-rooted")
+            pair = (below[2 * i], below[2 * i + 1])
+            if pair in defects:
+                continue
+            checked = real_rooted(pair[0]) and real_rooted(pair[1])
+            defects[pair] = _node_defect(pair, poly, roots, gcds) if checked else None
+            if poly not in roots:
+                roots[poly] = isolate_real_roots(poly)
+    violations = [
+        f"level {k} node {name(k, i)}: sum is not real-rooted"
+        for k in range(m + 1)
+        for i, poly in enumerate(levels[k])
+        if not real_rooted(poly)
+    ]
     if not violations:
-        defects: dict[tuple[IntPoly, IntPoly], str | None] = {}
-        gcds: Gcds = {}
         for k in range(m):
             below = levels[k + 1]
-            for i, poly in enumerate(levels[k]):
-                pair = (below[2 * i], below[2 * i + 1])
-                if pair not in defects:
-                    defects[pair] = _node_defect(pair, roots, roots[poly][-1], gcds)
-                if defects[pair] is not None:
-                    violations.append(f"level {k} node {name(k, i)}: {defects[pair]}")
-    return AuditReport(nodes_checked=nodes, violations=tuple(violations))
+            for i in range(len(levels[k])):
+                defect = defects[below[2 * i], below[2 * i + 1]]
+                if defect is not None:
+                    violations.append(f"level {k} node {name(k, i)}: {defect}")
+    return AuditReport(nodes_checked=2 ** (m + 1) - 1, violations=tuple(violations))
 
 
 def verify_bound(g: Graph, t: SpanningTree, s: SignVector) -> Order:

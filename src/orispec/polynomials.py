@@ -12,9 +12,12 @@ one chain.  A symmetric spectrum, p(-x) = +-p(x), is worked at half size
 where that pays: p = x^k g(x^2) is decomposed into square-free factors
 through g, the walk lists only the nonnegative roots and mirrors the
 negative ones, and two symmetric root lists are checked for a common
-interlacer on their upper halves.  Once a root is isolated, a sign of its
-defining polynomial decides every further step.  Floating point appears
-only in display helpers such as ``roots_numeric``.
+interlacer on their upper halves.  A polynomial of degree n whose signs
+alternate at n + 1 given points has one simple root between each two, so
+those points isolate its roots without a chain (`roots_from_sign_changes`).
+Once a root is isolated, a sign of its defining polynomial decides every
+further step, through f at half the degree for a root of x^e f(x^2).
+Floating point appears only in display helpers such as ``roots_numeric``.
 
 A real algebraic number is carried as a square-free integer polynomial plus
 an isolating interval whose two endpoints are integers over one shared
@@ -568,7 +571,7 @@ class AlgebraicRoot:
     unrefined.
     """
 
-    __slots__ = ("poly", "_a", "_b", "_d", "_slo")
+    __slots__ = ("poly", "_a", "_b", "_d", "_slo", "_form")
 
     def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction) -> None:
         lo, hi = Fraction(lo), Fraction(hi)
@@ -580,6 +583,7 @@ class AlgebraicRoot:
         self._b = hi.numerator * (d // hi.denominator)
         self._d = d
         self._slo = 0  # sign of poly at lo, 0 until a bisection step takes it
+        self._form = None  # `_half_form` of poly, made by the first bisection step
         if lo != hi:
             self._slo = poly.sign_at_ratio(self._a, d)
             if self._slo * poly.sign_at_ratio(self._b, d) >= 0:
@@ -591,16 +595,19 @@ class AlgebraicRoot:
             raise ValueError(f"{lo} is not a root of {poly}")
 
     @classmethod
-    def _isolated(cls, poly: IntPoly, a: int, b: int, d: int, slo: int = 0) -> "AlgebraicRoot":
-        """The root in (a/d, b/d) that a root count or a bisection certified,
-        built without the constructor's checks."""
+    def _isolated(
+        cls, poly: IntPoly, a: int, b: int, d: int, slo: int = 0, form: _HalfForm | None = None
+    ) -> "AlgebraicRoot":
+        """The root in (a/d, b/d) that a root count, a bisection or a chain
+        of sign changes certified, built without the constructor's checks;
+        form, when known, is poly's `_half_form`."""
         root = cls.__new__(cls)
-        root.poly, root._a, root._b, root._d, root._slo = poly, a, b, d, slo
+        root.poly, root._a, root._b, root._d, root._slo, root._form = poly, a, b, d, slo, form
         return root
 
     def copy(self) -> "AlgebraicRoot":
         """An independent root in the same interval state."""
-        return AlgebraicRoot._isolated(self.poly, self._a, self._b, self._d, self._slo)
+        return AlgebraicRoot._isolated(self.poly, self._a, self._b, self._d, self._slo, self._form)
 
     @classmethod
     def exact(cls, poly: IntPoly, value: Fraction) -> "AlgebraicRoot":
@@ -622,6 +629,10 @@ class AlgebraicRoot:
     @property
     def hi(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    def lo_ratio(self) -> tuple[int, int]:
+        """lo as an unreduced (numerator, denominator) pair, denominator > 0."""
+        return self._a, self._d
 
     def hi_ratio(self) -> tuple[int, int]:
         """hi as an unreduced (numerator, denominator) pair, denominator > 0."""
@@ -648,14 +659,17 @@ class AlgebraicRoot:
         a, b, d = self._a, self._b, self._d
         if a == b:
             return
+        form = self._form
+        if form is None:
+            form = self._form = _half_form(self.poly)
         mid = a + b
         self._d = d << 1
-        sign = self.poly.sign_at_ratio(mid, self._d)
+        sign = _form_sign(form, mid, self._d)
         if sign == 0:
             self._a = self._b = mid
             return
         if not self._slo:
-            self._slo = self.poly.sign_at_ratio(a, d)
+            self._slo = _form_sign(form, a, d)
         if sign == self._slo:
             self._a, self._b = mid, b << 1
         else:
@@ -840,6 +854,27 @@ def _mirror_parity(q: IntPoly) -> int | None:
     return None if any(q.coeffs[1 - e :: 2]) else e
 
 
+# (e, f) with q = x^e f(x^2) for a symmetric q, else (None, q)
+_HalfForm = tuple[int | None, IntPoly]
+
+
+def _half_form(q: IntPoly) -> _HalfForm:
+    """The form `_form_sign` signs q through: f at half the degree when q
+    is x^e f(x^2), else q itself."""
+    e = _mirror_parity(q)
+    return (None, q) if e is None else (e, IntPoly(q.coeffs[e::2]))
+
+
+def _form_sign(form: _HalfForm, num: int, den: int) -> int:
+    """Sign of q(num / den), den > 0, for q's `_half_form`: sign(x)^e times
+    the sign of f(x^2) when q is x^e f(x^2)."""
+    e, f = form
+    if e is None:
+        return f.sign_at_ratio(num, den)
+    s = f.sign_at_ratio(num * num, den * den)
+    return s if num > 0 or not e else (-s if num else 0)
+
+
 def _root_count(q: IntPoly) -> _RootCount:
     """The `_RootCount` of a square-free q: one Sturm chain, f's when q is
     x^e f(x^2), else q's own; none when q is linear."""
@@ -892,6 +927,7 @@ def _walk(counts: _RootCount, upward: bool, from_zero: bool = False) -> Iterator
         c0, c1 = q.coeffs
         yield AlgebraicRoot.exact(q, Fraction(-c0, c1))
         return
+    form = (None, q) if counts.e is None else (counts.e, counts.chain[0])
     bound = cauchy_root_bound(q)
     radius = q.root_radius()
     stack = [(-bound, counts.total, bound, 0, 1)]
@@ -901,7 +937,7 @@ def _walk(counts: _RootCount, upward: bool, from_zero: bool = False) -> Iterator
         if count == 0 or (from_zero and a < 0 and b <= 0):
             continue
         if count == 1:
-            yield AlgebraicRoot._isolated(q, a, b, d)
+            yield AlgebraicRoot._isolated(q, a, b, d, 0, form)
             continue
         mid, d2 = a + b, d << 1
         limit = radius * d2
@@ -928,7 +964,9 @@ def _factor_roots(q: IntPoly) -> list[AlgebraicRoot]:
     if counts.e is None:
         return list(_walk(counts, upward=True))
     upper = list(_walk(counts, upward=True, from_zero=True))
-    lower = [AlgebraicRoot._isolated(q, -r._b, -r._a, r._d) for r in reversed(upper) if r._a >= 0 and r._b > 0]
+    lower = [
+        AlgebraicRoot._isolated(q, -r._b, -r._a, r._d, 0, r._form) for r in reversed(upper) if r._a >= 0 and r._b > 0
+    ]
     return lower + upper
 
 
@@ -1016,6 +1054,50 @@ def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     if counts.e is not None:
         return top, top.copy()
     return top, _first_root(counts, upward=True).negated()
+
+
+def roots_from_sign_changes(p: IntPoly, points: Sequence[tuple[int, int]]) -> list[AlgebraicRoot] | None:
+    """The n = deg p real roots of p, ascending, certified by n + 1 points,
+    or None when the points certify nothing.
+
+    Each point is a dyadic (num, den), den a power of two.  The points must
+    strictly increase (checked by cross-multiplication), and q =
+    `p.primitive()` must be nonzero at each with signs that alternate from
+    point to point.  Then the n sign changes give at least n distinct real
+    roots (intermediate value theorem), and degree n leaves exactly one in
+    each gap, each simple: q is square-free and real-rooted, so q is the one
+    factor `squarefree_decomposition(p)` returns.  Root j is the gap
+    (points[j], points[j+1]) with q's sign at its left end.  A symmetric q =
+    x^e f(x^2) is signed through f at x^2 (`_form_sign`), once per pair of
+    mirrored points.
+    """
+    n = p.degree
+    if n < 1 or len(points) != n + 1:
+        return None
+    for num, den in points:
+        if den <= 0 or den & (den - 1):
+            return None
+    for (a, d), (b, e) in zip(points, points[1:]):
+        if a * e >= b * d:
+            return None
+    q = p.primitive()
+    form = _half_form(q)
+    signs: dict[tuple[int, int], int] = {}
+    last = 0
+    for num, den in points:
+        mirror = signs.get((-num, den)) if form[0] is not None else None
+        if mirror is None:
+            s = _form_sign(form, num, den)
+        else:
+            s = -mirror if form[0] else mirror
+        if s == 0 or s == last:
+            return None
+        signs[num, den] = last = s
+    out = []
+    for ((a, d), (b, e)), s in zip(zip(points, points[1:]), signs.values()):
+        top = max(d, e)
+        out.append(AlgebraicRoot._isolated(q, a * (top // d), b * (top // e), top, s, form))
+    return out
 
 
 # ---------------------------------------------------------------------------

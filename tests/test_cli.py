@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 import time
@@ -504,6 +505,13 @@ class TestPlumbing:
         code, _, err = run(capsys, "lemma4", "-g", C4, "--tree", "dfs:0")
         assert code == 1 and "tree spec" in err
 
+    @pytest.mark.parametrize("spec", ["edges:0-1,1-0", "edges:0-1,1-0,1-2"])
+    def test_repeated_tree_edge(self, capsys, spec):
+        # 1-0 is the edge 0-1 again, whether or not n-1 edges were given
+        code, out, err = run(capsys, "classify", "-g", "0 1;1 2;0 2", "--tree", spec)
+        assert code == 1 and out == ""
+        assert "tree edge 1-0 is given twice" in err
+
 
 class TestParserCache:
     ARGVS = (("matching", "-g", EX1, "--json"), ("explore", "-g", C4, "--json"), ("lemma4", "-g", C4))
@@ -576,6 +584,15 @@ def benchmark_items():
         del sys.modules[spec.name]
 
 
+# 12 of the Petersen graph's 2,000 spanning trees, by their index in the
+# benchmark's listing, each under classify and audit-family
+PETERSEN_SAMPLE = [
+    f"{command}:petersen:T{index}"
+    for index in sorted(random.Random(0).sample(range(2000), 12))
+    for command in ("classify", "audit-family")
+]
+
+
 class TestBenchmarkReference:
     @pytest.mark.parametrize(
         "label",
@@ -589,6 +606,7 @@ class TestBenchmarkReference:
             "find-orientation:grid3x5:bfs0",
             "find-orientation:grid4x4:bfs0",
             "verify-expectation:grid3x5:bfs0",
+            *PETERSEN_SAMPLE,
         ],
     )
     def test_stdout_matches_reference_digest(self, capsys, benchmark_items, label):

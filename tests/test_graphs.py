@@ -248,6 +248,17 @@ class TestSpanningTrees:
         with pytest.raises(ValueError):
             tree_from_edges(ex1, [(0, 1), (1, 2), (0, 2)])  # not host edges
 
+    def test_tree_from_edges_names_a_repeated_edge(self):
+        # 1-0 is 0-1 again: counted once it left one edge short of n-1, or
+        # with a third edge passed silently
+        triangle = Graph.of(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="tree edge 1-0 is given twice"):
+            tree_from_edges(triangle, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="tree edge 1-0 is given twice"):
+            tree_from_edges(triangle, [(0, 1), (1, 0), (1, 2)])
+        with pytest.raises(ValueError, match="tree edge 0-1 is given twice"):
+            tree_from_edges(triangle, [(0, 1), (1, 2), (0, 1)])
+
     def test_tree_from_edges_rejects_a_root_outside_the_graph(self, ex1):
         with pytest.raises(ValueError, match="root 4 outside vertex range"):
             tree_from_edges(ex1, [(0, 1), (1, 2), (2, 3)], root=4)

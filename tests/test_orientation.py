@@ -1,3 +1,4 @@
+import collections
 import random
 
 import oracles
@@ -37,6 +38,7 @@ from orispec.polynomials import (
     isolate_largest_root,
     isolate_real_roots,
     roots_admit_common_interlacer,
+    roots_from_sign_changes,
 )
 
 
@@ -313,16 +315,18 @@ class TestAuditReductions:
         assert seen > 20
 
     def test_forced_real_rootedness_violations_match(self, corpus5, monkeypatch):
-        # drop the largest root of every polynomial with p(1) odd, on the
-        # audit's isolation and on the oracle's own full-degree one
+        # drop the largest root of every polynomial with p(1) odd, on both of
+        # the audit's routes (a walk, a certificate of sign changes) and on
+        # the oracle's own full-degree isolation
         def lossy(isolate):
-            def drop(p):
-                roots = isolate(p)
-                return roots[:-1] if p.evaluate(1) % 2 else roots
+            def drop(p, *args):
+                roots = isolate(p, *args)
+                return roots[:-1] if roots is not None and p.evaluate(1) % 2 else roots
 
             return drop
 
         monkeypatch.setattr(orientation, "isolate_real_roots", lossy(isolate_real_roots))
+        monkeypatch.setattr(orientation, "roots_from_sign_changes", lossy(roots_from_sign_changes))
         monkeypatch.setattr(oracles, "real_roots_full_degree", lossy(oracles.real_roots_full_degree))
         seen = 0
         for g, t in audit_cases(corpus5, every_tree=False):
@@ -331,39 +335,64 @@ class TestAuditReductions:
             seen += len(report.violations)
         assert seen > 20
 
+    def test_walking_every_node_changes_no_report(self, corpus5, monkeypatch):
+        # with the certificate disabled every parent is walked, as a leaf
+        # is, and the reports still match the unreduced audit; with it, most
+        # internal nodes of these cases are certified, of every shape:
+        # symmetric of odd (0 a root) and even degree, and not symmetric
+        certified = collections.Counter()
+
+        def counting(p, points):
+            roots = roots_from_sign_changes(p, points)
+            certified[polynomials._mirror_parity(p), roots is not None] += 1
+            return roots
+
+        cases = audit_cases(corpus5)
+        monkeypatch.setattr(orientation, "roots_from_sign_changes", counting)
+        reports = [audit_interlacing_family(g, t) for g, t in cases]
+        assert all(certified[e, True] > 2 * certified[e, False] for e in (None, 0, 1))
+        monkeypatch.setattr(orientation, "roots_from_sign_changes", lambda p, points: None)
+        for (g, t), report in zip(cases, reports):
+            assert audit_interlacing_family(g, t) == report == oracles.audit_interlacing_family_unreduced(g, t)
+
     @pytest.mark.parametrize("graph", ["ladder", "petersen"])
     def test_one_gcd_per_distinct_pair(self, monkeypatch, graph):
         # the audit's comparisons share one gcd memo: each distinct unordered
-        # pair of polynomials has its gcd computed once per audit (on
-        # Petersen some pairs recur across nodes), and dropping the memo
-        # repeats gcds but changes no report
+        # pair of polynomials it compares has its gcd computed once per audit
+        # (on Petersen some pairs recur across nodes), and dropping the memo
+        # repeats gcds but changes no report.  Only comparisons the audit
+        # hands its memo are counted: a walk's square-free parts and its
+        # merge of several factors' roots are not the audit's comparisons
         g = grid(2, 8) if graph == "ladder" else petersen()
         t = bfs_spanning_tree(g, 0)
         pairs = []
-        in_defect = []
-        poly_gcd, node_defect, compare = polynomials.poly_gcd, orientation._node_defect, AlgebraicRoot.compare
+        in_compare = []
+        poly_gcd, compare = polynomials.poly_gcd, AlgebraicRoot.compare
 
         def counting_gcd(a, b):
-            if in_defect:
+            if in_compare and in_compare[0]:
                 pairs.append(frozenset((a, b)))
             return poly_gcd(a, b)
 
-        def defect(*args):
-            in_defect.append(True)
-            try:
-                return node_defect(*args)
-            finally:
-                in_defect.pop()
+        def counting_compare(memo):
+            def wrapped(self, other, gcds=None):
+                in_compare.append(gcds is not None)
+                try:
+                    return compare(self, other, gcds=gcds if memo else None)
+                finally:
+                    in_compare.pop()
+
+            return wrapped
 
         monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
-        monkeypatch.setattr(orientation, "_node_defect", defect)
+        monkeypatch.setattr(AlgebraicRoot, "compare", counting_compare(True))
         report = audit_interlacing_family(g, t)
         assert report.passed
         assert len(pairs) == len(set(pairs)) > 20
         pairs.clear()
-        monkeypatch.setattr(AlgebraicRoot, "compare", lambda self, other, gcds=None: compare(self, other))
+        monkeypatch.setattr(AlgebraicRoot, "compare", counting_compare(False))
         assert audit_interlacing_family(g, t) == report
-        assert len(pairs) > 2 * len(set(pairs))
+        assert len(pairs) > len(set(pairs))
 
     @pytest.mark.parametrize("rule", ["criterion", "left_top_above_right_top"])
     def test_gcd_memo_changes_no_report(self, corpus5, monkeypatch, rule):
@@ -381,26 +410,34 @@ class TestAuditReductions:
 
     def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, gain_tables):
         # audit-family on the 2x8 ladder at bfs:0 (m = 7): one table, one
-        # sweep of half of the 128 leaves, and each distinct node polynomial
-        # isolated once.  All 100 are symmetric of degree 16: the walks list
-        # only their 8 nonnegative roots and mirror the rest, and the
-        # interlacer checks read half of each pair of root lists (a full
-        # walk lists 1,600 roots, and the full checks make 5,564 compares)
+        # sweep of half of the 128 leaves, each distinct leaf polynomial
+        # walked once and each distinct internal one certified once by sign
+        # changes at its children's separators, none walked.  All 100 are
+        # symmetric of degree 16: the walks list only their 8 nonnegative
+        # roots and mirror the rest, and the interlacer checks read half of
+        # each pair of root lists (walking all 100 in full lists 1,600 roots,
+        # and the full checks make 5,564 compares)
         g = grid(2, 8)
         t = bfs_spanning_tree(g, 0)
         co = cotree_edges(g, t)
         leaves = [IntPoly(p) for p in oracles.sign_sweep_by_tree_table(g.n, t.tree_edges, co, sign_vectors(len(co)))]
-        distinct = set(leaves)
+        internal = set()
         level = leaves
         while len(level) > 1:
             level = [level[2 * i] + level[2 * i + 1] for i in range(len(level) // 2)]
-            distinct.update(level)
+            internal.update(level)
 
-        isolations = []
+        isolations, certified = [], []
 
         def recording(p):
             isolations.append(p)
             return isolate_real_roots(p)
+
+        def certifying(p, points):
+            roots = roots_from_sign_changes(p, points)
+            if roots is not None:
+                certified.append(p)
+            return roots
 
         walked, compares = [], []
         walk, compare = polynomials._walk, AlgebraicRoot.compare
@@ -415,6 +452,7 @@ class TestAuditReductions:
             return compare(self, other, **kwargs)
 
         monkeypatch.setattr(orientation, "isolate_real_roots", recording)
+        monkeypatch.setattr(orientation, "roots_from_sign_changes", certifying)
         monkeypatch.setattr(polynomials, "_walk", counting_walk)
         monkeypatch.setattr(AlgebraicRoot, "compare", counting_compare)
         graph = ";".join(f"{u} {v}" for u, v in sorted(g.edges))
@@ -423,9 +461,11 @@ class TestAuditReductions:
         assert gain_tables.built == [7]
         assert gain_tables.sweeps == [(False, 64)]
         assert kernel_calls == []
-        assert len(isolations) == len(set(isolations)) == len(distinct) == 100
-        assert all(p.degree == 16 and not any(p.coeffs[1::2]) for p in distinct)
-        assert len(walked) == 800
+        assert len(isolations) == len(set(isolations)) == len(set(leaves)) == 36
+        assert len(certified) == len(set(certified)) == len(internal) == 64
+        assert set(isolations).isdisjoint(internal)
+        assert all(p.degree == 16 and not any(p.coeffs[1::2]) for p in internal.union(leaves))
+        assert len(walked) == 288
         assert len(compares) <= 2100
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -33,6 +34,7 @@ from orispec.polynomials import (
     isolate_smallest_root,
     poly_gcd,
     roots_admit_common_interlacer,
+    roots_from_sign_changes,
     roots_numeric,
     squarefree_decomposition,
     squarefree_part,
@@ -725,6 +727,125 @@ class TestHalfInterlacerChecks:
         assert interlacer_start(sym, poly_of(0, 1) * poly_of(-1, 0, 1)) == 0
 
 
+def _dyadic_between(a, b, extra):
+    """(num, den): a dyadic strictly between the rationals a < b, over a
+    power-of-two den with `extra` more bits than the coarsest that fits."""
+    k = 0
+    while Fraction(math.floor(a * 2**k) + 1, 2**k) >= b:
+        k += 1
+    k += extra
+    return math.floor(a * 2**k) + 1, 2**k
+
+
+@st.composite
+def separated_rational_roots(draw):
+    """(p, points, n): p a nonzero multiple of a product of n distinct
+    rational linear factors, and n + 1 dyadic points, one below the roots,
+    one between each two and one above.  Half the draws take the roots and
+    the points mirrored through 0, with 0 a root or a point."""
+    rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    roots = draw(st.lists(rationals, min_size=1, max_size=6, unique=True))
+    extra = st.integers(0, 3)
+    symmetric = draw(st.booleans())
+    if symmetric:
+        positive = sorted({abs(r) for r in roots if r})
+        roots = [-r for r in reversed(positive)] + ([0] if draw(st.booleans()) or not positive else []) + positive
+        upper = [x for x in roots if x >= 0]
+        ups = [_dyadic_between(a, b, draw(extra)) for a, b in zip(upper, upper[1:])]
+        ups.append((math.ceil(roots[-1]) + draw(extra) + 1, 1))
+        middle = [] if 0 in roots else [(0, 1)]
+        points = [(-x, d) for x, d in reversed(ups)] + middle + ups
+    else:
+        roots = sorted(roots)
+        points = [(math.floor(roots[0]) - draw(extra) - 1, 1)]
+        points += [_dyadic_between(a, b, draw(extra)) for a, b in zip(roots, roots[1:])]
+        points.append((math.ceil(roots[-1]) + draw(extra) + 1, 1))
+    p = IntPoly((draw(st.sampled_from([-6, -1, 1, 2, 9])),))
+    for r in roots:
+        r = Fraction(r)
+        p = p * IntPoly((-r.numerator, r.denominator))
+    return p, points, len(roots)
+
+
+class TestRootsFromSignChanges:
+    """n + 1 strictly increasing dyadic points at which the primitive part
+    of a degree-n polynomial is nonzero with alternating signs certify its
+    n roots, one per gap, with no Sturm chain."""
+
+    # (x + 2) x (x - 3): negative on (-inf, -2), positive on (-2, 0), ...
+    P = IntPoly.from_roots([-2, 0, 3]) * -4
+    POINTS = [(-5, 1), (-1, 1), (3, 2), (8, 2)]
+
+    def test_certifies_one_root_per_gap(self):
+        roots = roots_from_sign_changes(self.P, self.POINTS)
+        q = self.P.primitive()
+        assert [r.poly for r in roots] == [q] * 3
+        assert [(r.lo, r.hi) for r in roots] == [(-5, -1), (-1, Fraction(3, 2)), (Fraction(3, 2), 4)]
+        assert [r._slo for r in roots] == [-1, 1, -1]
+        assert all(r._d & (r._d - 1) == 0 for r in roots)
+        for r, want in zip(roots, (-2, 0, 3)):
+            assert r.compare_rational(want) is Order.EQ
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(-5, 1), (3, 2), (-1, 1), (4, 1)],  # not increasing
+            [(-5, 1), (-1, 1), (-2, 2), (4, 1)],  # -1 twice, over two denominators
+            [(-5, 1), (0, 1), (3, 2), (4, 1)],  # 0 is a root: a zero sign
+            [(-5, 1), (-3, 1), (3, 2), (4, 1)],  # negative at -5 and at -3
+            [(-5, 1), (-1, 1), (4, 1)],  # too few points
+            [(-5, 1), (-1, 1), (3, 2), (4, 1), (5, 1)],  # too many points
+            [(-5, 1), (-1, 1), (4, 3), (4, 1)],  # 4/3 is not dyadic
+            [(-5, 1), (-1, 1), (-3, -2), (4, 1)],  # a negative denominator
+        ],
+    )
+    def test_refusals(self, points):
+        assert roots_from_sign_changes(self.P, points) is None
+
+    def test_refuses_constants(self):
+        assert roots_from_sign_changes(IntPoly((3,)), [(0, 1)]) is None
+
+    @given(separated_rational_roots())
+    @settings(max_examples=200, deadline=None)
+    def test_roots_equal_the_isolated_ones(self, case):
+        p, points, n = case
+        assert len(points) == n + 1 == p.degree + 1
+        roots = roots_from_sign_changes(p, points)
+        assert roots is not None and len(roots) == n
+        assert squarefree_decomposition(p) == [(p.primitive(), 1)]
+        isolated = isolate_real_roots(p)
+        for r, s, (a, d), (b, e) in zip(roots, isolated, points, points[1:]):
+            assert r.poly == s.poly == p.primitive()
+            assert (r.lo, r.hi) == (Fraction(a, d), Fraction(b, e))
+            assert r._slo == r.poly.sign_at_ratio(a, d)
+            assert compare_roots(r, s) is Order.EQ
+
+    @given(
+        root_lists,
+        st.integers(-4, 4),
+        st.integers(1, 9),
+        st.lists(st.integers(-200, 200), min_size=16, max_size=16, unique=True),
+        st.integers(0, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_complex_pair_is_never_certified(self, roots, b, c, nums, shift, mirrored):
+        # x^2 + bx + c with b^2 < 4c has no real root, so p has fewer than
+        # deg p real roots and no points show deg p sign changes
+        if b * b >= 4 * c:
+            c = b * b // 4 + 1
+        p = IntPoly.from_roots(roots) * IntPoly((c, b, 1))
+        if mirrored:  # symmetric: x^2 + c times (x^2 - r^2) for each root r
+            p = IntPoly((c, 0, 1))
+            for r in roots:
+                p = p * IntPoly((-r * r, 0, 1))
+            half = sorted({abs(x) for x in nums if x})[: p.degree // 2]
+            nums = [-x for x in reversed(half)] + [0] + half
+        points = [(x, 1 << shift) for x in sorted(nums)[: p.degree + 1]]
+        if len(points) == p.degree + 1:
+            assert roots_from_sign_changes(p, points) is None
+
+
 class TestAlgebraicRootExtras:
     def test_of_rational(self):
         r = AlgebraicRoot.of_rational(Fraction(7, 3))
@@ -787,6 +908,33 @@ class TestAlgebraicRootExtras:
         assert top._d & (top._d - 1) == 0 and top._d > 2**20
         assert top.to_json()["interval"] == [str(top.lo), str(top.hi)]
         assert top.negated().lo == -top.hi
+
+    @given(symmetric_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_symmetric_refinement_signs_at_half_the_degree(self, p):
+        # a root of x^e f(x^2) is bisected on the signs of f at x^2, cached
+        # on the root: every interval is the one full-degree signs give
+        if p.is_zero:
+            return
+        for r in {id(r): r for r in isolate_real_roots(p) if not r.is_exact}.values():
+            full = AlgebraicRoot._isolated(r.poly, r._a, r._b, r._d, 0, (None, r.poly))
+            assert r._form == polynomials._half_form(r.poly) and r._form[0] is not None
+            for eps in (Fraction(1, 3), PRINT_WIDTH, Fraction(1, 2**40)):
+                r.refine(eps)
+                full.refine(eps)
+                assert (r._a, r._b, r._d) == (full._a, full._b, full._d)
+
+    def test_half_form_is_made_once_per_root(self):
+        r = AlgebraicRoot(poly_of(-2, 0, 1), Fraction(1), Fraction(2))
+        assert r._form is None
+        r.refine(Fraction(1, 4))
+        form = r._form
+        assert form == (0, poly_of(-2, 1))
+        r.refine(Fraction(1, 2**20))
+        assert r._form is form and r.copy()._form is form
+        other = AlgebraicRoot(poly_of(-3, 1, 1), 0, 2)  # not symmetric: signed at full degree
+        other.refine(Fraction(1, 8))
+        assert other._form == (None, poly_of(-3, 1, 1))
 
     def test_copy_refines_independently(self):
         r = isolate_largest_root(poly_of(-2, 0, 1))
