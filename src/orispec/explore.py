@@ -36,7 +36,7 @@ from .graphs import (
     tree_from_mask,
 )
 from .hermitian import GainTable, spectral_radius_of_charpoly
-from .polynomials import PRINT_WIDTH, AlgebraicRoot, Gcds, IntPoly, Order, compare_roots
+from .polynomials import PRINT_WIDTH, AlgebraicRoot, IntPoly, Order, compare_roots
 
 CORPUS_GUARD_N = 7
 MIN_COMPLETE_GUARD_M = 20
@@ -226,14 +226,13 @@ def _root_beyond(p: IntPoly, num: int, den: int) -> bool:
 
 
 def _radius_min(
-    candidates: "list[tuple[IntPoly, object]]", radii: dict[IntPoly, AlgebraicRoot], gcds: Gcds | None
+    candidates: "list[tuple[IntPoly, object]]", radii: dict[IntPoly, AlgebraicRoot]
 ) -> tuple[AlgebraicRoot, object]:
     """Exact minimum of spectral radii over (charpoly, witness) pairs.
 
     Candidates must already be deduplicated by polynomial and listed in
     witness-preference order: on exact ties the earliest witness wins.
-    radii and gcds are the memos of one `_Search`; gcds=None compares
-    without a gcd memo, to the same result.
+    radii is the radius memo of one `_Search`.
 
     A candidate p is discarded before isolation when `_root_beyond` holds
     for p at h = best.hi + eps, eps = `PRINT_WIDTH`, the width `to_json`
@@ -260,7 +259,7 @@ def _radius_min(
         if best_root is not None and _root_beyond(poly, h_num, h_den):
             continue
         root = _radius(poly, radii)
-        if best_root is None or compare_roots(root, best_root, gcds=gcds) is Order.LT:
+        if best_root is None or compare_roots(root, best_root) is Order.LT:
             best_root, best_witness = root, witness
         # the comparison may have narrowed best, so h is formed again
         b, d = best_root.hi_ratio()
@@ -344,8 +343,9 @@ class _Search:
     one gain table over the BFS tree at 0.
 
     The searches share the table, its complete-orientation sweep (made on
-    first use), one radius memo and one gcd memo, so each distinct charpoly
-    is isolated once and the gcd of each distinct pair is computed once per
+    first use) and one radius memo, so each distinct charpoly is isolated
+    once; the copies it hands out share their root's form and with it the
+    form's gcd memo, so the gcd of two memoised radii is computed once per
     object.  Guards are checked by the caller (`_check_guards`) before the
     object is built.
     """
@@ -355,7 +355,6 @@ class _Search:
         self.tree = bfs_spanning_tree(g, 0)
         self.table = GainTable(g, self.tree)
         self.radii: dict[IntPoly, AlgebraicRoot] = {}
-        self.gcds: Gcds = {}
 
     @functools.cached_property
     def sweep(self) -> list[int]:
@@ -366,7 +365,7 @@ class _Search:
     def _min(self, seen: dict[int, object]) -> tuple[AlgebraicRoot, object]:
         """`_radius_min` over packed charpolys and their first witnesses."""
         candidates = [(IntPoly(self.table.unpack(p)), witness) for p, witness in seen.items()]
-        return _radius_min(candidates, self.radii, self.gcds)
+        return _radius_min(candidates, self.radii)
 
     def complete(self) -> tuple[AlgebraicRoot, SignVector]:
         seen: dict[int, object] = {}  # the cotree signs of each first occurrence
@@ -445,7 +444,7 @@ class _Search:
         packed.update(self.sweep)
         violations = []
         for poly in sorted(map(table.unpack, packed)):
-            if compare_roots(_radius(IntPoly(poly), self.radii), rho_g, gcds=self.gcds) is Order.GT:
+            if compare_roots(_radius(IntPoly(poly), self.radii), rho_g) is Order.GT:
                 violations.append(f"charpoly {IntPoly(poly)} has rho above rho(G)")
         return GuoMoharReport(checked=len(packed), violations=tuple(violations))
 
@@ -455,7 +454,7 @@ class _Search:
         all_root = all_cmp = None
         if self.g.n <= ALL_MIXED_GUARD_N:
             all_root, _ = self.all_mixed()
-            all_cmp = compare_roots(all_root, c_root, gcds=self.gcds)
+            all_cmp = compare_roots(all_root, c_root)
         return ConjectureReport(
             graph=self.g,
             complete_root=c_root,
@@ -463,7 +462,7 @@ class _Search:
             partial_root=p_root,
             partial_tree=p_tree,
             partial_witness=p_witness,
-            complete_vs_partial=compare_roots(c_root, p_root, gcds=self.gcds),
+            complete_vs_partial=compare_roots(c_root, p_root),
             all_root=all_root,
             all_vs_complete=all_cmp,
         )
@@ -551,9 +550,8 @@ def explore_record(g: Graph, guard: bool = True) -> dict:
     Every guard of the record is checked before any search, in the order
     the searches run.  Then one `_Search` serves them all: one gain table
     over the BFS tree at 0, one complete-orientation sweep that
-    `min_rho_complete` and the bound sweep share, one radius memo and one
-    gcd memo, so each distinct charpoly is isolated once per record and the
-    gcd of each distinct pair is computed once.
+    `min_rho_complete` and the bound sweep share, and one radius memo, so
+    each distinct charpoly is isolated once per record.
     """
     _check_guards(g, guard, complete=True, partial=True, sweep=True)
     search = _Search(g)

@@ -35,7 +35,6 @@ from .hermitian import GainTable, charpoly_of_mixed, converse_half_charpolys
 from .matching import induced_matching_polynomials, matching_radius
 from .polynomials import (
     AlgebraicRoot,
-    Gcds,
     IntPoly,
     Order,
     compare_roots,
@@ -339,27 +338,24 @@ def _separators(left: list[AlgebraicRoot], right: list[AlgebraicRoot], start: in
 
 
 def _node_defect(
-    pair: tuple[IntPoly, IntPoly],
-    parent: IntPoly,
-    roots: dict[IntPoly, list[AlgebraicRoot]],
-    gcds: Gcds,
+    pair: tuple[IntPoly, IntPoly], parent: IntPoly, roots: dict[IntPoly, list[AlgebraicRoot]]
 ) -> str | None:
     """What is wrong at an internal node with two real-rooted children,
-    given the sorted roots of every node polynomial below it, or None; gcds
-    is the audit's gcd memo.  Two symmetric children are checked from
-    `interlacer_start` on.  When they admit a common interlacer, the
-    parent's roots go into roots, certified by sign changes at the
-    children's separators or, when the signs certify nothing, walked."""
+    given the sorted roots of every node polynomial below it, or None.  Two
+    symmetric children are checked from `interlacer_start` on.  When they
+    admit a common interlacer, the parent's roots go into roots, certified
+    by sign changes at the children's separators or, when the signs certify
+    nothing, walked."""
     start = interlacer_start(*pair)
     left, right = roots[pair[0]], roots[pair[1]]
-    if not roots_admit_common_interlacer(left[start:], right[start:], gcds=gcds):
+    if not roots_admit_common_interlacer(left[start:], right[start:]):
         return "children admit no common interlacer"
     if parent not in roots:
         certified = roots_from_sign_changes(parent, _separators(left, right, start))
         roots[parent] = isolate_real_roots(parent) if certified is None else certified
-    top_order = compare_roots(left[-1], right[-1], gcds=gcds)
+    top_order = compare_roots(left[-1], right[-1])
     child_min_top = left[-1] if top_order is not Order.GT else right[-1]
-    if compare_roots(child_min_top, roots[parent][-1], gcds=gcds) is Order.GT:
+    if compare_roots(child_min_top, roots[parent][-1]) is Order.GT:
         return "both children exceed the parent's largest root"
     return None
 
@@ -385,10 +381,9 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
     leaf is.  On a bipartite host every node polynomial is symmetric: its
     negative roots are mirrored from its nonnegative ones, and a pair of
     children is checked on the upper halves of their root lists
-    (`interlacer_start`).  The comparisons share one gcd memo, so the gcd
-    of each distinct pair of polynomials is computed once per audit.
-    Exact answers do not depend on how far a shared root was refined or
-    which route isolated it, and the report prints no interval.
+    (`interlacer_start`).  Exact answers do not depend on how far a shared
+    root was refined or which route isolated it, and the report prints no
+    interval.
     """
     g.require_connected()
     co = cotree_edges(g, t)
@@ -412,7 +407,6 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
         if poly not in roots:
             roots[poly] = isolate_real_roots(poly)
     defects: dict[tuple[IntPoly, IntPoly], str | None] = {}
-    gcds: Gcds = {}
     for k in range(m - 1, -1, -1):
         below = levels[k + 1]
         for i, poly in enumerate(levels[k]):
@@ -420,7 +414,7 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
             if pair in defects:
                 continue
             checked = real_rooted(pair[0]) and real_rooted(pair[1])
-            defects[pair] = _node_defect(pair, poly, roots, gcds) if checked else None
+            defects[pair] = _node_defect(pair, poly, roots) if checked else None
             if poly not in roots:
                 roots[poly] = isolate_real_roots(poly)
     violations = [

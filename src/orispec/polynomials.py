@@ -16,8 +16,11 @@ interlacer on their upper halves.  A polynomial of degree n whose signs
 alternate at n + 1 given points has one simple root between each two, so
 those points isolate its roots without a chain (`roots_from_sign_changes`).
 Once a root is isolated, a sign of its defining polynomial decides every
-further step, through f at half the degree for a root of x^e f(x^2).
-Floating point appears only in display helpers such as ``roots_numeric``.
+further step, through f at half the degree for a root of x^e f(x^2).  That
+reading of a square-free q, with its signs, its counts and its gcds with
+other polynomials, is one `_Form`, made once per isolation and shared by
+every root it gives.  Floating point appears only in display helpers such
+as ``roots_numeric``.
 
 A real algebraic number is carried as a square-free integer polynomial plus
 an isolating interval whose two endpoints are integers over one shared
@@ -261,10 +264,6 @@ class IntPoly:
     def to_json(self) -> list[int]:
         """Coefficient list, lowest degree first."""
         return list(self.coeffs)
-
-
-# gcd memo of `AlgebraicRoot.compare`, keyed by unordered pairs of polynomials
-Gcds = dict[frozenset[IntPoly], IntPoly]
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +537,89 @@ def cauchy_root_bound(p: IntPoly) -> int:
     return 1 + (top + lead - 1) // lead
 
 
+def _mirror_parity(q: IntPoly) -> int | None:
+    """e in {0, 1} when q(-x) = (-1)^e q(x), that is when q is x^k f(x^2)
+    with k = e mod 2; None when q has both even and odd terms."""
+    e = q.degree & 1
+    return None if any(q.coeffs[1 - e :: 2]) else e
+
+
+class _Form:
+    """A square-free q as the roots of one isolation read it: its signs,
+    its counts of roots above a point, and its gcds with other polynomials.
+
+    A symmetric q, q(-x) = +-q(x), is x^e f(x^2) with e in {0, 1} and
+    f(0) != 0, and is read through f at half the degree: the sign of q(x)
+    is sign(x)^e times that of f(x^2), and with R_f(y) = V_f(y) - V_f(+inf)
+    on f's Sturm chain, the roots of f above y, q has R_f(x^2) roots above
+    x >= 0 and (2 R_f(0) + e) - R_f(x^2) above x < 0.  Every other q has e
+    None and f = q, with R(x) = V(x) - V(+inf) on q's own chain.  Either
+    count is exact for any q, real-rooted or not, at a point where q is
+    nonzero.  The chain is built on the first count; a linear q needs none
+    and has total 1.
+
+    One form is made per isolation of q and shared by the roots it gives
+    and their copies.  ``gcds`` maps another polynomial r to poly_gcd(q,
+    r); `AlgebraicRoot.compare` fills it on both forms, so it lives as long
+    as the roots that compared.
+    """
+
+    __slots__ = ("q", "e", "f", "gcds", "_counts", "_chain", "_top", "_total")
+
+    def __init__(self, q: IntPoly) -> None:
+        self.q = q
+        self.e = _mirror_parity(q)
+        self.f = q if self.e is None else IntPoly(q.coeffs[self.e :: 2])
+        self.gcds: dict[IntPoly, IntPoly] = {}
+        self._counts: dict[tuple[int, int], tuple[int, int]] = {}
+        self._chain: tuple[IntPoly, ...] | None = None  # f's Sturm chain, with _top and _total
+
+    def _of_x(self, sign: int, num: int) -> int:
+        """q's sign at x = num / den from sign, f's sign at x^2 (q's own at
+        x when e is None): sign(x)^e times it."""
+        return sign if num > 0 or not self.e else (-sign if num else 0)
+
+    def sign(self, num: int, den: int) -> int:
+        """Sign of q(num / den), den > 0."""
+        if self.e is None:
+            return self.q.sign_at_ratio(num, den)
+        return self._of_x(self.f.sign_at_ratio(num * num, den * den), num)
+
+    def _count_chain(self) -> None:
+        chain = self._chain = sturm_chain(self.f)
+        top = self._top = variations_pos_inf(chain)
+        if self.e is None:
+            self._total = variations_neg_inf(chain) - top
+        else:
+            self._total = 2 * (_chain_signs(chain, 0, 1)[1] - top) + self.e
+
+    @property
+    def total(self) -> int:
+        """q's number of distinct real roots."""
+        if self.q.degree == 1:
+            return 1
+        if self._chain is None:
+            self._count_chain()
+        return self._total
+
+    def at(self, num: int, den: int) -> tuple[int, int]:
+        """(sign of q, distinct real roots of q above x) at x = num / den,
+        den > 0, for q of degree >= 2; the count holds where the sign is
+        nonzero.  Each point is counted once, for the walks down and up."""
+        out = self._counts.get((num, den))
+        if out is None:
+            if self._chain is None:
+                self._count_chain()
+            if self.e is None:
+                sign, v = _chain_signs(self._chain, num, den)
+                out = sign, v - self._top
+            else:
+                sign, v = _chain_signs(self._chain, num * num, den * den)
+                out = self._of_x(sign, num), (v - self._top if num >= 0 else self._total - v + self._top)
+            self._counts[num, den] = out
+        return out
+
+
 # ---------------------------------------------------------------------------
 # algebraic roots
 # ---------------------------------------------------------------------------
@@ -556,7 +638,9 @@ class AlgebraicRoot:
     power-of-two d and a bisection step is one add and two shifts; signs are
     homogeneous integer evaluations, and two intervals are ordered by
     cross-multiplied integers.  ``lo``, ``hi``, ``width`` and ``midpoint``
-    read the interval as Fractions.
+    read the interval as Fractions.  Every sign and gcd is taken through
+    the root's `_Form`, made by the constructor or shared with the other
+    roots of its isolation and with its copies.
 
     For a non-degenerate root the value lies strictly inside (lo, hi) and
     neither endpoint is a root of the polynomial; lo == hi marks an exact
@@ -571,7 +655,7 @@ class AlgebraicRoot:
     unrefined.
     """
 
-    __slots__ = ("poly", "_a", "_b", "_d", "_slo", "_form")
+    __slots__ = ("poly", "_form", "_a", "_b", "_d", "_slo")
 
     def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction) -> None:
         lo, hi = Fraction(lo), Fraction(hi)
@@ -579,35 +663,33 @@ class AlgebraicRoot:
             raise ValueError(f"interval ({lo}, {hi}) has lo > hi")
         d = lcm(lo.denominator, hi.denominator)
         self.poly = poly
+        self._form = form = _Form(poly)
         self._a = lo.numerator * (d // lo.denominator)
         self._b = hi.numerator * (d // hi.denominator)
         self._d = d
         self._slo = 0  # sign of poly at lo, 0 until a bisection step takes it
-        self._form = None  # `_half_form` of poly, made by the first bisection step
         if lo != hi:
-            self._slo = poly.sign_at_ratio(self._a, d)
-            if self._slo * poly.sign_at_ratio(self._b, d) >= 0:
+            self._slo = form.sign(self._a, d)
+            if self._slo * form.sign(self._b, d) >= 0:
                 raise ValueError(
                     f"{poly} does not change sign between {lo} and {hi}, "
                     "so the interval isolates no simple root"
                 )
-        elif poly.sign_at_ratio(self._a, d) != 0:
+        elif form.sign(self._a, d) != 0:
             raise ValueError(f"{lo} is not a root of {poly}")
 
     @classmethod
-    def _isolated(
-        cls, poly: IntPoly, a: int, b: int, d: int, slo: int = 0, form: _HalfForm | None = None
-    ) -> "AlgebraicRoot":
-        """The root in (a/d, b/d) that a root count, a bisection or a chain
-        of sign changes certified, built without the constructor's checks;
-        form, when known, is poly's `_half_form`."""
+    def _isolated(cls, form: _Form, a: int, b: int, d: int, slo: int = 0) -> "AlgebraicRoot":
+        """The root of form's q in (a/d, b/d) that a root count, a bisection
+        or a chain of sign changes certified, built without the
+        constructor's checks."""
         root = cls.__new__(cls)
-        root.poly, root._a, root._b, root._d, root._slo, root._form = poly, a, b, d, slo, form
+        root.poly, root._form, root._a, root._b, root._d, root._slo = form.q, form, a, b, d, slo
         return root
 
     def copy(self) -> "AlgebraicRoot":
-        """An independent root in the same interval state."""
-        return AlgebraicRoot._isolated(self.poly, self._a, self._b, self._d, self._slo, self._form)
+        """An independent root in the same interval state, on the same form."""
+        return AlgebraicRoot._isolated(self._form, self._a, self._b, self._d, self._slo)
 
     @classmethod
     def exact(cls, poly: IntPoly, value: Fraction) -> "AlgebraicRoot":
@@ -659,17 +741,14 @@ class AlgebraicRoot:
         a, b, d = self._a, self._b, self._d
         if a == b:
             return
-        form = self._form
-        if form is None:
-            form = self._form = _half_form(self.poly)
         mid = a + b
         self._d = d << 1
-        sign = _form_sign(form, mid, self._d)
+        sign = self._form.sign(mid, self._d)
         if sign == 0:
             self._a = self._b = mid
             return
         if not self._slo:
-            self._slo = _form_sign(form, a, d)
+            self._slo = self._form.sign(a, d)
         if sign == self._slo:
             self._a, self._b = mid, b << 1
         else:
@@ -693,8 +772,9 @@ class AlgebraicRoot:
         return self.approx()
 
     def negated(self) -> "AlgebraicRoot":
-        poly = self.poly.reflected().primitive()
-        return AlgebraicRoot._isolated(poly, -self._b, -self._a, self._d)
+        """Minus this root, on a form of its own for the reflected polynomial."""
+        form = _Form(self.poly.reflected().primitive())
+        return AlgebraicRoot._isolated(form, -self._b, -self._a, self._d)
 
     # -- exact comparisons ---------------------------------------------------
 
@@ -707,7 +787,7 @@ class AlgebraicRoot:
         x = num * self._d
         if self._a == self._b:
             return self._a * den == x
-        return self._a * den < x < self._b * den and self.poly.sign_at_ratio(num, den) == 0
+        return self._a * den < x < self._b * den and self._form.sign(num, den) == 0
 
     def compare_rational(self, value) -> Order:
         value = Fraction(value)
@@ -722,12 +802,11 @@ class AlgebraicRoot:
             self._refine_step()
         return Order.LT if self._b * den <= num * self._d else Order.GT
 
-    def compare(self, other: "AlgebraicRoot", *, gcds: Gcds | None = None) -> Order:
+    def compare(self, other: "AlgebraicRoot") -> Order:
         """Exact order of self against other, refining both in place.
 
-        gcds, when given, memoises the gcd of each unordered pair of
-        defining polynomials (keyed by their frozenset); the owner of a
-        batch of comparisons passes one dict to all of them.
+        The gcd of the two defining polynomials is memoised on both forms,
+        so the roots of two forms share one gcd, in either order.
         """
         if self is other:
             return Order.EQ
@@ -751,13 +830,9 @@ class AlgebraicRoot:
         # gcd g.  It divides both square-free polynomials, so it has at most
         # one root in (a, b), a simple one, and none at a or b: a sign change
         # of g is that root.
-        if gcds is None:
-            g = poly_gcd(self.poly, other.poly)
-        else:
-            key = frozenset((self.poly, other.poly))
-            g = gcds.get(key)
-            if g is None:
-                g = gcds[key] = poly_gcd(self.poly, other.poly)
+        g = self._form.gcds.get(other.poly)
+        if g is None:
+            g = self._form.gcds[other.poly] = other._form.gcds[self.poly] = poly_gcd(self.poly, other.poly)
         if g.degree >= 1:
             a, b = max(lo1, lo2), min(hi1, hi2)
             if a < b and g.sign_at_ratio(a, d1 * d2) != g.sign_at_ratio(b, d1 * d2):
@@ -767,7 +842,7 @@ class AlgebraicRoot:
             wider = self if hi1 - lo1 >= hi2 - lo2 else other
             wider._refine_step()
             if self._a == self._b or other._a == other._b:
-                return self.compare(other, gcds=gcds)
+                return self.compare(other)
             d1, d2 = self._d, other._d
             lo1, hi1, lo2, hi2 = self._a * d2, self._b * d2, other._a * d1, other._b * d1
             if hi1 <= lo2:
@@ -800,93 +875,7 @@ class AlgebraicRoot:
 # ---------------------------------------------------------------------------
 
 
-class _RootCount:
-    """Distinct real roots of a square-free q above a point, with the sign
-    of q there, from one evaluation of one Sturm chain.
-
-    A symmetric q, q(-x) = +-q(x), is x^e f(x^2) with e in {0, 1} and
-    f(0) != 0, and carries f's chain, at half the degree.  With
-    R_f(y) = V_f(y) - V_f(+inf), the roots of f above y, q has R_f(x^2)
-    roots above x >= 0 and (2 R_f(0) + e) - R_f(x^2) above x < 0, and the
-    sign of q(x) is sign(x)^e times that of f(x^2).  Every other q carries its own chain, and R(x) =
-    V(x) - V(+inf).  Either count is exact for any q, real-rooted or not,
-    at a point where q is nonzero.  ``total`` is q's number of distinct
-    real roots; a linear q carries no chain and has total 1.
-    """
-
-    __slots__ = ("q", "chain", "e", "top", "total", "memo")
-
-    def __init__(self, q: IntPoly, chain: tuple[IntPoly, ...] | None, e: int | None = None) -> None:
-        self.q, self.chain, self.e = q, chain, e  # e is None: the chain is q's own
-        self.memo: dict[tuple[int, int], tuple[int, int]] = {}
-        if chain is None:
-            self.total = 1
-            return
-        self.top = variations_pos_inf(chain)
-        if e is None:
-            self.total = variations_neg_inf(chain) - self.top
-        else:
-            self.total = 2 * (_chain_signs(chain, 0, 1)[1] - self.top) + e
-
-    def at(self, num: int, den: int) -> tuple[int, int]:
-        """(sign of q, distinct real roots of q above x) at x = num / den,
-        den > 0; the count holds where the sign is nonzero.  Each point is
-        counted once, for the walks down and up of one q."""
-        out = self.memo.get((num, den))
-        if out is None:
-            if self.e is None:
-                sign, v = _chain_signs(self.chain, num, den)
-                out = sign, v - self.top
-            else:
-                sign, v = _chain_signs(self.chain, num * num, den * den)
-                if num < 0:
-                    out = -sign if self.e else sign, self.total - v + self.top
-                else:
-                    out = sign if num or not self.e else 0, v - self.top
-            self.memo[num, den] = out
-        return out
-
-
-def _mirror_parity(q: IntPoly) -> int | None:
-    """e in {0, 1} when q(-x) = (-1)^e q(x), that is when q is x^k f(x^2)
-    with k = e mod 2; None when q has both even and odd terms."""
-    e = q.degree & 1
-    return None if any(q.coeffs[1 - e :: 2]) else e
-
-
-# (e, f) with q = x^e f(x^2) for a symmetric q, else (None, q)
-_HalfForm = tuple[int | None, IntPoly]
-
-
-def _half_form(q: IntPoly) -> _HalfForm:
-    """The form `_form_sign` signs q through: f at half the degree when q
-    is x^e f(x^2), else q itself."""
-    e = _mirror_parity(q)
-    return (None, q) if e is None else (e, IntPoly(q.coeffs[e::2]))
-
-
-def _form_sign(form: _HalfForm, num: int, den: int) -> int:
-    """Sign of q(num / den), den > 0, for q's `_half_form`: sign(x)^e times
-    the sign of f(x^2) when q is x^e f(x^2)."""
-    e, f = form
-    if e is None:
-        return f.sign_at_ratio(num, den)
-    s = f.sign_at_ratio(num * num, den * den)
-    return s if num > 0 or not e else (-s if num else 0)
-
-
-def _root_count(q: IntPoly) -> _RootCount:
-    """The `_RootCount` of a square-free q: one Sturm chain, f's when q is
-    x^e f(x^2), else q's own; none when q is linear."""
-    if q.degree < 2:
-        return _RootCount(q, None)
-    e = _mirror_parity(q)
-    if e is None:
-        return _RootCount(q, sturm_chain(q))
-    return _RootCount(q, sturm_chain(IntPoly(q.coeffs[e::2])), e)
-
-
-def _root_window(counts: _RootCount, a: int, b: int, d: int) -> tuple[int, int, int, int, int]:
+def _root_window(form: _Form, a: int, b: int, d: int) -> tuple[int, int, int, int, int]:
     """A window that isolates the root (a + b) / 2d of q, the midpoint of
     (a/d, b/d): (left, roots above it, right, roots above it, s), both ends
     over d << s at distance (b - a) / (d << s) from the root, for the first
@@ -898,18 +887,18 @@ def _root_window(counts: _RootCount, a: int, b: int, d: int) -> tuple[int, int, 
     while True:
         e = d << s
         left, right = m - w, m + w
-        sl, vl = counts.at(left, e)
+        sl, vl = form.at(left, e)
         if sl:
-            sr, vr = counts.at(right, e)
+            sr, vr = form.at(right, e)
             if sr and vl - vr == 1:
                 return left, vl, right, vr, s
         m <<= 1
         s += 1
 
 
-def _walk(counts: _RootCount, upward: bool, from_zero: bool = False) -> Iterator[AlgebraicRoot]:
-    """The real roots of the square-free q of counts as isolating intervals
-    (or exact values), ascending when upward, else descending, found lazily;
+def _walk(form: _Form, upward: bool, from_zero: bool = False) -> Iterator[AlgebraicRoot]:
+    """The real roots of form's q as isolating intervals (or exact
+    values), ascending when upward, else descending, found lazily;
     from_zero skips every interval left of 0.
 
     A depth-first bisection of the Cauchy interval (-B, B) on the counts of
@@ -922,33 +911,32 @@ def _walk(counts: _RootCount, upward: bool, from_zero: bool = False) -> Iterator
     windows, so the upward walk on q makes, negated, the intervals of the
     downward walk on q(-x).
     """
-    q = counts.q
+    q = form.q
     if q.degree == 1:
-        c0, c1 = q.coeffs
-        yield AlgebraicRoot.exact(q, Fraction(-c0, c1))
+        value = Fraction(-q.coeffs[0], q.coeffs[1])
+        yield AlgebraicRoot._isolated(form, value.numerator, value.numerator, value.denominator)
         return
-    form = (None, q) if counts.e is None else (counts.e, counts.chain[0])
     bound = cauchy_root_bound(q)
     radius = q.root_radius()
-    stack = [(-bound, counts.total, bound, 0, 1)]
+    stack = [(-bound, form.total, bound, 0, 1)]
     while stack:
         a, va, b, vb, d = stack.pop()
         count = va - vb
         if count == 0 or (from_zero and a < 0 and b <= 0):
             continue
         if count == 1:
-            yield AlgebraicRoot._isolated(q, a, b, d, 0, form)
+            yield AlgebraicRoot._isolated(form, a, b, d)
             continue
         mid, d2 = a + b, d << 1
         limit = radius * d2
         if -limit <= mid <= limit:
-            sign, vm = counts.at(mid, d2)
+            sign, vm = form.at(mid, d2)
         else:
             sign, vm = 1, (vb if mid > 0 else va)
         if sign:
             halves = [(a << 1, va, mid, vm, d2), (mid, vm, b << 1, vb, d2)]
         else:
-            left, vl, right, vr, s = _root_window(counts, a, b, d)
+            left, vl, right, vr, s = _root_window(form, a, b, d)
             ds = d << s
             halves = [(a << s, va, left, vl, ds), (mid, 1, mid, 0, d2), (right, vr, b << s, vb, ds)]
         stack.extend(reversed(halves) if upward else halves)
@@ -960,13 +948,11 @@ def _factor_roots(q: IntPoly) -> list[AlgebraicRoot]:
     mirror (-b, -a) of a positive one, the interval the full walk makes; a
     root at 0 is never mirrored, whether it sits exactly at 0 or alone in
     an interval around 0."""
-    counts = _root_count(q)
-    if counts.e is None:
-        return list(_walk(counts, upward=True))
-    upper = list(_walk(counts, upward=True, from_zero=True))
-    lower = [
-        AlgebraicRoot._isolated(q, -r._b, -r._a, r._d, 0, r._form) for r in reversed(upper) if r._a >= 0 and r._b > 0
-    ]
+    form = _Form(q)
+    if form.e is None:
+        return list(_walk(form, upward=True))
+    upper = list(_walk(form, upward=True, from_zero=True))
+    lower = [AlgebraicRoot._isolated(form, -r._b, -r._a, r._d) for r in reversed(upper) if r._a >= 0 and r._b > 0]
     return lower + upper
 
 
@@ -1009,35 +995,35 @@ def is_real_rooted(p: IntPoly) -> bool:
         raise ValueError("zero polynomial")
     total = 0
     for factor, mult in squarefree_decomposition(p):
-        total += mult * _root_count(factor).total
+        total += mult * _Form(factor).total
     return total == p.degree
 
 
-def _squarefree_count(p: IntPoly) -> _RootCount:
-    """The `_RootCount` of the square-free part of p."""
+def _squarefree_form(p: IntPoly) -> _Form:
+    """The `_Form` of the square-free part of p."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     q = squarefree_part(p)
     if q.degree < 1:
         raise ValueError("polynomial has no roots")
-    return _root_count(q)
+    return _Form(q)
 
 
-def _first_root(counts: _RootCount, upward: bool) -> AlgebraicRoot:
-    """The smallest real root of counts' q when upward, else the largest."""
-    for root in _walk(counts, upward):
+def _first_root(form: _Form, upward: bool) -> AlgebraicRoot:
+    """The smallest real root of form's q when upward, else the largest."""
+    for root in _walk(form, upward):
         return root
     raise ValueError("polynomial has no real roots")
 
 
 def isolate_largest_root(p: IntPoly) -> AlgebraicRoot:
     """Isolating interval (or exact value) of the largest real root of p."""
-    return _first_root(_squarefree_count(p), upward=False)
+    return _first_root(_squarefree_form(p), upward=False)
 
 
 def isolate_smallest_root(p: IntPoly) -> AlgebraicRoot:
     """Isolating interval (or exact value) of the smallest real root of p."""
-    return _first_root(_squarefree_count(p), upward=True)
+    return _first_root(_squarefree_form(p), upward=True)
 
 
 def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
@@ -1049,11 +1035,11 @@ def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     When q(-x) = +-q(x), q(-x) made primitive is q itself, so the second
     root is a `copy()` of the first and the upward walk does not run.
     """
-    counts = _squarefree_count(p)
-    top = _first_root(counts, upward=False)
-    if counts.e is not None:
+    form = _squarefree_form(p)
+    top = _first_root(form, upward=False)
+    if form.e is not None:
         return top, top.copy()
-    return top, _first_root(counts, upward=True).negated()
+    return top, _first_root(form, upward=True).negated()
 
 
 def roots_from_sign_changes(p: IntPoly, points: Sequence[tuple[int, int]]) -> list[AlgebraicRoot] | None:
@@ -1067,9 +1053,8 @@ def roots_from_sign_changes(p: IntPoly, points: Sequence[tuple[int, int]]) -> li
     roots (intermediate value theorem), and degree n leaves exactly one in
     each gap, each simple: q is square-free and real-rooted, so q is the one
     factor `squarefree_decomposition(p)` returns.  Root j is the gap
-    (points[j], points[j+1]) with q's sign at its left end.  A symmetric q =
-    x^e f(x^2) is signed through f at x^2 (`_form_sign`), once per pair of
-    mirrored points.
+    (points[j], points[j+1]) with q's sign at its left end, signed
+    through q's `_Form`.
     """
     n = p.degree
     if n < 1 or len(points) != n + 1:
@@ -1080,23 +1065,17 @@ def roots_from_sign_changes(p: IntPoly, points: Sequence[tuple[int, int]]) -> li
     for (a, d), (b, e) in zip(points, points[1:]):
         if a * e >= b * d:
             return None
-    q = p.primitive()
-    form = _half_form(q)
-    signs: dict[tuple[int, int], int] = {}
-    last = 0
+    form = _Form(p.primitive())
+    signs = []
     for num, den in points:
-        mirror = signs.get((-num, den)) if form[0] is not None else None
-        if mirror is None:
-            s = _form_sign(form, num, den)
-        else:
-            s = -mirror if form[0] else mirror
-        if s == 0 or s == last:
+        s = form.sign(num, den)
+        if s == 0 or (signs and s == signs[-1]):
             return None
-        signs[num, den] = last = s
+        signs.append(s)
     out = []
-    for ((a, d), (b, e)), s in zip(zip(points, points[1:]), signs.values()):
+    for ((a, d), (b, e)), s in zip(zip(points, points[1:]), signs):
         top = max(d, e)
-        out.append(AlgebraicRoot._isolated(q, a * (top // d), b * (top // e), top, s, form))
+        out.append(AlgebraicRoot._isolated(form, a * (top // d), b * (top // e), top, s))
     return out
 
 
@@ -1105,10 +1084,9 @@ def roots_from_sign_changes(p: IntPoly, points: Sequence[tuple[int, int]]) -> li
 # ---------------------------------------------------------------------------
 
 
-def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot, *, gcds: Gcds | None = None) -> Order:
-    """Exact three-way comparison of two algebraic numbers; gcds is the
-    optional gcd memo of `AlgebraicRoot.compare`."""
-    return a.compare(b, gcds=gcds)
+def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> Order:
+    """Exact three-way comparison of two algebraic numbers."""
+    return a.compare(b)
 
 
 def roots_numeric(p: IntPoly, eps=Fraction(1, 10**9)) -> list[float]:
@@ -1136,8 +1114,8 @@ def roots_numeric(p: IntPoly, eps=Fraction(1, 10**9)) -> list[float]:
     return out
 
 
-def _leq(a: AlgebraicRoot, b: AlgebraicRoot, gcds: Gcds | None = None) -> bool:
-    return a.compare(b, gcds=gcds) is not Order.GT
+def _leq(a: AlgebraicRoot, b: AlgebraicRoot) -> bool:
+    return a.compare(b) is not Order.GT
 
 
 def interlaces(g: IntPoly, f: IntPoly) -> bool:
@@ -1160,19 +1138,16 @@ def interlaces(g: IntPoly, f: IntPoly) -> bool:
     return True
 
 
-def roots_admit_common_interlacer(
-    bs: Sequence[AlgebraicRoot], cs: Sequence[AlgebraicRoot], *, gcds: Gcds | None = None
-) -> bool:
+def roots_admit_common_interlacer(bs: Sequence[AlgebraicRoot], cs: Sequence[AlgebraicRoot]) -> bool:
     """Criterion on two sorted root lists of equal length n: a degree n-1
     polynomial interlacing both exists iff max(b_i, c_i) <= min(b_{i+1},
-    c_{i+1}) for every i, which reduces to the two cross inequalities.
-    gcds is the optional gcd memo of `AlgebraicRoot.compare`.  For two
+    c_{i+1}) for every i, which reduces to the two cross inequalities.  For two
     symmetric spectra the tails from `interlacer_start` decide the same
     answer."""
     if len(bs) != len(cs):
         raise ValueError("root lists must have equal length")
     for i in range(len(bs) - 1):
-        if not (_leq(bs[i], cs[i + 1], gcds) and _leq(cs[i], bs[i + 1], gcds)):
+        if not (_leq(bs[i], cs[i + 1]) and _leq(cs[i], bs[i + 1])):
             return False
     return True
 

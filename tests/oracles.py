@@ -33,6 +33,7 @@ from orispec.polynomials import (
     IntPoly,
     Order,
     _divexact_poly,
+    _Form,
     _pseudo_rem,
     cauchy_root_bound,
     compare_roots,
@@ -447,6 +448,7 @@ def _full_isolate_squarefree(q, chain) -> list[AlgebraicRoot]:
     if q.degree == 1:
         c0, c1 = q.coeffs
         return [AlgebraicRoot.exact(q, Fraction(-c0, c1))]
+    form = _Form(q)
     bound = cauchy_root_bound(q)
     radius = q.root_radius()
     out: list[AlgebraicRoot] = []
@@ -456,7 +458,7 @@ def _full_isolate_squarefree(q, chain) -> list[AlgebraicRoot]:
         if count == 0:
             return
         if count == 1:
-            out.append(AlgebraicRoot._isolated(q, a, b, d))
+            out.append(AlgebraicRoot._isolated(form, a, b, d))
             return
         mid, d2 = a + b, d << 1
         limit = radius * d2
@@ -467,7 +469,7 @@ def _full_isolate_squarefree(q, chain) -> list[AlgebraicRoot]:
         elif q.sign_at_ratio(mid, d2) == 0:
             left, vl, right, vr, s = _full_root_window(q, chain, a, b, d)
             walk(a << s, va, left, vl, d << s)
-            out.append(AlgebraicRoot._isolated(q, mid, mid, d2))
+            out.append(AlgebraicRoot._isolated(form, mid, mid, d2))
             walk(right, vr, b << s, vb, d << s)
             return
         else:
@@ -502,7 +504,7 @@ def _full_largest_root(q) -> AlgebraicRoot:
             _, _, right, vr, s = _full_root_window(q, chain, lo, hi, d)
             above = vr - vb
             if above == 0:
-                return AlgebraicRoot._isolated(q, mid, mid, d2)
+                return AlgebraicRoot._isolated(_Form(q), mid, mid, d2)
             lo, hi, d, va, count = right, hi << s, d << s, vr, above
             continue
         else:
@@ -512,7 +514,7 @@ def _full_largest_root(q) -> AlgebraicRoot:
             lo, hi, d, va, count = mid, hi << 1, d2, vm, above
         else:
             lo, hi, d, vb, count = lo << 1, mid, d2, vm, va - vm
-    return AlgebraicRoot._isolated(q, lo, hi, d)
+    return AlgebraicRoot._isolated(_Form(q), lo, hi, d)
 
 
 def _full_squarefree(p):
@@ -926,14 +928,14 @@ def audit_interlacing_family_unreduced(g, t) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def radius_min_unpruned(candidates, radii, gcds):
+def radius_min_unpruned(candidates, radii):
     """`explore._radius_min` without its sign-test pruning: every candidate
     is isolated and compared against the best so far."""
     best_root = None
     best_witness = None
     for poly, witness in candidates:
         root = _radius(poly, radii)
-        if best_root is None or compare_roots(root, best_root, gcds=gcds) is Order.LT:
+        if best_root is None or compare_roots(root, best_root) is Order.LT:
             best_root, best_witness = root, witness
     assert best_root is not None
     return best_root, best_witness
@@ -943,8 +945,8 @@ def min_rho_partial_unreduced(g):
     """One charpoly per (spanning tree, sign vector) pair; each distinct
     charpoly keeps its first witness in enumeration order (trees as listed,
     then signs ascending), and the minimum is taken over them in that order,
-    without a gcd memo.  Returns (root, tree, sign vector, candidate list
-    compared); each candidate's witness is its (tree, signs)."""
+    on a radius memo of its own.  Returns (root, tree, sign vector,
+    candidate list compared); each candidate's witness is its (tree, signs)."""
     n = g.n
     seen = {}
     for t in spanning_trees_by_recursion(g):
@@ -963,7 +965,7 @@ def min_rho_partial_unreduced(g):
             if poly not in seen:
                 seen[poly] = (t, signs)
     candidates = [(IntPoly(p), tw) for p, tw in seen.items()]
-    root, (t, signs) = radius_min_unpruned(candidates, {}, None)
+    root, (t, signs) = radius_min_unpruned(candidates, {})
     return root, t, SignVector(cotree_edges(g, t), signs), candidates
 
 
@@ -980,7 +982,7 @@ def min_rho_all_mixed_by_kernel(g):
         poly = charpoly_of_mixed(d)
         if poly not in seen:
             seen[poly] = d
-    return radius_min_unpruned(list(seen.items()), {}, None)
+    return radius_min_unpruned(list(seen.items()), {})
 
 
 def guo_mohar_sweep_unreduced(g) -> GuoMoharReport:

@@ -488,6 +488,18 @@ class TestPlumbing:
         assert code == 1 and out == ""
         assert "graph has no vertices" in err
 
+    @pytest.mark.parametrize(
+        "command", ["matching", "classify", "find-orientation", "verify-expectation", "audit-family"]
+    )
+    def test_too_deep_input(self, capsys, command):
+        # the matching polynomial's expansion recurses once per vertex: a
+        # 1,100-vertex path goes past the interpreter's recursion limit
+        path = ";".join(f"{v} {v + 1}" for v in range(1099))
+        code, out, err = run(capsys, command, "-g", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: the input is too deep to process: recursion went past ")
+        assert err.count("\n") == 1
+
     def test_parse_error_line_number(self, capsys):
         code, _, err = run(capsys, "matching", "-g", "0 1;zzz")
         assert code == 1 and "line 2" in err
@@ -593,31 +605,38 @@ PETERSEN_SAMPLE = [
 ]
 
 
+# SHA-256 of each benchmark item's stdout, by item label
+REFERENCE_DIGESTS = dict(
+    line.split()
+    for line in (PERFBENCH / "reference.txt").read_text().splitlines()
+    if line and not line.startswith("#")
+)
+
+# every item of the explore and greedy workloads: they print root intervals,
+# which depend on each root's refinement history
+PRINTED_INTERVAL_ITEMS = [
+    label
+    for label in REFERENCE_DIGESTS
+    if label.split(":")[0] in ("explore", "find-orientation", "verify-expectation")
+]
+
+
 class TestBenchmarkReference:
     @pytest.mark.parametrize(
         "label",
         [
             "classify:grid2x8:bfs0",
             "classify:petersen:T0",
-            "explore:max-n5",
             "audit-family:grid2x8:bfs0",
             "audit-family:petersen:T0",
-            # bipartite hosts: charpolys of odd (3x5, e = 1) and even (4x4) degree
-            "find-orientation:grid3x5:bfs0",
-            "find-orientation:grid4x4:bfs0",
-            "verify-expectation:grid3x5:bfs0",
             *PETERSEN_SAMPLE,
+            *PRINTED_INTERVAL_ITEMS,
         ],
     )
     def test_stdout_matches_reference_digest(self, capsys, benchmark_items, label):
-        refs = dict(
-            line.split()
-            for line in (PERFBENCH / "reference.txt").read_text().splitlines()
-            if line and not line.startswith("#")
-        )
         code, out, _ = run(capsys, *benchmark_items[label].argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == refs[label]
+        assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_DIGESTS[label]
 
     def test_explore_max_n6_is_byte_identical(self, capsys):
         code, out, err = run(capsys, "explore", "--max-n", "6", "--json")

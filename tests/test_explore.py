@@ -259,9 +259,9 @@ class TestMinRhoPartial:
         calls = []
         radius_min = explore._radius_min
 
-        def recording(candidates, radii, gcds):
+        def recording(candidates, radii):
             calls.append(candidates)
-            return radius_min(candidates, radii, gcds)
+            return radius_min(candidates, radii)
 
         monkeypatch.setattr(explore, "_radius_min", recording)
         return calls
@@ -419,9 +419,9 @@ class TestRadiusMinPruning:
         """Pruned and unpruned minimum agree; returns the polys isolated by
         the pruned one."""
         isolated.clear()
-        root, witness = explore._radius_min(candidates, {}, {})
+        root, witness = explore._radius_min(candidates, {})
         pruned_isolations = list(isolated)
-        ref_root, ref_witness = oracles.radius_min_unpruned(candidates, {}, {})
+        ref_root, ref_witness = oracles.radius_min_unpruned(candidates, {})
         assert witness == ref_witness
         assert root.to_json() == ref_root.to_json()
         return pruned_isolations
@@ -474,9 +474,9 @@ class TestRadiusMinPruning:
         c = c * IntPoly((3, 0, 1))  # moves c's bisection grid off best's, so they overlap
         candidates = [(SQRT2, "sqrt2"), (NEAR_SQRT2, "near"), (c, "c")]
         assert self.run(candidates, isolated) == [SQRT2, NEAR_SQRT2, c]
-        unpruned = oracles.radius_min_unpruned(candidates, {}, {})[0].to_json()
+        unpruned = oracles.radius_min_unpruned(candidates, {})[0].to_json()
         monkeypatch.setattr(explore, "PRINT_WIDTH", 0)
-        assert explore._radius_min(candidates, {}, {})[0].to_json() != unpruned
+        assert explore._radius_min(candidates, {})[0].to_json() != unpruned
 
     def test_prune_margin_is_the_printed_width(self):
         # to_json refines to the width that the prune adds as its margin
@@ -515,9 +515,9 @@ class TestRadiusMinPruning:
         candidates = []
         radius_min = explore._radius_min
 
-        def recording(cands, radii, gcds):
+        def recording(cands, radii):
             candidates.extend(poly for poly, _ in cands)
-            return radius_min(cands, radii, gcds)
+            return radius_min(cands, radii)
 
         monkeypatch.setattr(explore, "_radius_min", recording)
         explore_record(complete_graph(5))
@@ -682,30 +682,32 @@ class TestRecordSharing:
         # the same memo must still print the interval of a fresh isolation
         sqrt2, close = IntPoly((-2, 0, 1)), IntPoly((-665857, 470832))
         radii = {}
-        explore._radius_min([(close, "close"), (sqrt2, "sqrt2")], radii, {})
-        root, _ = explore._radius_min([(sqrt2, "sqrt2")], radii, {})
+        explore._radius_min([(close, "close"), (sqrt2, "sqrt2")], radii)
+        root, _ = explore._radius_min([(sqrt2, "sqrt2")], radii)
         assert root.to_json() == spectral_radius_of_charpoly(sqrt2).to_json()
 
     def test_gcd_memo_changes_no_winner(self, corpus5, monkeypatch):
         # every candidate list a record hands to `_radius_min` has the same
-        # winner and printed interval with the record's gcd memo and without
-        # one, and so does every record
+        # winner and printed interval on the record's radius memo, whose
+        # forms carry the gcds of the record's comparisons, as on roots
+        # isolated afresh, whose forms share no memo; and so does every
+        # record with every radius isolated afresh
         lists = []
         radius_min = explore._radius_min
 
-        def recording(candidates, radii, gcds):
-            lists.append(candidates)
-            return radius_min(candidates, radii, gcds)
+        def recording(candidates, radii):
+            lists.append((candidates, radii))
+            return radius_min(candidates, radii)
 
         monkeypatch.setattr(explore, "_radius_min", recording)
         records = [explore_record(g) for g in corpus5]
         assert len(lists) == 2 * len(corpus5) + sum(g.n <= 4 for g in corpus5)
-        for candidates in lists:
-            memo_root, memo_witness = radius_min(candidates, {}, {})
-            root, witness = radius_min(candidates, {}, None)
+        assert any(root._form.gcds for _, radii in lists for root in radii.values())
+        for candidates, radii in lists:
+            memo_root, memo_witness = radius_min(candidates, radii)
+            root, witness = radius_min(candidates, {})
             assert memo_witness == witness and memo_root.to_json() == root.to_json()
-        compare = AlgebraicRoot.compare
-        monkeypatch.setattr(AlgebraicRoot, "compare", lambda self, other, gcds=None: compare(self, other))
+        monkeypatch.setattr(explore, "_radius", lambda poly, radii: spectral_radius_of_charpoly(poly))
         assert [explore_record(g) for g in corpus5] == records
 
     def test_one_sign_vector_per_witness(self, monkeypatch):

@@ -301,7 +301,7 @@ class TestAuditReductions:
 
     @pytest.mark.parametrize("rule", ["always", "left_top_above_right_top"])
     def test_forced_interlacer_violations_match(self, corpus5, monkeypatch, rule):
-        def reject(left, right, gcds=None):
+        def reject(left, right):
             if rule == "always":
                 return False
             return compare_roots(left[-1], right[-1]) is not Order.GT
@@ -357,12 +357,12 @@ class TestAuditReductions:
 
     @pytest.mark.parametrize("graph", ["ladder", "petersen"])
     def test_one_gcd_per_distinct_pair(self, monkeypatch, graph):
-        # the audit's comparisons share one gcd memo: each distinct unordered
-        # pair of polynomials it compares has its gcd computed once per audit
-        # (on Petersen some pairs recur across nodes), and dropping the memo
-        # repeats gcds but changes no report.  Only comparisons the audit
-        # hands its memo are counted: a walk's square-free parts and its
-        # merge of several factors' roots are not the audit's comparisons
+        # the audit's comparisons read the gcd memo on the forms of its
+        # roots, which live in its root dict: the gcd of each distinct
+        # unordered pair of forms compared is computed once per audit (on
+        # Petersen some pairs recur across nodes), and forgetting the memo
+        # repeats gcds but changes no report.  Only gcds made inside a
+        # comparison are counted: a walk's square-free parts are not
         g = grid(2, 8) if graph == "ladder" else petersen()
         t = bfs_spanning_tree(g, 0)
         pairs = []
@@ -370,15 +370,18 @@ class TestAuditReductions:
         poly_gcd, compare = polynomials.poly_gcd, AlgebraicRoot.compare
 
         def counting_gcd(a, b):
-            if in_compare and in_compare[0]:
-                pairs.append(frozenset((a, b)))
+            if in_compare:
+                pairs.append(in_compare[0])
             return poly_gcd(a, b)
 
         def counting_compare(memo):
-            def wrapped(self, other, gcds=None):
-                in_compare.append(gcds is not None)
+            def wrapped(self, other):
+                if not memo:
+                    self._form.gcds.clear()
+                    other._form.gcds.clear()
+                in_compare.append(frozenset((self._form, other._form)))
                 try:
-                    return compare(self, other, gcds=gcds if memo else None)
+                    return compare(self, other)
                 finally:
                     in_compare.pop()
 
@@ -396,16 +399,28 @@ class TestAuditReductions:
 
     @pytest.mark.parametrize("rule", ["criterion", "left_top_above_right_top"])
     def test_gcd_memo_changes_no_report(self, corpus5, monkeypatch, rule):
+        # every comparison of the audit answers as it does between roots
+        # isolated afresh, whose forms share no memo
         if rule != "criterion":
 
-            def reject(left, right, gcds=None):
-                return compare_roots(left[-1], right[-1], gcds=gcds) is not Order.GT
+            def reject(left, right):
+                return compare_roots(left[-1], right[-1]) is not Order.GT
 
             monkeypatch.setattr(orientation, "roots_admit_common_interlacer", reject)
         reports = [audit_interlacing_family(g, t) for g, t in audit_cases(corpus5)]
         assert rule == "criterion" or sum(len(r.violations) for r in reports) > 20
         compare = AlgebraicRoot.compare
-        monkeypatch.setattr(AlgebraicRoot, "compare", lambda self, other, gcds=None: compare(self, other))
+
+        def fresh(root):
+            (a, d), (b, _) = root.lo_ratio(), root.hi_ratio()
+            return AlgebraicRoot._isolated(polynomials._Form(root.poly), a, b, d)
+
+        def checked(self, other):
+            want = compare(fresh(self), fresh(other))
+            assert compare(self, other) is want
+            return want
+
+        monkeypatch.setattr(AlgebraicRoot, "compare", checked)
         assert [audit_interlacing_family(g, t) for g, t in audit_cases(corpus5)] == reports
 
     def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, gain_tables):

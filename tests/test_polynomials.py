@@ -353,13 +353,13 @@ class TestRootCounts:
         q = squarefree_part(p)
         if q.degree < 2:
             return
-        count = polynomials._root_count(q)
+        form = polynomials._Form(q)
         chain = sturm_chain(q)
         symmetric = not any(q.coeffs[1 - q.degree % 2 :: 2])
-        assert (count.e is not None) == symmetric
-        assert count.chain[0].degree == (q.degree // 2 if symmetric else q.degree)
-        assert count.total == count_real_roots(chain)
-        sign, above = count.at(num, den)
+        assert (form.e is not None) == symmetric
+        assert form.f.degree == (q.degree // 2 if symmetric else q.degree)
+        assert form.total == count_real_roots(chain)
+        sign, above = form.at(num, den)
         assert sign == q.sign_at_ratio(num, den)
         if sign:
             assert above == variations_at_ratio(chain, num, den) - variations_pos_inf(chain)
@@ -381,9 +381,9 @@ class TestRootCounts:
     def test_root_at_zero_and_non_real_pairs(self):
         # x (x^2 + 1)(x^2 - 2): e = 1, roots -sqrt(2), 0, sqrt(2)
         q = IntPoly((0, 1)) * poly_of(1, 0, 1) * poly_of(-2, 0, 1)
-        count = polynomials._root_count(q)
-        assert count.e == 1 and count.chain[0] == poly_of(-2, -1, 1) and count.total == 3
-        assert [count.at(num, 2) for num in (-4, -1, 0, 1, 4)] == [(-1, 3), (1, 2), (0, 1), (-1, 1), (1, 0)]
+        form = polynomials._Form(q)
+        assert form.e == 1 and form.f == poly_of(-2, -1, 1) and form.total == 3
+        assert [form.at(num, 2) for num in (-4, -1, 0, 1, 4)] == [(-1, 3), (1, 2), (0, 1), (-1, 1), (1, 0)]
 
 
 class TestRealRootedness:
@@ -507,7 +507,7 @@ class TestIsolation:
         for k in (2, 3, 5, 6, 7):
             p = p * poly_of(-k, 0, 1)
         calls = []
-        monkeypatch.setattr(polynomials._RootCount, "at", counting(calls, polynomials._RootCount.at))
+        monkeypatch.setattr(polynomials._Form, "at", counting(calls, polynomials._Form.at))
         monkeypatch.setattr(oracles, "variations_at_ratio", counting(calls, oracles.variations_at_ratio))
 
         def counts_taken(isolate):
@@ -909,32 +909,55 @@ class TestAlgebraicRootExtras:
         assert top.to_json()["interval"] == [str(top.lo), str(top.hi)]
         assert top.negated().lo == -top.hi
 
-    @given(symmetric_polys())
-    @settings(max_examples=150, deadline=None)
-    def test_symmetric_refinement_signs_at_half_the_degree(self, p):
-        # a root of x^e f(x^2) is bisected on the signs of f at x^2, cached
-        # on the root: every interval is the one full-degree signs give
-        if p.is_zero:
+    @given(
+        st.one_of(symmetric_polys(), st.lists(small_ints, min_size=2, max_size=9).map(IntPoly)),
+        st.lists(st.integers(min_value=-200, max_value=200), max_size=6),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_form_signs_as_the_polynomial(self, p, nums, k):
+        # the form of a symmetric q = x^e f(x^2) signs q through f at x^2,
+        # at half the degree, and any other q through q itself: both give
+        # q's own sign at every dyadic point, at 0 and at both points of a
+        # mirrored pair
+        if p.degree < 1:
             return
-        for r in {id(r): r for r in isolate_real_roots(p) if not r.is_exact}.values():
-            full = AlgebraicRoot._isolated(r.poly, r._a, r._b, r._d, 0, (None, r.poly))
-            assert r._form == polynomials._half_form(r.poly) and r._form[0] is not None
-            for eps in (Fraction(1, 3), PRINT_WIDTH, Fraction(1, 2**40)):
-                r.refine(eps)
-                full.refine(eps)
-                assert (r._a, r._b, r._d) == (full._a, full._b, full._d)
+        q = squarefree_part(p)
+        form = polynomials._Form(q)
+        for num in [0, *nums]:
+            for x in (num, -num):
+                assert form.sign(x, 2**k) == q.sign_at_ratio(x, 2**k)
 
-    def test_half_form_is_made_once_per_root(self):
-        r = AlgebraicRoot(poly_of(-2, 0, 1), Fraction(1), Fraction(2))
-        assert r._form is None
-        r.refine(Fraction(1, 4))
-        form = r._form
-        assert form == (0, poly_of(-2, 1))
-        r.refine(Fraction(1, 2**20))
-        assert r._form is form and r.copy()._form is form
-        other = AlgebraicRoot(poly_of(-3, 1, 1), 0, 2)  # not symmetric: signed at full degree
-        other.refine(Fraction(1, 8))
-        assert other._form == (None, poly_of(-3, 1, 1))
+    def test_roots_share_one_form(self):
+        # every root of one walk, mirrored or not, and of one certificate,
+        # and every copy of one, reads the form made for its polynomial; a
+        # negated root gets a form of its own, even when the reflected
+        # polynomial is the same
+        symmetric = poly_of(-2, 0, 1) * poly_of(-3, 0, 1)
+        certified = roots_from_sign_changes(TestRootsFromSignChanges.P, TestRootsFromSignChanges.POINTS)
+        for roots in (isolate_real_roots(symmetric), isolate_real_roots(poly_of(-1, -3, 1)), certified):
+            form = roots[0]._form
+            assert len(roots) > 1 and form.q == roots[0].poly
+            for r in roots:
+                r.refine(Fraction(1, 2**20))
+                assert r._form is form and r.copy()._form is form
+        top = isolate_largest_root(symmetric)
+        neg = top.negated()
+        assert neg.poly == symmetric and neg._form is not top._form and neg._form.q == symmetric
+        other = isolate_largest_root(poly_of(-1, -3, 1)).negated()
+        assert other._form.q == poly_of(-1, 3, 1)
+
+    def test_gcd_is_made_once_per_pair_of_forms(self, monkeypatch):
+        # two roots compared twice, once in each order, from overlapping
+        # intervals each time: one gcd, kept on both forms
+        calls = []
+        monkeypatch.setattr(polynomials, "poly_gcd", counting(calls, polynomials.poly_gcd))
+        a = AlgebraicRoot(poly_of(-2, 0, 1), 1, 2)
+        b = AlgebraicRoot(poly_of(-3, 0, 1), 1, 2)
+        assert a.copy().compare(b.copy()) is Order.LT
+        assert b.copy().compare(a.copy()) is Order.GT
+        assert len(calls) == 1
+        assert a._form.gcds == {b.poly: IntPoly((1,))} and b._form.gcds == {a.poly: IntPoly((1,))}
 
     def test_copy_refines_independently(self):
         r = isolate_largest_root(poly_of(-2, 0, 1))
@@ -1136,7 +1159,7 @@ def _third_split(root):
 
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["compare", "compare_memo", "refine", "rational"]),
+        st.sampled_from(["compare", "compare_fresh", "refine", "rational"]),
         st.integers(min_value=0, max_value=63),
         st.integers(min_value=0, max_value=63),
         st.sampled_from([Fraction(1, 3), Fraction(1, 1000), PRINT_WIDTH, Fraction(1, 3 * 2**30)]),
@@ -1166,7 +1189,6 @@ class TestIntegerEndpointsAgainstFractionReference:
             assert r._d & (r._d - 1) == 0  # isolation makes power-of-two denominators
         roots += [r.negated() for r in roots] + [_third_split(r.copy()) for r in roots]
         twins = [FractionRoot.of(r) for r in roots]
-        gcds = {}
         for kind, i, j, eps in sequence:
             i, j = i % len(roots), j % len(roots)
             if kind == "refine":
@@ -1174,9 +1196,16 @@ class TestIntegerEndpointsAgainstFractionReference:
             elif kind == "rational":
                 value = twins[j].lo + (twins[j].hi - twins[j].lo) / 3
                 assert roots[i].compare_rational(value) is twins[i].compare_rational(value)
+            elif kind == "compare":
+                assert roots[i].compare(roots[j]) is twins[i].compare(twins[j])
             else:
-                memo = gcds if kind == "compare_memo" else None
-                assert roots[i].compare(roots[j], gcds=memo) is twins[i].compare(twins[j])
+                # the same comparison between roots on fresh forms, which
+                # share no gcd memo, answers and refines alike
+                pair = (roots[i], roots[j])
+                fresh = [AlgebraicRoot._isolated(polynomials._Form(r.poly), r._a, r._b, r._d) for r in pair]
+                order = fresh[0].compare(fresh[1])
+                assert roots[i].compare(roots[j]) is order is twins[i].compare(twins[j])
+                assert states(fresh) == states(pair)
             assert [(r.lo, r.hi) for r in roots] == [(t.lo, t.hi) for t in twins]
 
     @given(root_lists, st.lists(st.sampled_from([2, 3, 8]), max_size=2), ops)
@@ -1204,7 +1233,7 @@ class TestIntegerEndpointsAgainstFractionReference:
         rng = random.Random(5)
         for p in polys[::10]:
             sequence = [
-                (rng.choice(["compare", "compare_memo", "refine", "rational"]), rng.randrange(64), rng.randrange(64), PRINT_WIDTH)
+                (rng.choice(["compare", "compare_fresh", "refine", "rational"]), rng.randrange(64), rng.randrange(64), PRINT_WIDTH)
                 for _ in range(10)
             ]
             self.assert_same_states(p, sequence)
