@@ -520,10 +520,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OrispecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        print(f"error: the input is too deep to process: recursion went past {limit} frames", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ComputationDefect
+from .errors import ComputationDefect, OrispecError
 from .graphs import Graph
 from .polynomials import AlgebraicRoot, IntPoly, isolate_largest_root
 
@@ -39,26 +40,37 @@ def induced_matching_polynomials(g: Graph) -> Callable[[int], tuple[int, ...]]:
     Every mask met is memoised for the life of the function, so one function
     serves all the vertex-deleted subgraphs of one graph.  The function of
     the last graph asked for is kept with its memo, so one recursion serves
-    every caller on an equal graph (`Graph` hashes by value).
+    every caller on an equal graph (`Graph` hashes by value).  The
+    expansion recurses once per vertex of U: a U deeper than the
+    interpreter's recursion limit raises OrispecError.
     """
     neighbours = g.neighbour_masks
     memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
-    def mu(mask: int) -> tuple[int, ...]:
+    def expand(mask: int) -> tuple[int, ...]:
         cached = memo.get(mask)
         if cached is not None:
             return cached
         low = mask & -mask
         rest = mask ^ low
-        out = [0, *mu(rest)]
+        out = [0, *expand(rest)]
         others = neighbours[low.bit_length() - 1] & rest
         while others:
             w = others & -others
             others ^= w
-            for k, c in enumerate(mu(rest ^ w)):
+            for k, c in enumerate(expand(rest ^ w)):
                 out[k] -= c
         result = memo[mask] = tuple(out)
         return result
+
+    def mu(mask: int) -> tuple[int, ...]:
+        try:
+            return expand(mask)
+        except RecursionError:
+            raise OrispecError(
+                f"the input is too deep to process: the matching polynomial of {mask.bit_count()} vertices"
+                f" recurses once per vertex, past the recursion limit of {sys.getrecursionlimit()} frames"
+            ) from None
 
     return mu
 

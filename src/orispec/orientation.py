@@ -343,14 +343,17 @@ def _node_defect(
     """What is wrong at an internal node with two real-rooted children,
     given the sorted roots of every node polynomial below it, or None.  Two
     symmetric children are checked from `interlacer_start` on.  When they
-    admit a common interlacer, the parent's roots go into roots, certified
-    by sign changes at the children's separators or, when the signs certify
-    nothing, walked."""
+    admit a common interlacer, the parent's roots go into roots: copied from
+    two equal children P, whose sum 2P has P's roots on P's form, else
+    certified by sign changes at the children's separators or, when the
+    signs certify nothing, walked."""
     start = interlacer_start(*pair)
     left, right = roots[pair[0]], roots[pair[1]]
     if not roots_admit_common_interlacer(left[start:], right[start:]):
         return "children admit no common interlacer"
-    if parent not in roots:
+    if parent not in roots and pair[0] == pair[1]:
+        roots[parent] = [r.copy() for r in left]
+    elif parent not in roots:
         certified = roots_from_sign_changes(parent, _separators(left, right, start))
         roots[parent] = isolate_real_roots(parent) if certified is None else certified
     top_order = compare_roots(left[-1], right[-1])
@@ -376,14 +379,14 @@ def audit_interlacing_family(g: Graph, t: SpanningTree, guard: bool = True) -> A
     Spielman and Srivastava, Interlacing families I), and the checks have
     refined those roots apart: so the parent's roots are certified, with no
     Sturm chain, by sign changes at points between them
-    (`roots_from_sign_changes`, at `_separators`).  A parent whose children
-    fail, are not real-rooted, or whose signs certify nothing is walked as a
-    leaf is.  On a bipartite host every node polynomial is symmetric: its
-    negative roots are mirrored from its nonnegative ones, and a pair of
-    children is checked on the upper halves of their root lists
-    (`interlacer_start`).  Exact answers do not depend on how far a shared
-    root was refined or which route isolated it, and the report prints no
-    interval.
+    (`roots_from_sign_changes`, at `_separators`); two equal children P hand
+    their roots to 2P.  A parent whose children fail, are not real-rooted,
+    or whose signs certify nothing is walked as a leaf is.  On a bipartite
+    host every node polynomial is symmetric: its negative roots are mirrored
+    from its nonnegative ones, and a pair of children is checked on the
+    upper halves of their root lists (`interlacer_start`).  Exact answers
+    do not depend on how far a shared root was refined or which route
+    isolated it, and the report prints no interval.
     """
     g.require_connected()
     co = cotree_edges(g, t)

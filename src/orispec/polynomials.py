@@ -555,7 +555,8 @@ class _Form:
     x >= 0 and (2 R_f(0) + e) - R_f(x^2) above x < 0.  Every other q has e
     None and f = q, with R(x) = V(x) - V(+inf) on q's own chain.  Either
     count is exact for any q, real-rooted or not, at a point where q is
-    nonzero.  The chain is built on the first count; a linear q needs none
+    nonzero.  The chain is built on the first count and dropped, with the
+    counted points, when the isolation's walks end; a linear q needs none
     and has total 1.
 
     One form is made per isolation of q and shared by the roots it gives
@@ -584,6 +585,19 @@ class _Form:
         if self.e is None:
             return self.q.sign_at_ratio(num, den)
         return self._of_x(self.f.sign_at_ratio(num * num, den * den), num)
+
+    def signs(self, points: Iterable[tuple[int, int]]) -> Iterator[int]:
+        """Signs of q at the points (num, den), den > 0, in order; a
+        symmetric q signs f once per pair of mirrored points."""
+        half: dict[tuple[int, int], int] = {}  # f's sign at x^2
+        for num, den in points:
+            if self.e is None:
+                yield self.q.sign_at_ratio(num, den)
+            else:
+                y = num * num, den * den
+                if y not in half:
+                    half[y] = self.f.sign_at_ratio(*y)
+                yield self._of_x(half[y], num)
 
     def _count_chain(self) -> None:
         chain = self._chain = sturm_chain(self.f)
@@ -618,6 +632,12 @@ class _Form:
                 out = self._of_x(sign, num), (v - self._top if num >= 0 else self._total - v + self._top)
             self._counts[num, den] = out
         return out
+
+    def end_walks(self) -> None:
+        """Drop f's chain and counts: the isolation that made the form is
+        done, and its roots need signs and gcds only."""
+        self._chain = None
+        self._counts.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -949,11 +969,12 @@ def _factor_roots(q: IntPoly) -> list[AlgebraicRoot]:
     root at 0 is never mirrored, whether it sits exactly at 0 or alone in
     an interval around 0."""
     form = _Form(q)
-    if form.e is None:
-        return list(_walk(form, upward=True))
-    upper = list(_walk(form, upward=True, from_zero=True))
-    lower = [AlgebraicRoot._isolated(form, -r._b, -r._a, r._d) for r in reversed(upper) if r._a >= 0 and r._b > 0]
-    return lower + upper
+    roots = list(_walk(form, upward=True, from_zero=form.e is not None))
+    if form.e is not None:
+        positive = [r for r in roots if r._a >= 0 and r._b > 0]
+        roots[:0] = [AlgebraicRoot._isolated(form, -r._b, -r._a, r._d) for r in reversed(positive)]
+    form.end_walks()
+    return roots
 
 
 def isolate_real_roots(p: IntPoly) -> list[AlgebraicRoot]:
@@ -1009,9 +1030,12 @@ def _squarefree_form(p: IntPoly) -> _Form:
     return _Form(q)
 
 
-def _first_root(form: _Form, upward: bool) -> AlgebraicRoot:
-    """The smallest real root of form's q when upward, else the largest."""
+def _first_root(form: _Form, upward: bool, end_walks: bool = True) -> AlgebraicRoot:
+    """The smallest real root of form's q when upward, else the largest;
+    the form's walks end with it when end_walks."""
     for root in _walk(form, upward):
+        if end_walks:
+            form.end_walks()
         return root
     raise ValueError("polynomial has no real roots")
 
@@ -1036,9 +1060,10 @@ def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     root is a `copy()` of the first and the upward walk does not run.
     """
     form = _squarefree_form(p)
-    top = _first_root(form, upward=False)
     if form.e is not None:
+        top = _first_root(form, upward=False)
         return top, top.copy()
+    top = _first_root(form, upward=False, end_walks=False)
     return top, _first_root(form, upward=True).negated()
 
 
@@ -1054,7 +1079,7 @@ def roots_from_sign_changes(p: IntPoly, points: Sequence[tuple[int, int]]) -> li
     each gap, each simple: q is square-free and real-rooted, so q is the one
     factor `squarefree_decomposition(p)` returns.  Root j is the gap
     (points[j], points[j+1]) with q's sign at its left end, signed
-    through q's `_Form`.
+    through q's `_Form`, once per pair of mirrored points.
     """
     n = p.degree
     if n < 1 or len(points) != n + 1:
@@ -1067,8 +1092,7 @@ def roots_from_sign_changes(p: IntPoly, points: Sequence[tuple[int, int]]) -> li
             return None
     form = _Form(p.primitive())
     signs = []
-    for num, den in points:
-        s = form.sign(num, den)
+    for s in form.signs(points):
         if s == 0 or (signs and s == signs[-1]):
             return None
         signs.append(s)

@@ -497,7 +497,7 @@ class TestPlumbing:
         path = ";".join(f"{v} {v + 1}" for v in range(1099))
         code, out, err = run(capsys, command, "-g", path)
         assert code == 1 and out == ""
-        assert err.startswith("error: the input is too deep to process: recursion went past ")
+        assert err.startswith("error: the input is too deep to process: the matching polynomial of 1100 vertices")
         assert err.count("\n") == 1
 
     def test_parse_error_line_number(self, capsys):

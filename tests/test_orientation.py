@@ -358,11 +358,13 @@ class TestAuditReductions:
     @pytest.mark.parametrize("graph", ["ladder", "petersen"])
     def test_one_gcd_per_distinct_pair(self, monkeypatch, graph):
         # the audit's comparisons read the gcd memo on the forms of its
-        # roots, which live in its root dict: the gcd of each distinct
-        # unordered pair of forms compared is computed once per audit (on
-        # Petersen some pairs recur across nodes), and forgetting the memo
-        # repeats gcds but changes no report.  Only gcds made inside a
-        # comparison are counted: a walk's square-free parts are not
+        # roots: each distinct unordered pair of polynomials they compare
+        # has its gcd computed once per audit (on Petersen some pairs recur
+        # across nodes, and two equal children hand their roots, on their
+        # form, to the parent), and forgetting the memo repeats gcds but
+        # changes no report.  Only the audit's own comparisons are counted:
+        # a walk's square-free parts and its merge of several factors' roots
+        # are not the audit's comparisons
         g = grid(2, 8) if graph == "ladder" else petersen()
         t = bfs_spanning_tree(g, 0)
         pairs = []
@@ -371,29 +373,32 @@ class TestAuditReductions:
 
         def counting_gcd(a, b):
             if in_compare:
-                pairs.append(in_compare[0])
+                pairs.append(frozenset((a, b)))
             return poly_gcd(a, b)
 
-        def counting_compare(memo):
-            def wrapped(self, other):
-                if not memo:
-                    self._form.gcds.clear()
-                    other._form.gcds.clear()
-                in_compare.append(frozenset((self._form, other._form)))
+        def audit_comparison(check):
+            def wrapped(*roots):
+                in_compare.append(check)
                 try:
-                    return compare(self, other)
+                    return check(*roots)
                 finally:
                     in_compare.pop()
 
             return wrapped
 
+        def forgetting_compare(self, other):
+            self._form.gcds.clear()
+            other._form.gcds.clear()
+            return compare(self, other)
+
         monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
-        monkeypatch.setattr(AlgebraicRoot, "compare", counting_compare(True))
+        for name in ("roots_admit_common_interlacer", "compare_roots"):
+            monkeypatch.setattr(orientation, name, audit_comparison(getattr(orientation, name)))
         report = audit_interlacing_family(g, t)
         assert report.passed
         assert len(pairs) == len(set(pairs)) > 20
         pairs.clear()
-        monkeypatch.setattr(AlgebraicRoot, "compare", counting_compare(False))
+        monkeypatch.setattr(AlgebraicRoot, "compare", forgetting_compare)
         assert audit_interlacing_family(g, t) == report
         assert len(pairs) > len(set(pairs))
 
@@ -426,21 +431,24 @@ class TestAuditReductions:
     def test_work_on_the_ladder(self, capsys, monkeypatch, kernel_calls, gain_tables):
         # audit-family on the 2x8 ladder at bfs:0 (m = 7): one table, one
         # sweep of half of the 128 leaves, each distinct leaf polynomial
-        # walked once and each distinct internal one certified once by sign
-        # changes at its children's separators, none walked.  All 100 are
-        # symmetric of degree 16: the walks list only their 8 nonnegative
-        # roots and mirror the rest, and the interlacer checks read half of
-        # each pair of root lists (walking all 100 in full lists 1,600 roots,
-        # and the full checks make 5,564 compares)
+        # walked once, the one internal polynomial with two equal children
+        # copied from them and each other distinct internal one certified
+        # once by sign changes at its children's separators, none walked.
+        # All 100 are symmetric of degree 16: the walks list only their 8
+        # nonnegative roots and mirror the rest, and the interlacer checks
+        # read half of each pair of root lists (walking all 100 in full lists
+        # 1,600 roots, and the full checks make 5,564 compares)
         g = grid(2, 8)
         t = bfs_spanning_tree(g, 0)
         co = cotree_edges(g, t)
         leaves = [IntPoly(p) for p in oracles.sign_sweep_by_tree_table(g.n, t.tree_edges, co, sign_vectors(len(co)))]
-        internal = set()
+        internal, copied = set(), set()
         level = leaves
         while len(level) > 1:
-            level = [level[2 * i] + level[2 * i + 1] for i in range(len(level) // 2)]
+            pairs = [(level[2 * i], level[2 * i + 1]) for i in range(len(level) // 2)]
+            level = [a + b for a, b in pairs]
             internal.update(level)
+            copied.update(a + b for a, b in pairs if a == b)
 
         isolations, certified = [], []
 
@@ -477,7 +485,8 @@ class TestAuditReductions:
         assert gain_tables.sweeps == [(False, 64)]
         assert kernel_calls == []
         assert len(isolations) == len(set(isolations)) == len(set(leaves)) == 36
-        assert len(certified) == len(set(certified)) == len(internal) == 64
+        assert len(copied) == 1 and len(internal) == 64
+        assert len(certified) == len(set(certified)) == len(internal - copied) == 63
         assert set(isolations).isdisjoint(internal)
         assert all(p.degree == 16 and not any(p.coeffs[1::2]) for p in internal.union(leaves))
         assert len(walked) == 288

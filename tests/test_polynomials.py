@@ -947,6 +947,18 @@ class TestAlgebraicRootExtras:
         other = isolate_largest_root(poly_of(-1, -3, 1)).negated()
         assert other._form.q == poly_of(-1, 3, 1)
 
+    def test_isolations_keep_no_walk_state(self):
+        # the roots an isolation returns keep their form for signs and gcds
+        # only: its Sturm chain and counted points end with the walks
+        symmetric = poly_of(-2, 0, 1) * poly_of(-3, 0, 1)
+        general = poly_of(-1, -3, 1) * poly_of(-5, 0, 1)
+        for p in (symmetric, general):
+            roots = [*isolate_real_roots(p), isolate_largest_root(p), isolate_smallest_root(p)]
+            roots += isolate_extreme_roots(p)
+            for r in roots:
+                assert r._form._chain is None and not r._form._counts
+            assert isolate_largest_root(p)._form.total == 4
+
     def test_gcd_is_made_once_per_pair_of_forms(self, monkeypatch):
         # two roots compared twice, once in each order, from overlapping
         # intervals each time: one gcd, kept on both forms
