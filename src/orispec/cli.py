@@ -232,9 +232,8 @@ def _per_tree(args, command: str, solve, as_json, as_text, finish=None, head=Non
     results)` maps the results once every tree, and so every guard, is done.
     `as_json(result)` gives a tree's fields after "tree", `head(results)` the
     command's fields before "results", and `as_text(result)` the lines under
-    a tree line.  Only the format asked for is rendered: the text renderers
-    refine roots, which would narrow the intervals that the JSON prints.  A
-    `verdict` command's results have `passed`.
+    a tree line.  Only the format asked for is rendered.  A `verdict`
+    command's results have `passed`.
     """
     g = read_mixed(args.graph, args.format).graph
     guard = not args.unsafe_no_guards

@@ -36,7 +36,7 @@ from .graphs import (
     tree_from_mask,
 )
 from .hermitian import GainTable, spectral_radius_of_charpoly
-from .polynomials import PRINT_WIDTH, AlgebraicRoot, IntPoly, Order, compare_roots
+from .polynomials import AlgebraicRoot, IntPoly, Order, compare_roots
 
 CORPUS_GUARD_N = 7
 MIN_COMPLETE_GUARD_M = 20
@@ -198,20 +198,16 @@ def _check_guards(g: Graph, guard: bool, *, complete=False, partial=False, all_m
 
 def _radius(poly: IntPoly, radii: dict[IntPoly, AlgebraicRoot]) -> AlgebraicRoot:
     """Spectral radius of a charpoly through radii, the memo of one
-    `_Search`.
-
-    The memo keeps the root as `spectral_radius_of_charpoly` returns it and
-    hands out a fresh copy per lookup: comparisons refine roots in place, and
-    each search must print the intervals of its own refinement history.
-    """
+    `_Search`.  Every lookup gets the memo's root itself: comparisons refine
+    it in place, which changes no printed interval."""
     root = radii.get(poly)
     if root is None:
         root = radii[poly] = spectral_radius_of_charpoly(poly)
-    return root.copy()
+    return root
 
 
 def _root_beyond(p: IntPoly, num: int, den: int) -> bool:
-    """True when p, of degree >= 1, has a real root r with |r| >= h > 0,
+    """True when p, of degree >= 1, has a real root r with |r| >= h >= 0,
     h = num / den with den > 0, certified by one sign at h and one at -h.
 
     A sign at h that differs from p's sign at +inf means an odd number of
@@ -235,35 +231,18 @@ def _radius_min(
     radii is the radius memo of one `_Search`.
 
     A candidate p is discarded before isolation when `_root_beyond` holds
-    for p at h = best.hi + eps, eps = `PRINT_WIDTH`, the width `to_json`
-    refines to; h is kept as an integer ratio.  Then rho(p) >= h >
-    rho(best): p is not LT, so the winner and its witness do not change,
-    and p never enters the radius memo.  The margin eps keeps every printed
-    interval byte-identical:
-
-    - comparing p with best would refine best only while best is the wider
-      of two overlapping intervals; p's interval then reaches below best.hi
-      and contains rho(p) >= best.hi + eps, so both are wider than eps;
-    - so a skipped comparison leaves best no narrower than the first interval
-      of its bisection below eps, which `to_json` prints anyway;
-    - bisection follows one fixed sequence of intervals per root, and a
-      comparison refines past the printed interval only after both roots
-      reach theirs, so every later comparison ends in the same printed state
-      with or without the skipped ones.
+    for p at h = best.hi.  Then rho(p) >= h >= rho(best): p is not LT, so
+    the winner and its witness do not change (a tie goes to the earlier
+    best), and p never enters the radius memo.
     """
     best_root: AlgebraicRoot | None = None
     best_witness: object = None
-    eps_num, eps_den = PRINT_WIDTH.numerator, PRINT_WIDTH.denominator
-    h_num = h_den = 0
     for poly, witness in candidates:
-        if best_root is not None and _root_beyond(poly, h_num, h_den):
+        if best_root is not None and _root_beyond(poly, *best_root.hi_ratio()):
             continue
         root = _radius(poly, radii)
         if best_root is None or compare_roots(root, best_root) is Order.LT:
             best_root, best_witness = root, witness
-        # the comparison may have narrowed best, so h is formed again
-        b, d = best_root.hi_ratio()
-        h_num, h_den = b * eps_den + d * eps_num, d * eps_den
     assert best_root is not None
     return best_root, best_witness
 
@@ -344,8 +323,8 @@ class _Search:
 
     The searches share the table, its complete-orientation sweep (made on
     first use) and one radius memo, so each distinct charpoly is isolated
-    once; the copies it hands out share their root's form and with it the
-    form's gcd memo, so the gcd of two memoised radii is computed once per
+    once; each search reads the memo's roots themselves, and with them their
+    forms' gcd memos, so the gcd of two memoised radii is computed once per
     object.  Guards are checked by the caller (`_check_guards`) before the
     object is built.
     """

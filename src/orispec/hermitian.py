@@ -434,13 +434,11 @@ def spectral_radius_of_charpoly(p: IntPoly) -> AlgebraicRoot:
     spectrum (`isolate_extreme_roots`): one bisection walk runs down to
     the top end and, unless the spectrum is symmetric, up to the bottom
     end.  Comparing the two ends refines them by signs of their
-    polynomials alone.  The result is the largest
-    root of p, or minus the smallest one, in the interval state left by
-    comparing the two; on a tie the largest root wins.  A spectrum
+    polynomials alone.  The result is the largest root of p, or minus the
+    smallest one; on a tie the largest root wins.  A spectrum
     symmetric about 0, as every mixed graph on a bipartite host has, gives
     p = x^e f(x^2): its roots are counted on f's chain at half the degree,
-    and the bottom end is a copy of the top one, which ties without a
-    refinement.
+    and the bottom end is the top one, which ties without a refinement.
     """
     top, bottom_abs = isolate_extreme_roots(p)
     return top if top.compare(bottom_abs) is not Order.LT else bottom_abs

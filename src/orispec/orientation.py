@@ -343,8 +343,8 @@ def _node_defect(
     """What is wrong at an internal node with two real-rooted children,
     given the sorted roots of every node polynomial below it, or None.  Two
     symmetric children are checked from `interlacer_start` on.  When they
-    admit a common interlacer, the parent's roots go into roots: copied from
-    two equal children P, whose sum 2P has P's roots on P's form, else
+    admit a common interlacer, the parent's roots go into roots: P's own
+    list for two equal children P, whose sum 2P has P's roots, else
     certified by sign changes at the children's separators or, when the
     signs certify nothing, walked."""
     start = interlacer_start(*pair)
@@ -352,7 +352,7 @@ def _node_defect(
     if not roots_admit_common_interlacer(left[start:], right[start:]):
         return "children admit no common interlacer"
     if parent not in roots and pair[0] == pair[1]:
-        roots[parent] = [r.copy() for r in left]
+        roots[parent] = left
     elif parent not in roots:
         certified = roots_from_sign_changes(parent, _separators(left, right, start))
         roots[parent] = isolate_real_roots(parent) if certified is None else certified

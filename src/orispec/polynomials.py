@@ -28,7 +28,9 @@ positive denominator; isolation and bisection only ever halve, so that
 denominator is a power of two and every step stays in integers.  Comparisons
 refine intervals by bisection; equality is decided exactly through a gcd
 computation, so two numbers are never declared equal or distinct on numeric
-evidence alone.
+evidence alone.  Bisection follows one fixed sequence of intervals per
+root, and a root prints the first of them narrower than `PRINT_WIDTH`, so
+what it prints does not depend on which comparisons refined it.
 """
 
 from __future__ import annotations
@@ -559,10 +561,10 @@ class _Form:
     counted points, when the isolation's walks end; a linear q needs none
     and has total 1.
 
-    One form is made per isolation of q and shared by the roots it gives
-    and their copies.  ``gcds`` maps another polynomial r to poly_gcd(q,
-    r); `AlgebraicRoot.compare` fills it on both forms, so it lives as long
-    as the roots that compared.
+    One form is made per isolation of q and shared by the roots it gives.
+    ``gcds`` maps another polynomial r to poly_gcd(q, r);
+    `AlgebraicRoot.compare` fills it on both forms, so it lives as long as
+    the roots that compared.
     """
 
     __slots__ = ("q", "e", "f", "gcds", "_counts", "_chain", "_top", "_total")
@@ -644,8 +646,10 @@ class _Form:
 # algebraic roots
 # ---------------------------------------------------------------------------
 
-# width below which ``AlgebraicRoot.to_json`` refines the interval it prints
-PRINT_WIDTH = Fraction(1, 2**20)
+# ``AlgebraicRoot.to_json`` prints the first interval of a root's bisection
+# narrower than PRINT_WIDTH = 2^-_PRINT_BITS
+_PRINT_BITS = 20
+PRINT_WIDTH = Fraction(1, 1 << _PRINT_BITS)
 
 
 class AlgebraicRoot:
@@ -660,7 +664,7 @@ class AlgebraicRoot:
     cross-multiplied integers.  ``lo``, ``hi``, ``width`` and ``midpoint``
     read the interval as Fractions.  Every sign and gcd is taken through
     the root's `_Form`, made by the constructor or shared with the other
-    roots of its isolation and with its copies.
+    roots of its isolation.
 
     For a non-degenerate root the value lies strictly inside (lo, hi) and
     neither endpoint is a root of the polynomial; lo == hi marks an exact
@@ -669,13 +673,14 @@ class AlgebraicRoot:
     across it and a sign at the midpoint picks the half that keeps it.
     The constructor therefore rejects lo > hi, a non-degenerate interval
     whose ends do not differ in sign, and an exact value that is not a root
-    of the polynomial.  Comparisons refine in place too, and a printed
-    interval depends on every refinement its root went through, so a memo
-    of roots hands out a ``copy()`` per lookup and keeps its own object
-    unrefined.
+    of the polynomial.  Comparisons refine in place too, so a root may be
+    shared by any number of searches: from its first interval, bisection
+    makes the same sequence of intervals however far it is driven, and
+    `to_json` prints the first of them narrower than `PRINT_WIDTH`, kept
+    in ``_printed`` by the step that leaves it.
     """
 
-    __slots__ = ("poly", "_form", "_a", "_b", "_d", "_slo")
+    __slots__ = ("poly", "_form", "_a", "_b", "_d", "_slo", "_printed")
 
     def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction) -> None:
         lo, hi = Fraction(lo), Fraction(hi)
@@ -688,6 +693,7 @@ class AlgebraicRoot:
         self._b = hi.numerator * (d // hi.denominator)
         self._d = d
         self._slo = 0  # sign of poly at lo, 0 until a bisection step takes it
+        self._printed: tuple[int, int, int] | None = None
         if lo != hi:
             self._slo = form.sign(self._a, d)
             if self._slo * form.sign(self._b, d) >= 0:
@@ -705,11 +711,8 @@ class AlgebraicRoot:
         constructor's checks."""
         root = cls.__new__(cls)
         root.poly, root._form, root._a, root._b, root._d, root._slo = form.q, form, a, b, d, slo
+        root._printed = None
         return root
-
-    def copy(self) -> "AlgebraicRoot":
-        """An independent root in the same interval state, on the same form."""
-        return AlgebraicRoot._isolated(self._form, self._a, self._b, self._d, self._slo)
 
     @classmethod
     def exact(cls, poly: IntPoly, value: Fraction) -> "AlgebraicRoot":
@@ -761,6 +764,8 @@ class AlgebraicRoot:
         a, b, d = self._a, self._b, self._d
         if a == b:
             return
+        if self._printed is None and (b - a) << _PRINT_BITS < d:
+            self._printed = a, b, d
         mid = a + b
         self._d = d << 1
         sign = self._form.sign(mid, self._d)
@@ -872,16 +877,16 @@ class AlgebraicRoot:
 
     # -- presentation --------------------------------------------------------
 
-    def interval_strings(self) -> tuple[str, str]:
-        return (str(self.lo), str(self.hi))
-
     def to_json(self) -> dict:
+        """The polynomial, the first interval of the root's bisection
+        narrower than `PRINT_WIDTH` (or its exact value, when bisection
+        lands on it first) and that interval's midpoint as a float."""
         self.refine(PRINT_WIDTH)
-        lo, hi = self.interval_strings()
+        a, b, d = self._printed or (self._a, self._b, self._d)
         return {
             "poly": self.poly.to_json(),
-            "interval": [lo, hi],
-            "approx": float(self.midpoint),
+            "interval": [str(Fraction(a, d)), str(Fraction(b, d))],
+            "approx": float(Fraction(a + b, 2 * d)),
         }
 
     def __repr__(self) -> str:
@@ -1057,12 +1062,12 @@ def isolate_extreme_roots(p: IntPoly) -> tuple[AlgebraicRoot, AlgebraicRoot]:
     The second root is minus the smallest root of p; its poly is the
     square-free part of p(-x), as `isolate_smallest_root(p).negated()` gives.
     When q(-x) = +-q(x), q(-x) made primitive is q itself, so the second
-    root is a `copy()` of the first and the upward walk does not run.
+    root is the first one and the upward walk does not run.
     """
     form = _squarefree_form(p)
     if form.e is not None:
         top = _first_root(form, upward=False)
-        return top, top.copy()
+        return top, top
     top = _first_root(form, upward=False, end_walks=False)
     return top, _first_root(form, upward=True).negated()
 

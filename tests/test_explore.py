@@ -411,8 +411,8 @@ NEAR_SQRT2 = IntPoly((-665857, 470832))
 
 class TestRadiusMinPruning:
     """`_radius_min` discards a candidate with a root of modulus at least
-    best.hi + PRINT_WIDTH before isolating it, and must print what the
-    unpruned search prints."""
+    best.hi before isolating it, and must print what the unpruned search
+    prints."""
 
     @staticmethod
     def run(candidates, isolated):
@@ -429,8 +429,8 @@ class TestRadiusMinPruning:
     @staticmethod
     def h_after_sqrt2():
         """The prune point once sqrt(2), isolated in (0, 3), is the best."""
-        h = spectral_radius_of_charpoly(SQRT2).hi + polynomials.PRINT_WIDTH
-        assert h == 3 + polynomials.PRINT_WIDTH
+        h = spectral_radius_of_charpoly(SQRT2).hi
+        assert h == 3
         return h
 
     def test_root_at_h_is_pruned(self, isolated):
@@ -462,25 +462,22 @@ class TestRadiusMinPruning:
         for pair in ([(SQRT2, "sqrt2"), (NEAR_SQRT2, "near")], [(NEAR_SQRT2, "near"), (SQRT2, "sqrt2")]):
             assert self.run(pair, isolated) == [poly for poly, _ in pair]
 
-    def test_root_inside_the_margin_is_not_pruned(self, isolated, monkeypatch):
+    def test_root_just_above_best_hi_is_pruned(self, isolated):
         # the near tie leaves sqrt(2) far below the printed width; c's
-        # largest root lies just above best.hi, inside the margin, and its
-        # interval overlaps best's and is narrower, so comparing c refines
-        # the winner: the margin keeps c, and a zero margin changes the print
+        # largest root lies within the printed width above best.hi, and its
+        # interval overlaps best's and is narrower, so comparing c would
+        # refine the winner: c is pruned all the same, and the winner prints
+        # as the unpruned search prints it
         best = spectral_radius_of_charpoly(SQRT2)
         spectral_radius_of_charpoly(NEAR_SQRT2).compare(best)
         r1, r2 = best.hi - best.width / 7, best.hi + best.width / 13
+        assert best.hi < r2 < best.hi + polynomials.PRINT_WIDTH
         c = IntPoly((-r1.numerator, r1.denominator)) * IntPoly((-r2.numerator, r2.denominator))
         c = c * IntPoly((3, 0, 1))  # moves c's bisection grid off best's, so they overlap
         candidates = [(SQRT2, "sqrt2"), (NEAR_SQRT2, "near"), (c, "c")]
-        assert self.run(candidates, isolated) == [SQRT2, NEAR_SQRT2, c]
-        unpruned = oracles.radius_min_unpruned(candidates, {})[0].to_json()
-        monkeypatch.setattr(explore, "PRINT_WIDTH", 0)
-        assert explore._radius_min(candidates, {})[0].to_json() != unpruned
+        assert self.run(candidates, isolated) == [SQRT2, NEAR_SQRT2]
 
-    def test_prune_margin_is_the_printed_width(self):
-        # to_json refines to the width that the prune adds as its margin
-        assert explore.PRINT_WIDTH is polynomials.PRINT_WIDTH
+    def test_to_json_refines_to_the_printed_width(self):
         root = spectral_radius_of_charpoly(SQRT2)
         root.to_json()
         assert polynomials.PRINT_WIDTH / 2 <= root.width < polynomials.PRINT_WIDTH
@@ -664,17 +661,15 @@ class TestRecordSharing:
     """One explore record shares one complete-orientation sweep and one
     radius memo among its searches."""
 
-    def test_radius_memo_hands_out_fresh_copies(self, isolated):
+    def test_radius_memo_hands_out_its_own_root(self, isolated):
         radii = {}
         p = IntPoly((2, 2, -5, 0, 1))
         first = _radius(p, radii)
-        state = (first.poly, first.lo, first.hi)
-        first.to_json()  # refines first in place
+        printed = first.to_json()  # refines first in place
         second = _radius(p, radii)
         assert len(isolated) == 1 and list(radii) == [p]
-        assert second is not first and radii[p] is not first and radii[p] is not second
-        assert (second.poly, second.lo, second.hi) == state != (first.poly, first.lo, first.hi)
-        assert (radii[p].lo, radii[p].hi) == state[1:]
+        assert second is first is radii[p]
+        assert second.to_json() == printed == spectral_radius_of_charpoly(p).to_json()
 
     def test_shared_memo_does_not_leak_refinement(self):
         # 665857/470832 is within 2^-38 of sqrt(2): telling them apart

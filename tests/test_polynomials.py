@@ -439,9 +439,9 @@ class TestIsolation:
             with pytest.raises(ValueError, match=str(exc)):
                 isolate_extreme_roots(p)
             return
-        for got, want in zip(isolate_extreme_roots(p), expected):
-            assert (got.poly, got.lo, got.hi) == (want.poly, want.lo, want.hi)
-            assert got.to_json() == want.to_json()
+        got = isolate_extreme_roots(p)
+        assert intervals(got) == intervals(expected)
+        assert [r.to_json() for r in got] == [r.to_json() for r in expected]
         smallest = isolate_smallest_root(p)
         want = isolate_largest_root(p.reflected()).negated()
         assert (smallest.poly, smallest.lo, smallest.hi) == (want.poly, want.lo, want.hi)
@@ -929,18 +929,19 @@ class TestAlgebraicRootExtras:
                 assert form.sign(x, 2**k) == q.sign_at_ratio(x, 2**k)
 
     def test_roots_share_one_form(self):
-        # every root of one walk, mirrored or not, and of one certificate,
-        # and every copy of one, reads the form made for its polynomial; a
-        # negated root gets a form of its own, even when the reflected
-        # polynomial is the same
+        # every root of one walk, mirrored or not, and of one certificate
+        # reads the form made for its polynomial, before and after it is
+        # refined; a negated root gets a form of its own, even when the
+        # reflected polynomial is the same
         symmetric = poly_of(-2, 0, 1) * poly_of(-3, 0, 1)
         certified = roots_from_sign_changes(TestRootsFromSignChanges.P, TestRootsFromSignChanges.POINTS)
         for roots in (isolate_real_roots(symmetric), isolate_real_roots(poly_of(-1, -3, 1)), certified):
             form = roots[0]._form
             assert len(roots) > 1 and form.q == roots[0].poly
             for r in roots:
+                assert r._form is form
                 r.refine(Fraction(1, 2**20))
-                assert r._form is form and r.copy()._form is form
+                assert r._form is form
         top = isolate_largest_root(symmetric)
         neg = top.negated()
         assert neg.poly == symmetric and neg._form is not top._form and neg._form.q == symmetric
@@ -960,30 +961,22 @@ class TestAlgebraicRootExtras:
             assert isolate_largest_root(p)._form.total == 4
 
     def test_gcd_is_made_once_per_pair_of_forms(self, monkeypatch):
-        # two roots compared twice, once in each order, from overlapping
-        # intervals each time: one gcd, kept on both forms
+        # roots on two forms compared twice, once in each order, from
+        # overlapping intervals each time: one gcd, kept on both forms
         calls = []
         monkeypatch.setattr(polynomials, "poly_gcd", counting(calls, polynomials.poly_gcd))
         a = AlgebraicRoot(poly_of(-2, 0, 1), 1, 2)
         b = AlgebraicRoot(poly_of(-3, 0, 1), 1, 2)
-        assert a.copy().compare(b.copy()) is Order.LT
-        assert b.copy().compare(a.copy()) is Order.GT
+        assert a.compare(b) is Order.LT
+        a2, b2 = (AlgebraicRoot._isolated(r._form, 1, 2, 1) for r in (a, b))
+        assert b2.compare(a2) is Order.GT
         assert len(calls) == 1
         assert a._form.gcds == {b.poly: IntPoly((1,))} and b._form.gcds == {a.poly: IntPoly((1,))}
-
-    def test_copy_refines_independently(self):
-        r = isolate_largest_root(poly_of(-2, 0, 1))
-        c = r.copy()
-        assert c is not r and (c.poly, c.lo, c.hi) == (r.poly, r.lo, r.hi)
-        before = (r.lo, r.hi)
-        c.refine(Fraction(1, 10**6))
-        assert (r.lo, r.hi) == before
-        assert r.lo <= c.lo < c.hi <= r.hi
 
 
 class TestHalfDegreeIsolationAgainstFullDegree:
     """The walk reads a symmetric q's counts off f's chain, and its bottom
-    end is a copy of its top; any other q's bottom end comes from the
+    end is its top; any other q's bottom end comes from the
     upward walk on q's own chain.  `oracles` bisects on q's own chain at
     full degree and takes every bottom end from the largest root of q(-x),
     on a chain built for q(-x).  Both give the same polys and (a, b, d)
@@ -1057,12 +1050,10 @@ class TestHalfDegreeIsolationAgainstFullDegree:
             self.assert_matches_full_degree(p)
         assert states(isolate_real_roots(cases[0])) == [(cases[0], -2, 2, 1)]
 
-    def test_symmetric_bottom_is_a_copy_of_the_top(self):
+    def test_symmetric_bottom_is_the_top(self):
         for p in (poly_of(1, 0, -3, 0, 1), poly_of(0, -3, 0, 1), poly_of(-3, 0, 1) * poly_of(1, 0, 1)):
             top, bottom = isolate_extreme_roots(p)
-            assert bottom is not top and states([bottom]) == states([top])
-            bottom.refine(PRINT_WIDTH)
-            assert (top.lo, top.hi) != (bottom.lo, bottom.hi)
+            assert bottom is top
 
 
 def states(roots):
@@ -1159,7 +1150,7 @@ def _third_split(root):
     """The root in one third of its interval, built by the constructor: an
     interval whose denominator is not a power of two."""
     if root.is_exact:
-        return root.copy()
+        return AlgebraicRoot._isolated(root._form, root._a, root._b, root._d)
     t = root.lo + root.width / 3
     sign = root.poly.sign_at(t)
     if sign == 0:
@@ -1199,7 +1190,7 @@ class TestIntegerEndpointsAgainstFractionReference:
             return
         for r in roots:
             assert r._d & (r._d - 1) == 0  # isolation makes power-of-two denominators
-        roots += [r.negated() for r in roots] + [_third_split(r.copy()) for r in roots]
+        roots += [r.negated() for r in roots] + [_third_split(r) for r in roots]
         twins = [FractionRoot.of(r) for r in roots]
         for kind, i, j, eps in sequence:
             i, j = i % len(roots), j % len(roots)
@@ -1249,3 +1240,56 @@ class TestIntegerEndpointsAgainstFractionReference:
                 for _ in range(10)
             ]
             self.assert_same_states(p, sequence)
+
+
+print_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["compare", "rational", "refine"]),
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=0, max_value=63),
+        st.sampled_from([Fraction(1, 3), PRINT_WIDTH, PRINT_WIDTH / 2, Fraction(1, 2**30), Fraction(1, 2**40)]),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+class TestPrintedIntervalIsAFunctionOfTheRoot:
+    """`to_json` prints the first interval of a root's bisection narrower
+    than `PRINT_WIDTH`, or its exact value when bisection lands on it first,
+    whatever compared or refined the root before or after."""
+
+    def test_refined_sqrt2_prints_as_a_fresh_root(self):
+        r = isolate_largest_root(poly_of(-2, 0, 1))
+        r.refine(Fraction(1, 2**30))
+        fresh = isolate_largest_root(poly_of(-2, 0, 1)).to_json()
+        assert fresh["interval"][0] == "5931639/4194304"
+        assert r.to_json() == fresh
+
+    @given(st.lists(st.lists(small_ints, min_size=2, max_size=7), min_size=1, max_size=3), print_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_any_history_prints_as_a_fresh_isolation(self, coeff_lists, sequence):
+        # times x^2 - 2, so that equal roots sit in different polynomials;
+        # compare within one polynomial and across them, compare with
+        # dyadics inside an interval and refine far past the printed width,
+        # then print twice, refining to 2^-40 in between
+        polys = [IntPoly(cs) * poly_of(-2, 0, 1) for cs in coeff_lists if any(cs)]
+        if not polys:
+            return
+        lists = [isolate_real_roots(p) for p in polys]
+        roots = [r for rs in lists for r in rs]
+        for kind, i, j, eps in sequence:
+            a, b = roots[i % len(roots)], roots[j % len(roots)]
+            if kind == "compare":
+                a.compare(b)
+            elif kind == "rational":
+                x, d = b.lo_ratio()
+                a.compare_rational(Fraction(3 * x + b.hi_ratio()[0], 4 * d))
+            else:
+                a.refine(eps)
+        for p, rs in zip(polys, lists):
+            printed = [r.to_json() for r in rs]
+            assert printed == [r.to_json() for r in isolate_real_roots(p)]
+            for r in rs:
+                r.refine(Fraction(1, 2**40))
+            assert [r.to_json() for r in rs] == printed
